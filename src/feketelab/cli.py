@@ -118,15 +118,19 @@ def _weight_of(cfg: ExperimentConfig) -> fk.Weight:
     raise ConfigError(f"unknown weight {cfg.weight!r}")
 
 
+def _fekete_config(spec, weight, mesh, sweeps: int) -> fk.PointConfiguration:
+    """Greedy then exchange; the search state is freed when this returns."""
+    config, state = fk.leja_greedy(spec, weight, mesh)
+    return fk.exchange_refine(config, spec, weight, mesh, sweeps, state)
+
+
 def _reference_for(cfg: ExperimentConfig, weight, mesh):
     domain = cfg.domain
     try:
         return eq.equilibrium_reference(domain), "closed-form"
     except FeketelabError:
         # arcs/caps: self-consistency against the largest-degree measure
-        spec = fk.BasisSpec(domain, cfg.k_max)
-        config, sl = fk.leja_greedy(spec, weight, mesh)
-        config = fk.exchange_refine(config, spec, weight, mesh, cfg.sweeps, sl)
+        config = _fekete_config(fk.BasisSpec(domain, cfg.k_max), weight, mesh, cfg.sweeps)
         return fk.fekete_measure(config), f"fekete-self-consistency(k={cfg.k_max})"
 
 
@@ -170,8 +174,7 @@ def cmd_fekete(cfg: ExperimentConfig) -> RunRecord:
 
     def run_cell(k: int):
         spec = fk.BasisSpec(domain, k)
-        config, sl = fk.leja_greedy(spec, weight, mesh)
-        config = fk.exchange_refine(config, spec, weight, mesh, cfg.sweeps, sl)
+        config = _fekete_config(spec, weight, mesh, cfg.sweeps)
         mu = fk.fekete_measure(config)
         dists = _dist_to_reference(cfg, domain, mu, reference, dictionaries)
         return spec, config, dists

@@ -5,14 +5,16 @@ spaces: the interval with Chebyshev polynomials, the circle with the
 trigonometric basis, the 2-sphere with real spherical harmonics, plus arcs
 and caps inheriting the ambient basis.  The weighted log-Vandermonde value
 of a configuration is evaluated by pivoted factorization in log space, and
-configurations are searched by greedy Leja extraction followed by
-single-point exchange refinement over a candidate shortlist.
+configurations are searched in index space on one weighted mesh-by-basis
+matrix: greedy Leja extraction followed by single-point exchange
+refinement over a candidate shortlist.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import lru_cache
 
 import numpy as np
 
@@ -234,8 +236,13 @@ def basis_dim(spec: BasisSpec) -> int:
         return 2 * k + 1
     if isinstance(domain, Sphere):
         return (k + 1) ** 2
-    mesh = domain.mesh()
-    mat = _ambient_matrix(domain, mesh, k)
+    return _numerical_rank(spec)
+
+
+@lru_cache(maxsize=128)
+def _numerical_rank(spec: BasisSpec) -> int:
+    """Rank of the ambient basis on the domain's default mesh."""
+    mat = _ambient_matrix(spec.domain, spec.domain.mesh(), spec.k)
     sv = np.linalg.svd(mat, compute_uv=False)
     return int(np.sum(sv > 1e-10 * sv[0]))
 
@@ -382,64 +389,74 @@ def _greedy_core(w_mat: np.ndarray, n: int, block: int = 32):
     return chosen, shortlists
 
 
+@dataclass(frozen=True)
+class GreedyState:
+    """Index-space search state of one greedy run, handed to exchange.
+
+    `w` is the weighted mesh-by-basis matrix, `chosen` the mesh indices of
+    the greedy configuration and `shortlists[i]` the mesh indices of the
+    best residual nodes at greedy step i.  It holds a mesh-sized matrix,
+    so it is kept for one search only and never cached.
+    """
+
+    w: np.ndarray
+    chosen: np.ndarray
+    shortlists: list
+
+
+def _greedy_state(spec: BasisSpec, weight: Weight, mesh: np.ndarray, n: int) -> GreedyState:
+    w_mat = _weighted_matrix(spec, weight, mesh).T  # mesh x basis
+    chosen, shortlists = _greedy_core(w_mat, n)
+    return GreedyState(w=w_mat, chosen=np.asarray(chosen), shortlists=shortlists)
+
+
 def leja_greedy(
     spec: BasisSpec, weight: Weight, mesh: np.ndarray
-) -> tuple[PointConfiguration, list]:
-    """Greedy Leja extraction of N_k mesh points; also returns per-point
-    candidate shortlists (the best residual nodes seen at each step)."""
+) -> tuple[PointConfiguration, GreedyState]:
+    """Greedy Leja extraction of N_k mesh points; also returns the search
+    state (weighted mesh matrix, chosen indices, per-step shortlists)."""
     n = basis_dim(spec)
     if len(mesh) < 5 * n:
         raise InsufficientMeshError(f"mesh must have at least 5 N_k = {5 * n} nodes")
-    w_mat = _weighted_matrix(spec, weight, mesh).T  # mesh x basis
-    chosen, shortlists = _greedy_core(w_mat, n)
-    pts = mesh[chosen]
+    state = _greedy_state(spec, weight, mesh, n)
+    pts = mesh[state.chosen]
     cfg = PointConfiguration(
         domain=spec.domain,
         points=pts,
         logdet=log_vandermonde(pts, spec, weight),
         weight=weight,
     )
-    return cfg, [mesh[s] for s in shortlists]
+    return cfg, state
 
 
-def _config_shortlists(spec, weight, mesh, config):
-    """Greedy residual shortlists with the configuration itself as the
-    greedy sequence (used when no greedy history is supplied)."""
-    w_mat = _weighted_matrix(spec, weight, mesh).T
-    cfg_mat = _weighted_matrix(spec, weight, config.points).T
-    shortlists = []
-    r = w_mat.copy()
-    rc = cfg_mat.copy()
-    for i in range(config.size):
-        scores = np.linalg.norm(r, axis=1)
-        shortlists.append(mesh[np.argsort(-scores, kind="stable")[:_SHORTLIST]])
-        nv = np.linalg.norm(rc[i])
-        if nv <= 0.0:
-            continue
-        v = rc[i] / nv
-        r -= np.outer(r @ v, v)
-        rc -= np.outer(rc @ v, v)
-    return shortlists
+def _mesh_indices(mesh: np.ndarray, pts: np.ndarray, hint: np.ndarray) -> np.ndarray:
+    """Mesh index of each configuration point, by exact match; `hint` is
+    tried first (the greedy's choice when refining its own result)."""
+    if len(hint) == len(pts) and np.array_equal(mesh[hint], pts):
+        return np.array(hint)
+    flat = mesh.reshape(len(mesh), -1)
+    idx = []
+    for p in pts.reshape(len(pts), -1):
+        hit = np.flatnonzero(np.all(flat == p, axis=1))
+        if hit.size == 0:
+            raise InputError(f"configuration point {p} is not a mesh node")
+        idx.append(hit[0])
+    return np.array(idx)
 
 
 _LOCAL_WINDOW = 32
 
 
-def _local_candidates(domain, mesh: np.ndarray, point) -> np.ndarray:
-    """Mesh nodes around the current point, for fine positional moves."""
-    amb = ambient_of(domain)
-    if isinstance(amb, Sphere):
-        dots = mesh @ np.asarray(point)
+def _local_candidates(domain, mesh: np.ndarray, i: int) -> np.ndarray:
+    """Indices of the mesh nodes around node i, for fine positional moves
+    (1-D meshes are sorted, so neighbours are neighbouring indices)."""
+    if isinstance(ambient_of(domain), Sphere):
+        dots = mesh @ mesh[i]
         take = min(2 * _LOCAL_WINDOW + 1, len(mesh))
-        idx = np.argpartition(-dots, take - 1)[:take]
-        return mesh[np.sort(idx)]
-    idx = int(np.searchsorted(mesh, float(point)))
-    if isinstance(amb, Circle) and isinstance(domain, Circle):
-        offs = np.arange(idx - _LOCAL_WINDOW, idx + _LOCAL_WINDOW + 1) % len(mesh)
-        return mesh[offs]
-    lo = max(0, idx - _LOCAL_WINDOW)
-    hi = min(len(mesh), idx + _LOCAL_WINDOW + 1)
-    return mesh[lo:hi]
+        return np.sort(np.argpartition(-dots, take - 1)[:take])
+    if isinstance(domain, Circle):
+        return np.arange(i - _LOCAL_WINDOW, i + _LOCAL_WINDOW + 1) % len(mesh)
+    return np.arange(max(0, i - _LOCAL_WINDOW), min(len(mesh), i + _LOCAL_WINDOW + 1))
 
 
 def exchange_refine(
@@ -448,50 +465,48 @@ def exchange_refine(
     weight: Weight,
     mesh: np.ndarray,
     sweeps: int = 3,
-    shortlists: list | None = None,
+    shortlists: GreedyState | None = None,
 ) -> PointConfiguration:
     """Single-point exchange; accepts a move only when the weighted logdet
     strictly increases, so logdet is monotone.
 
-    Candidates per point: the greedy-residual shortlist plus a window of
-    mesh nodes around the point's current position (the shortlist alone
-    cannot settle configurations to mesh resolution).
+    Works on mesh indices into the weighted mesh matrix W of `shortlists`
+    (the state `leja_greedy` returns; without it W is built and the greedy
+    run on it for the shortlists).  Every point of `config` must be a mesh
+    node.  Candidates per point: its greedy-residual shortlist plus a
+    window of mesh nodes around its current position (the shortlist alone
+    cannot settle configurations to mesh resolution).  Swapping column i
+    of A for W[c] scales det A by (A^-1 W[c])_i, so only row i of A^-1 is
+    scored, and an accepted move updates A^-1 by Sherman-Morrison; A^-1 is
+    recomputed from the current columns at the start of every sweep.
     """
-    if shortlists is None:
-        shortlists = _config_shortlists(spec, weight, mesh, config)
-    pts = np.array(config.points, copy=True)
-    n = config.size
-
-    def full_matrix(p):
-        return _weighted_matrix(spec, weight, p)
-
-    a = full_matrix(pts)
-    inv_a = np.linalg.inv(a)
+    state = shortlists
+    if state is None:
+        state = _greedy_state(spec, weight, mesh, config.size)
+    w_mat = state.w
+    idx = _mesh_indices(mesh, config.points, state.chosen)
     for _ in range(sweeps):
+        inv_a = np.linalg.inv(w_mat[idx].T)
         improved = False
-        for i in range(n):
+        for i in range(config.size):
             cands = np.concatenate(
-                [shortlists[i], _local_candidates(config.domain, mesh, pts[i])]
+                [state.shortlists[i], _local_candidates(config.domain, mesh, idx[i])]
             )
-            b = full_matrix(cands)  # basis x n_cand
-            # det ratio for swapping column i of A to b_c is (A^-1 b_c)_i
-            ratios = inv_a @ b
-            gains = np.abs(ratios[i, :])
+            gains = np.abs(inv_a[i] @ w_mat[cands].T)
             j = int(np.argmax(gains))
             if gains[j] > 1.0 + 1e-10:
-                cand = cands[j]
-                # candidate must not duplicate another current point
-                others = np.delete(np.arange(n), i)
-                flat = pts[others].reshape(n - 1, -1)
-                cf = np.asarray(cand, dtype=float).reshape(1, -1)
-                if np.min(np.sum((flat - cf) ** 2, axis=-1)) <= 0.0:
+                c = cands[j]
+                if np.any(idx == c):  # would duplicate a current point
                     continue
-                pts[i] = cand
-                a = full_matrix(pts)
-                inv_a = np.linalg.inv(a)
+                u = inv_a @ w_mat[c]
+                row = inv_a[i] / u[i]
+                inv_a -= np.outer(u, row)
+                inv_a[i] = row
+                idx[i] = c
                 improved = True
         if not improved:
             break
+    pts = mesh[idx]
     return PointConfiguration(
         domain=config.domain,
         points=pts,

@@ -1,0 +1,149 @@
+"""Index-space Fekete search: closed-form optimum on S^1, the exchange
+contract, the cached arc/cap rank, and the benchmark tracer's hooks."""
+
+import math
+import subprocess
+import sys
+import textwrap
+from pathlib import Path
+
+import numpy as np
+import pytest
+
+from feketelab.errors import InputError
+from feketelab.fekete import (
+    BasisSpec,
+    Circle,
+    CircleArc,
+    Interval,
+    PointConfiguration,
+    Sphere,
+    SphericalCap,
+    Weight,
+    basis_dim,
+    basis_matrix,
+    exchange_refine,
+    leja_greedy,
+    log_vandermonde,
+    zero_weight,
+)
+
+ROOT = Path(__file__).resolve().parent.parent
+W0 = zero_weight()
+LINEAR = Weight(phi=lambda p: 0.3 * np.atleast_1d(np.asarray(p, float)), name="linear:0.3")
+
+
+def _search(spec, weight, mesh, sweeps):
+    cfg, state = leja_greedy(spec, weight, mesh)
+    return exchange_refine(cfg, spec, weight, mesh, sweeps=sweeps, shortlists=state)
+
+
+@pytest.mark.parametrize("k", range(1, 9))
+def test_circle_search_reaches_closed_form_optimum(k):
+    """N = 2k+1 equispaced points are mesh nodes when the mesh has 64 N
+    nodes; their logdet is 1/2 log N + k log(N/2) by discrete Fourier
+    orthogonality, and nothing on S^1 beats it."""
+    n = 2 * k + 1
+    mesh = Circle().mesh(64 * n)
+    out = _search(BasisSpec(Circle(), k), W0, mesh, sweeps=5)
+    exact = 0.5 * math.log(n) + k * math.log(n / 2.0)
+    assert abs(out.logdet - exact) <= 1e-12
+
+
+def test_exchange_rejects_off_mesh_start():
+    spec = BasisSpec(Interval(), 2)
+    mesh = Interval().mesh(41)
+    pts = np.array([-1.0, 0.01234, 1.0])
+    start = PointConfiguration(
+        domain=Interval(), points=pts, logdet=log_vandermonde(pts, spec), weight=W0
+    )
+    with pytest.raises(InputError):
+        exchange_refine(start, spec, W0, mesh, sweeps=2)
+    _, state = leja_greedy(spec, W0, mesh)
+    with pytest.raises(InputError):
+        exchange_refine(start, spec, W0, mesh, sweeps=2, shortlists=state)
+
+
+CASES = [
+    (BasisSpec(Interval(), 6), W0, Interval().mesh(400)),
+    (BasisSpec(Interval(), 6), LINEAR, Interval().mesh(400)),
+    (BasisSpec(Circle(), 5), W0, Circle().mesh(512)),
+    (BasisSpec(CircleArc(-1.0, 1.0), 4), W0, CircleArc(-1.0, 1.0).mesh(2048)),
+    (BasisSpec(Sphere(), 3), W0, Sphere().mesh(2000)),
+    (BasisSpec(SphericalCap((0, 0, 1), 1.0), 2), W0, SphericalCap((0, 0, 1), 1.0).mesh(8000)),
+]
+CASE_IDS = ["interval", "interval-linear", "circle", "arc", "sphere", "cap"]
+
+
+@pytest.mark.parametrize("spec,weight,mesh", CASES, ids=CASE_IDS)
+def test_exchange_result_contract(spec, weight, mesh):
+    """Distinct mesh nodes, monotone logdet, and a logdet that is exactly
+    the log-Vandermonde of the returned points."""
+    cfg, state = leja_greedy(spec, weight, mesh)
+    for out in (
+        exchange_refine(cfg, spec, weight, mesh, sweeps=3, shortlists=state),
+        exchange_refine(cfg, spec, weight, mesh, sweeps=3),
+    ):
+        flat = mesh.reshape(len(mesh), -1)
+        idx = [
+            int(np.flatnonzero(np.all(flat == p, axis=1))[0])
+            for p in out.points.reshape(out.size, -1)
+        ]
+        assert len(set(idx)) == out.size == basis_dim(spec)
+        assert out.logdet >= cfg.logdet
+        assert out.logdet == log_vandermonde(out.points, spec, weight)
+
+
+def test_greedy_state_indexes_the_weighted_mesh_matrix():
+    spec = BasisSpec(Interval(), 4)
+    mesh = Interval().mesh(200)
+    cfg, state = leja_greedy(spec, LINEAR, mesh)
+    assert state.w.shape == (len(mesh), basis_dim(spec))
+    assert np.array_equal(mesh[state.chosen], cfg.points)
+    assert len(state.shortlists) == cfg.size
+    want = basis_matrix(spec, mesh) * np.exp(-spec.k * LINEAR.values(mesh))
+    assert np.array_equal(state.w, want.T)
+
+
+@pytest.mark.parametrize(
+    "domain,k", [(CircleArc(-1.0, 1.0), 3), (SphericalCap((0, 0, 1), 1.0), 3)]
+)
+def test_arc_and_cap_rank_is_cached(domain, k):
+    from feketelab.fekete import _numerical_rank
+
+    spec = BasisSpec(domain, k)
+    first = basis_dim(spec)
+    hits = _numerical_rank.cache_info().hits
+    assert basis_dim(BasisSpec(domain, k)) == first
+    assert _numerical_rank.cache_info().hits == hits + 1
+    sv = np.linalg.svd(basis_matrix(spec, domain.mesh()), compute_uv=False)
+    assert first == int(np.sum(sv > 1e-10 * sv[0]))
+
+
+def test_benchmark_tracer_sees_the_search_layers(tmp_path):
+    """The benchmark's per-layer metrics wrap fekete functions by name; a
+    rename would silently zero them.  Runs in a fresh interpreter because
+    the tracer patches modules for the life of the process."""
+    script = textwrap.dedent(
+        f"""
+        import sys
+        sys.path[:0] = [{str(ROOT / "src")!r}, {str(ROOT / "perfbench")!r}]
+        import tracer
+        tr = tracer.Tracer()
+        tracer.install(tr)
+        from feketelab.cli import cmd_fekete
+        from feketelab.config import ExperimentConfig
+        cmd_fekete(ExperimentConfig(domain_text="circle", k_min=2, k_max=3, mesh=256, sweeps=2))
+        s = tr.summary()
+        for key in ("fekete.leja_greedy.calls", "fekete.exchange_refine.calls",
+                    "fekete.exchange_refine.points_base"):
+            print(key, s.get(key, 0))
+        """
+    )
+    proc = subprocess.run(
+        [sys.executable, "-c", script], capture_output=True, text=True, timeout=300, cwd=tmp_path
+    )
+    assert proc.returncode == 0, proc.stderr
+    counts = dict(line.split() for line in proc.stdout.splitlines())
+    assert len(counts) == 3
+    assert all(int(v) > 0 for v in counts.values()), counts
