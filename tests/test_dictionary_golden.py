@@ -1,0 +1,60 @@
+"""Golden test dictionaries: the certified scales of every gamma and the
+pairing gaps of one fixed empirical measure per domain must stay bit for
+bit what tests/data/dictionary_golden.json records.
+
+The golden CSVs only exercise gamma = 1, so this file is what guards the
+gamma > 1 (derivative) branch of the interval and circle norms.
+Regenerate the data with `PYTHONPATH=src python tests/test_dictionary_golden.py`
+only when a change to the dictionaries is intended.
+"""
+
+import json
+from pathlib import Path
+
+import numpy as np
+import pytest
+
+from feketelab.equilibrium import build_dictionaries, equilibrium_reference
+from feketelab.fekete import Circle, EmpiricalMeasure, Interval, Sphere
+
+DATA = Path(__file__).parent / "data" / "dictionary_golden.json"
+
+CASES = {
+    "interval": (Interval(), (0.5, 1.0, 1.5, 2.0), lambda: np.sin(np.linspace(-1.4, 1.3, 9))),
+    "circle": (Circle(), (0.5, 1.0, 1.5, 2.0), lambda: np.linspace(-3.0, 2.9, 11) ** 3 / 9.0),
+    "sphere": (Sphere(), (0.5, 1.0), lambda: Sphere().mesh(25)),
+}
+
+
+def snapshot(name: str) -> dict:
+    """Scales (as raw float64 bytes) and pair gaps of one golden case.
+
+    `pair_gap` is the gap against the closed-form reference measure;
+    `pair_gap_empirical` pairs the measure with its first half of atoms,
+    which exercises the empirical-reference path.
+    """
+    domain, gammas, atoms = CASES[name]
+    mu = EmpiricalMeasure(domain, atoms())
+    half = EmpiricalMeasure(domain, mu.atoms[: len(mu.atoms) // 2])
+    ref = equilibrium_reference(domain)
+    out = {}
+    for g, dct in sorted(build_dictionaries(domain, gammas).items()):
+        out[f"{g:g}"] = {
+            "scales": dct.scales.tobytes().hex(),
+            "pair_gap": float(dct.pair_gap(mu, ref)).hex(),
+            "pair_gap_empirical": float(dct.pair_gap(mu, half)).hex(),
+        }
+    return out
+
+
+@pytest.mark.parametrize("name", sorted(CASES))
+def test_dictionary_matches_golden(name):
+    expected = json.loads(DATA.read_text(encoding="utf-8"))[name]
+    assert snapshot(name) == expected
+
+
+if __name__ == "__main__":
+    DATA.write_text(
+        json.dumps({name: snapshot(name) for name in sorted(CASES)}, indent=1, sort_keys=True) + "\n",
+        encoding="utf-8",
+    )
