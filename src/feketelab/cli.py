@@ -54,16 +54,12 @@ class RunRecord:
         self.rows.append([kw.get(c, "") for c in self.columns])
 
     def all_pass(self) -> bool:
+        if self.has_errors():
+            return False
         if "pass" not in self.columns:
             return True
         idx = self.columns.index("pass")
-        ok = True
-        for row in self.rows:
-            if row[idx] in (False, 0, "0"):
-                ok = False
-            if self.columns[0] == "status" and row[0] == "error":
-                ok = False
-        return ok
+        return all(row[idx] not in (False, 0, "0") for row in self.rows)
 
     def has_errors(self) -> bool:
         if "status" not in self.columns:

@@ -257,6 +257,15 @@ def w1_atomic_line(xs: np.ndarray, ys: np.ndarray) -> float:
 
 
 # ------------------------------------------------------------- dictionaries
+def _stacked(funcs):
+    """Block evaluator of per-member callables: one (members, nodes) block."""
+
+    def blocks(nodes):
+        yield np.stack([np.asarray(f(nodes), dtype=float) for f in funcs])
+
+    return blocks
+
+
 @dataclass
 class TestDictionary:
     """Family of test functions with certified C^gamma norms <= 1.
@@ -265,6 +274,13 @@ class TestDictionary:
     scale; pairings divide by the scale.  Scales are running maxima across
     the gamma grid used to build the dictionary, which makes the resulting
     distance exactly monotone nonincreasing in gamma.
+
+    `funcs` are the members one by one; `blocks` evaluates all of them on a
+    node set at once, as a sequence of (rows, nodes) value blocks in member
+    order (default: the stacked `funcs`).  A pairing evaluates each block
+    once per node set and keeps only its row means, so no nodes-sized
+    matrix outlives the call.  Reference-measure means are cached, and the
+    dictionaries of one `build_dictionaries` call share that cache.
     """
 
     domain: object
@@ -272,7 +288,12 @@ class TestDictionary:
     names: list
     funcs: list
     scales: np.ndarray
+    blocks: object = None
     _ref_cache: dict = field(default_factory=dict)
+
+    def __post_init__(self):
+        if self.blocks is None:
+            self.blocks = _stacked(self.funcs)
 
     def __len__(self) -> int:
         return len(self.funcs)
@@ -280,30 +301,24 @@ class TestDictionary:
     def members(self):
         return zip(self.names, self.funcs, self.scales)
 
+    def means(self, nodes) -> np.ndarray:
+        """Mean of every member over a node set."""
+        return np.concatenate([np.mean(b, axis=1) for b in self.blocks(nodes)])
+
     def pair_gap(self, mu: EmpiricalMeasure, nu) -> float:
         if len(self.funcs) == 0:
             raise InputError("empty test dictionary")
-        gaps = []
-        nu_vals = self._nu_pairings(nu)
-        for (f, s), nu_val in zip(zip(self.funcs, self.scales), nu_vals):
-            mu_val = float(np.mean(np.asarray(f(mu.atoms), dtype=float)))
-            gaps.append(abs(mu_val - nu_val) / s)
-        return float(max(gaps))
+        nu_means = self._nu_means(nu)
+        return float(np.max(np.abs(self.means(mu.atoms) - nu_means) / self.scales))
 
-    def _nu_pairings(self, nu):
-        key = nu if isinstance(nu, ReferenceMeasure) else None
-        if key is not None and key in self._ref_cache:
-            return self._ref_cache[key]
+    def _nu_means(self, nu) -> np.ndarray:
         if isinstance(nu, ReferenceMeasure):
-            nodes = nu.quad_nodes()
-            vals = [float(np.mean(np.asarray(f(nodes), dtype=float))) for f in self.funcs]
-        elif isinstance(nu, EmpiricalMeasure):
-            vals = [float(np.mean(np.asarray(f(nu.atoms), dtype=float))) for f in self.funcs]
-        else:
-            raise InputError("unsupported measure type")
-        if key is not None:
-            self._ref_cache[key] = vals
-        return vals
+            if nu not in self._ref_cache:
+                self._ref_cache[nu] = self.means(nu.quad_nodes())
+            return self._ref_cache[nu]
+        if isinstance(nu, EmpiricalMeasure):
+            return self.means(nu.atoms)
+        raise InputError("unsupported measure type")
 
 
 def dist_gamma_dict(mu: EmpiricalMeasure, nu, gamma: float, dictionary: TestDictionary) -> float:
@@ -313,37 +328,67 @@ def dist_gamma_dict(mu: EmpiricalMeasure, nu, gamma: float, dictionary: TestDict
     return dictionary.pair_gap(mu, nu)
 
 
-def _capped_holder_norm_1d(xs: np.ndarray, vals: np.ndarray, gamma: float) -> float:
-    """sup + Hoelder seminorm with distances capped at 1, on a uniform grid.
+def _lag_maxima(vals: np.ndarray, h: float):
+    """max_j |v[j+lag] - v[j]| of every row of `vals`, one table row per lag.
+
+    Returns the (lags, rows) table and the capped distances min(lag h, 1)
+    as scalars.  Lags stop once lag h > 2.5, beyond which the capped
+    distance is constant.  The differences go into one reused buffer and
+    the maxima straight into the table.
+    """
+    rows, m = vals.shape
+    lags = []
+    for lag in range(1, m):
+        lags.append(lag)
+        if lag * h > 2.5:
+            break
+    table = np.empty((len(lags), rows))
+    buf = np.empty((rows, m - 1))
+    for row, lag in zip(table, lags):
+        diff = buf[:, : m - lag]
+        np.subtract(vals[:, lag:], vals[:, :-lag], out=diff)
+        np.abs(diff, out=diff)
+        np.max(diff, axis=1, out=row)
+    return table, [min(lag * h, 1.0) for lag in lags]
+
+
+def _semi_from_lags(table: np.ndarray, dists, expo: float) -> np.ndarray:
+    dpow = np.array([d**expo for d in dists])
+    return np.max(table / dpow[:, None], axis=0)
+
+
+def _holder_norms_1d(xs: np.ndarray, vals: np.ndarray, gammas) -> list:
+    """sup + Hoelder seminorm with distances capped at 1, on a uniform grid,
+    of every row of `vals`; one array per gamma.
 
     gamma in (0,1]: seminorm of the values; gamma in (1,2]: C^1 norm plus
-    seminorm of the finite-difference derivative.
+    seminorm of the finite-difference derivative.  The per-lag maxima do
+    not depend on gamma, so each lag pass serves every gamma.
     """
-    sup = float(np.max(np.abs(vals)))
     h = xs[1] - xs[0]
-
-    def semi(v, expo):
-        out = 0.0
-        m = len(v)
-        for lag in range(1, m):
-            d = min(lag * h, 1.0)
-            diff = np.max(np.abs(v[lag:] - v[:-lag]))
-            out = max(out, diff / d**expo)
-            if lag * h > 2.5:  # capped distance is constant from here on
-                break
-        return out
-
-    if gamma <= 1.0:
-        return sup + semi(vals, gamma)
-    dv = np.gradient(vals, h)
-    return sup + float(np.max(np.abs(dv))) + semi(dv, gamma - 1.0)
+    sup = np.max(np.abs(vals), axis=1)
+    if any(g <= 1.0 for g in gammas):
+        table, dists = _lag_maxima(vals, h)
+    if any(g > 1.0 for g in gammas):
+        dv = np.gradient(vals, h, axis=1)
+        c1 = sup + np.max(np.abs(dv), axis=1)
+        dtable, dists = _lag_maxima(dv, h)
+    norms = []
+    for g in gammas:
+        if g <= 1.0:
+            norms.append(sup + _semi_from_lags(table, dists, g))
+        else:
+            norms.append(c1 + _semi_from_lags(dtable, dists, g - 1.0))
+    return norms
 
 
-def _norms_on_gammas(xs, vals, gammas):
-    return {g: _capped_holder_norm_1d(xs, vals, g) for g in gammas}
+def _capped_holder_norm_1d(xs: np.ndarray, vals: np.ndarray, gamma: float) -> float:
+    """Capped Hoelder norm of one function sampled on a uniform grid."""
+    return float(_holder_norms_1d(xs, np.asarray(vals, dtype=float)[None], (gamma,))[0][0])
 
 
 _DEFAULT_GAMMAS = (0.5, 1.0, 1.5, 2.0)
+_SPHERE_MAX_GAMMA = 1.0
 
 
 def build_dictionaries(domain, gammas=_DEFAULT_GAMMAS) -> dict:
@@ -351,37 +396,47 @@ def build_dictionaries(domain, gammas=_DEFAULT_GAMMAS) -> dict:
     the (sorted) gamma grid so that dist is monotone in gamma."""
     gammas = tuple(sorted(gammas))
     amb = ambient_of(domain)
-    if isinstance(amb, Interval):
-        names, funcs = _interval_members()
-        xs = np.linspace(-1.0, 1.0, 2001)
-    elif isinstance(amb, Circle):
-        names, funcs = _circle_members()
-        xs = np.linspace(-math.pi, math.pi, 4001)
+    if isinstance(amb, (Interval, Circle)):
+        if isinstance(amb, Interval):
+            names, funcs = _interval_members()
+            xs = np.linspace(-1.0, 1.0, 2001)
+        else:
+            names, funcs = _circle_members()
+            xs = np.linspace(-math.pi, math.pi, 4001)
+        blocks = _stacked(funcs)
+        (vals,) = blocks(xs)
+        norms = _holder_norms_1d(xs, vals, gammas)
     elif isinstance(amb, Sphere):
-        return _sphere_dictionaries(domain, gammas)
+        if any(g > _SPHERE_MAX_GAMMA for g in gammas):
+            raise InputError(
+                f"sphere dictionaries are certified for gamma <= {_SPHERE_MAX_GAMMA:g} only, got gammas {gammas}"
+            )
+        names, funcs, blocks = _sphere_members()
+        norms = _sphere_norms(blocks, gammas)
     else:
         raise InputError(f"no dictionary for domain {domain!r}")
 
-    norm_table = []
-    for f in funcs:
-        vals = np.asarray(f(xs), dtype=float)
-        norm_table.append(_norms_on_gammas(xs, vals, gammas))
+    ref_cache = {}
     out = {}
     running = np.zeros(len(funcs))
-    for g in gammas:
-        running = np.maximum(running, [nt[g] for nt in norm_table])
+    for g, norm in zip(gammas, norms):
+        running = np.maximum(running, norm)
         out[g] = TestDictionary(
             domain=domain,
             gamma=g,
             names=list(names),
             funcs=list(funcs),
-            scales=running.copy() * (1.0 + 1e-9),
+            scales=running * (1.0 + 1e-9),
+            blocks=blocks,
+            _ref_cache=ref_cache,
         )
     return out
 
 
 def build_dictionary(domain, gamma: float) -> TestDictionary:
-    return build_dictionaries(domain, _DEFAULT_GAMMAS + (gamma,))[gamma]
+    """The gamma member of the default grid's dictionaries.  Its scales
+    depend only on the grid values up to gamma, so only those are built."""
+    return build_dictionaries(domain, tuple(g for g in _DEFAULT_GAMMAS if g < gamma) + (gamma,))[gamma]
 
 
 def _interval_members():
@@ -426,17 +481,30 @@ def _sphere_pair_lags():
     return (1, 2, 3, 5, 8, 13, 21, 34, 55, 89, 144, 233, 377, 610, 987)
 
 
-def _sphere_norm(mesh: np.ndarray, vals: np.ndarray, gamma: float) -> float:
-    if gamma > 1.0:
-        raise InputError("sphere dictionaries are certified for gamma <= 1 only")
-    sup = float(np.max(np.abs(vals)))
-    semi = 0.0
+def _sphere_norms(blocks, gammas) -> list:
+    """sup + Hoelder seminorm over Fibonacci-lag neighbor pairs of the norm
+    mesh, distances capped at 1, of every member; one array per gamma.
+
+    The lag distances and their powers are computed once and shared by
+    all members.  Each member's differences are taken on its own row, so
+    no temporary grows beyond one mesh-sized array.
+    """
+    mesh = _sphere_norm_mesh()
+    lag_pows = []
     for lag in _sphere_pair_lags():
         d = np.linalg.norm(mesh[lag:] - mesh[:-lag], axis=1)
         d = np.minimum(d, 1.0)
-        diff = np.abs(vals[lag:] - vals[:-lag])
-        semi = max(semi, float(np.max(diff / d**gamma)))
-    return sup + semi
+        lag_pows.append((lag, [d**g for g in gammas]))
+    norms = []
+    for block in blocks(mesh):
+        for vals in block:
+            semi = [0.0] * len(gammas)
+            for lag, pows in lag_pows:
+                diff = np.abs(vals[lag:] - vals[:-lag])
+                semi = [max(s, np.max(diff / dg)) for s, dg in zip(semi, pows)]
+            sup = np.max(np.abs(vals))
+            norms.append([sup + s for s in semi])
+    return list(np.array(norms).T)
 
 
 @lru_cache(maxsize=4)
@@ -444,7 +512,11 @@ def _sphere_norm_mesh() -> np.ndarray:
     return Sphere().mesh(20000)
 
 
-def _sphere_dictionaries(domain, gammas) -> dict:
+def _sphere_members():
+    """200 cones and the 49 harmonics of degree <= 6, with a block
+    evaluator giving one row per cone and one basis matrix for all
+    harmonics.  Each cone keeps its own `p @ c` product: a single matrix
+    product over all centers rounds differently."""
     from .fekete import BasisSpec, basis_matrix
 
     names, funcs = [], []
@@ -459,6 +531,7 @@ def _sphere_dictionaries(domain, gammas) -> dict:
                 - np.arccos(np.clip(np.atleast_2d(p) @ c, -1.0, 1.0)) / width,
             ).reshape(np.shape(p)[:-1] if np.ndim(p) > 1 else ())
         )
+    cones = list(funcs)
     spec = BasisSpec(Sphere(), 6)
 
     def harmonic_func(idx):
@@ -473,24 +546,12 @@ def _sphere_dictionaries(domain, gammas) -> dict:
         names.append(f"Y{idx}")
         funcs.append(harmonic_func(idx))
 
-    mesh = _sphere_norm_mesh()
-    gammas = tuple(sorted(g for g in gammas if g <= 1.0)) or (1.0,)
-    norm_table = []
-    for f in funcs:
-        vals = np.asarray(f(mesh), dtype=float).ravel()
-        norm_table.append({g: _sphere_norm(mesh, vals, g) for g in gammas})
-    out = {}
-    running = np.zeros(len(funcs))
-    for g in gammas:
-        running = np.maximum(running, [nt[g] for nt in norm_table])
-        out[g] = TestDictionary(
-            domain=domain,
-            gamma=g,
-            names=list(names),
-            funcs=list(funcs),
-            scales=running.copy() * (1.0 + 1e-9),
-        )
-    return out
+    def blocks(nodes):
+        for f in cones:
+            yield np.asarray(f(nodes), dtype=float).reshape(1, -1)
+        yield basis_matrix(spec, np.atleast_2d(nodes))
+
+    return names, funcs, blocks
 
 
 # ------------------------------------------------- subharmonic comparison

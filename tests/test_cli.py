@@ -220,6 +220,29 @@ def test_cmd_bishop_crash_isolation(tmp_path):
     assert not rec.all_pass()
 
 
+
+def test_all_pass_sees_error_rows_in_any_column():
+    rec = RunRecord(name="r", config_hash="h", columns=["k", "status", "pass"])
+    rec.add(k=1, status="ok", **{"pass": True})
+    assert rec.all_pass()
+    rec.add(k=2, status="error", **{"pass": True})
+    assert not rec.all_pass()
+    no_pass = RunRecord(name="r", config_hash="h", columns=["k", "status"])
+    no_pass.add(k=1, status="error")
+    assert not no_pass.all_pass()
+
+
+def test_main_rejects_sphere_gamma_above_one(tmp_path, capsys):
+    cfg = write_cfg(
+        tmp_path,
+        "[experiment]\nname = s\nkind = fekete\n\n[fekete]\ndomain = sphere\n"
+        f"k_min = 2\nk_max = 3\nmesh = 2000\nsweeps = 1\ngammas = 1.5\n\n[output]\ndir = {tmp_path}\n",
+    )
+    assert main(["fekete", "--config", cfg]) == 1
+    assert "gamma <= 1" in capsys.readouterr().err
+    assert not (tmp_path / "s_fekete.csv").exists()
+
+
 # --------------------------------------------------------------- plot files
 def test_emit_plotdata_deterministic(tmp_path):
     rec = RunRecord(

@@ -258,6 +258,73 @@ def test_sphere_dictionary_members_certified():
         assert np.max(np.abs(vals)) <= 1.0 + 1e-6
 
 
+
+def _loop_holder_norm_1d(xs, vals, gamma):
+    """Reference: the lag loop run for one function and one gamma."""
+    sup = float(np.max(np.abs(vals)))
+    h = xs[1] - xs[0]
+
+    def semi(v, expo):
+        out = 0.0
+        for lag in range(1, len(v)):
+            d = min(lag * h, 1.0)
+            out = max(out, np.max(np.abs(v[lag:] - v[:-lag])) / d**expo)
+            if lag * h > 2.5:
+                break
+        return out
+
+    if gamma <= 1.0:
+        return sup + semi(vals, gamma)
+    dv = np.gradient(vals, h)
+    return sup + float(np.max(np.abs(dv))) + semi(dv, gamma - 1.0)
+
+
+@pytest.mark.parametrize("half_width", [1.0, 3.5])
+def test_batched_holder_norms_equal_lag_loop(half_width):
+    """One lag pass over all rows gives every gamma's norm bit for bit."""
+    from feketelab.equilibrium import _holder_norms_1d
+
+    xs = np.linspace(-half_width, half_width, 301)
+    rng = np.random.default_rng(8)
+    vals = np.vstack([np.cos(3.0 * xs), np.abs(xs - 0.2), rng.standard_normal(len(xs))])
+    gammas = (0.3, 0.5, 1.0, 1.5, 1.7, 2.0)
+    for g, norms in zip(gammas, _holder_norms_1d(xs, vals, gammas)):
+        assert norms.tolist() == [_loop_holder_norm_1d(xs, v, g) for v in vals]
+
+
+def test_sphere_dictionary_rejects_gamma_above_one():
+    with pytest.raises(InputError, match="gamma <= 1"):
+        build_dictionaries(Sphere(), (1.5, 1.0))
+    with pytest.raises(InputError, match="gamma <= 1"):
+        build_dictionary(Sphere(), 1.5)
+
+
+def test_sphere_dictionary_evaluates_basis_once_per_node_set(monkeypatch):
+    """The 49 harmonics come from one basis evaluation per node set: the
+    norm mesh at build time, then the quadrature nodes and the atoms at the
+    first pairing; later pairings reuse the cached reference means."""
+    import feketelab.fekete as fk
+
+    calls = []
+    real = fk.basis_matrix
+
+    def counting(spec, pts):
+        calls.append(len(pts))
+        return real(spec, pts)
+
+    monkeypatch.setattr(fk, "basis_matrix", counting)
+    dct = build_dictionaries(Sphere(), (1.0,))[1.0]
+    assert len(calls) <= 1
+    nu = equilibrium_reference(Sphere())
+    mu = EmpiricalMeasure(Sphere(), Sphere().mesh(30))
+    calls.clear()
+    dist_gamma_dict(mu, nu, 1.0, dct)
+    assert len(calls) <= 2
+    calls.clear()
+    dist_gamma_dict(mu, nu, 1.0, dct)
+    assert len(calls) <= 1
+
+
 # ------------------------------------------------------------- subharmonic
 def _linear_psi(grid, a):
     return SubharmonicSample.harmonic(
