@@ -27,12 +27,12 @@ from .circle import CircleFunction, CircleGrid, hilbert_T1
 from .discs import (
     AnalyticDisc,
     FamilyParams,
+    _capture,
     build_u_zt,
     calibrate,
     u_prime_boundary,
 )
 from .errors import (
-    CaptureFailure,
     ContractionFailure,
     ControlFailure,
     DomainError,
@@ -131,6 +131,18 @@ def h_zero(n: int) -> GraphManifold:
     return GraphManifold(n=n, h=h, c1=1e-12, radius=1e6, name="zero")
 
 
+def manifold_from_key(key: tuple) -> GraphManifold:
+    """The built-in manifold of a key ("quad", n, q), ("mix", n, q) or ("zero", n)."""
+    kind, n, *rest = key
+    if kind == "quad":
+        return h_quad(n, rest[0])
+    if kind == "mix":
+        return h_mix(n, rest[0])
+    if kind == "zero":
+        return h_zero(n)
+    raise PreconditionError(f"unknown manifold key {key}")
+
+
 @dataclass
 class BishopSolution:
     """Solved boundary map plus diagnostics."""
@@ -144,10 +156,6 @@ class BishopSolution:
     ratio_log: list
     residual: float
     singular: bool
-
-    @property
-    def components(self) -> list[CircleFunction]:
-        return [CircleFunction(self.grid, row) for row in self.U]
 
     def geometric_mean_ratio(self) -> float:
         rs = [r for r in self.ratio_log if r > 0]
@@ -299,17 +307,8 @@ def phi_h_capture(
         raise PreconditionError(
             f"target must be nonzero with norm below r0 t/2 = {cal.r0 * t / 2.0:.3g}"
         )
-    z = np.zeros_like(z_target)
-    phi_val = np.zeros_like(z_target)
-    for _ in range(500):
-        g = phi_val - t * z
-        z = (z_target - g) / t
-        if float(np.linalg.norm(z)) > 2.0 * cal.r0:
-            raise CaptureFailure("capture iterate left the admissible ball")
-        phi_val, _ = phi_h(manifold, z, t, grid)
-        if float(np.linalg.norm(phi_val - z_target)) <= tol:
-            return FamilyParams.from_complex(z, t)
-    raise CaptureFailure("Phi^h capture did not converge in 500 iterations")
+    z = _capture(lambda zv: phi_h(manifold, zv, t, grid)[0], t, z_target, radius=2.0 * cal.r0, tol=tol)
+    return FamilyParams.from_complex(z, t)
 
 
 @dataclass(frozen=True)
@@ -452,18 +451,15 @@ def phi_h_prime_capture(
         raise PreconditionError(
             f"target must be nonzero with norm below r0' t/2 = {cal.r0_prime * t / 2.0:.3g}"
         )
-    z = np.zeros_like(z_target)
-    phi_val = np.zeros_like(z_target)
-    for _ in range(500):
-        g = phi_val - t * z
-        z = (z_target - g) / t
-        if float(np.linalg.norm(z)) > 2.0 * cal.r0_prime:
-            raise CaptureFailure("capture iterate left the admissible ball")
-        phi_val, ctrl = phi_h_prime(manifold, z, t, grid)
-        if float(np.linalg.norm(phi_val - z_target)) <= tol:
-            s = math.sqrt(float(np.linalg.norm(np.concatenate([z.real, z.imag]))))
-            return FamilyParams.from_complex(z, t, tau=ctrl.tau), s * s
-    raise CaptureFailure("Phi'^h capture did not converge in 500 iterations")
+    last = {}
+
+    def phi(zv):
+        val, last["ctrl"] = phi_h_prime(manifold, zv, t, grid)
+        return val
+
+    z = _capture(phi, t, z_target, radius=2.0 * cal.r0_prime, tol=tol)
+    s = math.sqrt(float(np.linalg.norm(np.concatenate([z.real, z.imag]))))
+    return FamilyParams.from_complex(z, t, tau=last["ctrl"].tau), s * s
 
 
 def calibrate_wedge(
@@ -508,15 +504,8 @@ def calibrate_t_threshold(
     manifold_key identifies a built-in manifold: ("quad", n, q) or
     ("mix", n, q) or ("zero", n).
     """
-    kind, n, *rest = manifold_key
-    if kind == "quad":
-        manifold = h_quad(n, rest[0])
-    elif kind == "mix":
-        manifold = h_mix(n, rest[0])
-    elif kind == "zero":
-        manifold = h_zero(n)
-    else:
-        raise PreconditionError(f"unknown manifold key {manifold_key}")
+    manifold = manifold_from_key(manifold_key)
+    n = manifold.n
 
     from .rng import Rng
 

@@ -16,8 +16,8 @@ import math
 import os
 import sys
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
+from functools import partial
 
 import numpy as np
 
@@ -85,20 +85,21 @@ class RunRecord:
                 fh.write(f"{cell},{sec:.6f}\n")
 
 
-def _pool_map(fn, cells, threads: int):
-    """Order-stable map over batch cells with crash isolation per cell."""
+def _run_cells(rec: RunRecord, cells):
+    """Run (label, key, fn) cells in order, isolating crashes per cell.
 
-    def safe(cell):
+    A cell adds an `ok` row from the columns `fn()` returns, or, when fn
+    raises a FeketelabError, an `error` row of its key columns plus the
+    error as note; either way its wall time goes to the timings under
+    `label`.
+    """
+    for label, key, fn in cells:
         t0 = time.perf_counter()
         try:
-            return cell, fn(cell), None, time.perf_counter() - t0
+            rec.add(status="ok", **fn(), note="")
         except FeketelabError as exc:
-            return cell, None, f"{type(exc).__name__}: {exc}", time.perf_counter() - t0
-
-    if threads <= 1:
-        return [safe(c) for c in cells]
-    with ThreadPoolExecutor(max_workers=threads) as pool:
-        return list(pool.map(safe, cells))
+            rec.add(status="error", **key, note=f"{type(exc).__name__}: {exc}")
+        rec.timings.append((label, time.perf_counter() - t0))
 
 
 def _weight_of(cfg: ExperimentConfig) -> fk.Weight:
@@ -130,24 +131,22 @@ def _reference_for(cfg: ExperimentConfig, weight, mesh):
         return fk.fekete_measure(config), f"fekete-self-consistency(k={cfg.k_max})"
 
 
-def _dist_to_reference(cfg, domain, mu, reference, dictionaries):
-    """dist_1 plus the configured dictionary distances; returns dict."""
-    out = {}
-    if isinstance(reference, eq.ReferenceMeasure):
-        if isinstance(domain, fk.Interval):
-            out["dist1"] = eq.dist1_interval(mu, reference)
-        elif isinstance(domain, fk.Circle):
-            out["dist1"] = eq.dist1_circle(mu, reference)
-        else:
-            out["dist1"] = eq.dist_gamma_dict(mu, reference, 1.0, dictionaries[1.0])
+def _dist_to_reference(domain, mu, reference, dictionaries):
+    """dist_1 plus the configured dictionary distances; returns dict.
+
+    Where dist_1 has no exact formula (sphere, caps) it is the gamma = 1
+    dictionary distance, computed once for both columns.
+    """
+    out = {f"dist_g{g:g}": eq.dist_gamma_dict(mu, reference, g, d) for g, d in dictionaries.items()}
+    exact = isinstance(reference, eq.ReferenceMeasure)
+    if exact and isinstance(domain, fk.Interval):
+        out["dist1"] = eq.dist1_interval(mu, reference)
+    elif exact and isinstance(domain, fk.Circle):
+        out["dist1"] = eq.dist1_circle(mu, reference)
+    elif not exact and isinstance(fk.ambient_of(domain), (fk.Interval, fk.Circle)):
+        out["dist1"] = eq.w1_atomic_line(mu.atoms, reference.atoms)
     else:
-        amb = fk.ambient_of(domain)
-        if isinstance(amb, (fk.Interval, fk.Circle)):
-            out["dist1"] = eq.w1_atomic_line(mu.atoms, reference.atoms)
-        else:
-            out["dist1"] = eq.dist_gamma_dict(mu, reference, 1.0, dictionaries[1.0])
-    for g in dictionaries:
-        out[f"dist_g{g:g}"] = eq.dist_gamma_dict(mu, reference, g, dictionaries[g])
+        out["dist1"] = out["dist_g1"]
     return out
 
 
@@ -160,38 +159,19 @@ def cmd_fekete(cfg: ExperimentConfig) -> RunRecord:
     dictionaries = (
         eq.build_dictionaries(domain, gammas + (1.0,)) if gammas else {1.0: eq.build_dictionary(domain, 1.0)}
     )
-    gcols = [f"dist_g{g:g}" for g in dictionaries]
     rec = RunRecord(
         name=cfg.name,
         config_hash=cfg.config_hash(),
-        columns=["status", "k", "n_k", "logdet", "dist1", *gcols, "pass", "note"],
+        columns=["status", "k", "n_k", "logdet", "dist1", *(f"dist_g{g:g}" for g in dictionaries), "pass", "note"],
         calibration={"reference": ref_name, "mesh": len(mesh), "sweeps": cfg.sweeps},
     )
 
     def run_cell(k: int):
-        spec = fk.BasisSpec(domain, k)
-        config = _fekete_config(spec, weight, mesh, cfg.sweeps)
-        mu = fk.fekete_measure(config)
-        dists = _dist_to_reference(cfg, domain, mu, reference, dictionaries)
-        return spec, config, dists
+        config = _fekete_config(fk.BasisSpec(domain, k), weight, mesh, cfg.sweeps)
+        dists = _dist_to_reference(domain, fk.fekete_measure(config), reference, dictionaries)
+        return {"k": k, "n_k": config.size, "logdet": config.logdet, **dists, "pass": np.isfinite(config.logdet)}
 
-    results = _pool_map(run_cell, list(cfg.ks), cfg.threads)
-    for k, payload, err, sec in results:
-        rec.timings.append((f"k={k}", sec))
-        if err is not None:
-            rec.add(status="error", k=k, note=err)
-            continue
-        spec, config, dists = payload
-        rec.add(
-            status="ok",
-            k=k,
-            n_k=config.size,
-            logdet=config.logdet,
-            dist1=dists.get("dist1", ""),
-            **{c: dists.get(c, "") for c in gcols},
-            note="",
-            **{"pass": np.isfinite(config.logdet)},
-        )
+    _run_cells(rec, [(f"k={k}", {"k": k}, partial(run_cell, k)) for k in cfg.ks])
     return rec
 
 
@@ -296,8 +276,7 @@ def cmd_disc(cfg: ExperimentConfig) -> RunRecord:
     wedge = np.abs(grid.nodes) <= cal.theta0 + 1e-15
     front = np.abs(grid.nodes) <= math.pi / 2.0 + 1e-12
 
-    def cell_F(args):
-        t, z = args
+    def cell_F(t, z):
         p = discs.FamilyParams.from_complex(z, t)
         disc = discs.family_F(p, grid)
         holo = disc.negative_energy_ratio()
@@ -312,14 +291,13 @@ def cmd_disc(cfg: ExperimentConfig) -> RunRecord:
         )
         ratio = s / float(np.linalg.norm(np.concatenate([target.real, target.imag])))
         ok = holo <= 1e-10 and attach <= 1e-10 and v_err <= 1e-12 and cap_res <= 1e-8 and ratio <= 2.0
-        return dict(
-            family="F", t=t, z_norm=p.norm, holo_residual=holo, attach_residual=attach,
-            value_at_one_err=v_err, capture_residual=cap_res, capture_ratio=ratio,
-            tau_reduction_err="", ok=ok,
-        )
+        return {
+            "family": "F", "t": t, "z_norm": p.norm, "holo_residual": holo, "attach_residual": attach,
+            "value_at_one_err": v_err, "capture_residual": cap_res, "capture_ratio": ratio,
+            "tau_reduction_err": "", "pass": ok,
+        }
 
-    def cell_Fprime(args):
-        t, z = args
+    def cell_Fprime(t, z):
         z = z * min(1.0, 0.9 / (2 * n) / np.linalg.norm(np.concatenate([z.real, z.imag])))
         p = discs.FamilyParams.from_complex(z, t)
         disc = discs.family_Fprime(p, grid)
@@ -349,27 +327,18 @@ def cmd_disc(cfg: ExperimentConfig) -> RunRecord:
             and ratio <= 2.0
             and tau_err == 0.0
         )
-        return dict(
-            family="Fprime", t=t, z_norm=p.norm, holo_residual=holo, attach_residual=attach,
-            value_at_one_err=v_err, capture_residual=cap_res, capture_ratio=ratio,
-            tau_reduction_err=tau_err, ok=disc_ok,
-        )
+        return {
+            "family": "Fprime", "t": t, "z_norm": p.norm, "holo_residual": holo, "attach_residual": attach,
+            "value_at_one_err": v_err, "capture_residual": cap_res, "capture_ratio": ratio,
+            "tau_reduction_err": tau_err, "pass": disc_ok,
+        }
 
     cells = []
     for t in cfg.t_list:
         for z in _sample_targets(rng, n, 0.45, max(1, cfg.samples // len(cfg.t_list))):
-            cells.append(("F", (t, z)))
-            cells.append(("Fprime", (t, z)))
-
-    for kind, args in cells:
-        fn = cell_F if kind == "F" else cell_Fprime
-        t0 = time.perf_counter()
-        try:
-            row = fn(args)
-            rec.add(status="ok", **{k: v for k, v in row.items() if k != "ok"}, **{"pass": row["ok"]}, note="")
-        except FeketelabError as exc:
-            rec.add(status="error", family=kind, t=args[0], note=f"{type(exc).__name__}: {exc}")
-        rec.timings.append((f"{kind}:t={args[0]}", time.perf_counter() - t0))
+            for family, fn in (("F", cell_F), ("Fprime", cell_Fprime)):
+                cells.append((f"{family}:t={t}", {"family": family, "t": t}, partial(fn, t, z)))
+    _run_cells(rec, cells)
     return rec
 
 
@@ -404,8 +373,7 @@ def cmd_bishop(cfg: ExperimentConfig) -> RunRecord:
         calibration={**cal.as_dict(), "t_threshold": t_threshold, "h": manifold.name},
     )
 
-    def run_cell(args):
-        t, z = args
+    def run_cell(t, z):
         p = discs.FamilyParams.from_complex(z, t)
         sol = bsh.solve_bishop(manifold, p, grid)
         disc = bsh.assemble_Fh(sol)
@@ -434,24 +402,18 @@ def cmd_bishop(cfg: ExperimentConfig) -> RunRecord:
             and holo <= 1e-9
             and sup <= norm_budget
         )
-        return dict(
-            t=t, z_norm=p.norm, iters=sol.iterations, gm_ratio=gm, ratio_budget=budget,
-            fixed_residual=sol.residual, attach_residual=attach, holo_residual=holo,
-            sup_norm=sup, norm_budget=norm_budget, phi_gap_over_t2z=gap,
-            tau_norm_over_t=tau_norm, tau_residual=tau_res, ok=ok,
-        )
+        return {
+            "t": t, "z_norm": p.norm, "iters": sol.iterations, "gm_ratio": gm, "ratio_budget": budget,
+            "fixed_residual": sol.residual, "attach_residual": attach, "holo_residual": holo,
+            "sup_norm": sup, "norm_budget": norm_budget, "phi_gap_over_t2z": gap,
+            "tau_norm_over_t": tau_norm, "tau_residual": tau_res, "pass": ok,
+        }
 
     cells = []
     for t in cfg.t_list:
         for z in _sample_targets(rng, n, 0.45 / (2 * n), max(1, cfg.samples // len(cfg.t_list))):
-            cells.append((t, z))
-    results = _pool_map(run_cell, cells, cfg.threads)
-    for (t, z), payload, err, sec in results:
-        rec.timings.append((f"t={t}", sec))
-        if err is not None:
-            rec.add(status="error", t=t, note=err)
-            continue
-        rec.add(status="ok", **{k: v for k, v in payload.items() if k != "ok"}, **{"pass": payload["ok"]}, note="")
+            cells.append((f"t={t}", {"t": t}, partial(run_cell, t, z)))
+    _run_cells(rec, cells)
     return rec
 
 
@@ -530,7 +492,6 @@ def main(argv=None) -> int:
         p.add_argument("--config", required=(name != "plot"))
         p.add_argument("--out", default=None)
         p.add_argument("--seed", type=int, default=None)
-        p.add_argument("--threads", type=int, default=1)
         if name == "rate":
             p.add_argument("--input", default=None, help="existing fekete CSV")
         if name == "plot":
@@ -549,7 +510,6 @@ def main(argv=None) -> int:
             cfg = dataclasses.replace(cfg, seed=args.seed)
         if args.out is not None:
             cfg = dataclasses.replace(cfg, out_dir=args.out)
-        cfg = dataclasses.replace(cfg, threads=args.threads)
         os.makedirs(cfg.out_dir, exist_ok=True)
         if args.command == "fekete":
             rec = cmd_fekete(cfg)

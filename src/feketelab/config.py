@@ -53,7 +53,6 @@ class ExperimentConfig:
     h_spec: str = "quad:0.5"
     out_dir: str = "out"
     seed: int = 0
-    threads: int = 1
     raw_text: str = field(default="", repr=False)
 
     def __post_init__(self):
@@ -76,23 +75,22 @@ class ExperimentConfig:
         return range(self.k_min, self.k_max + 1)
 
     def manifold(self):
-        from .bishop import h_mix, h_quad, h_zero
+        from .bishop import manifold_from_key
 
-        text = self.h_spec.strip().lower()
-        if text == "zero":
-            return h_zero(self.disc_n)
-        if text.startswith("quad:"):
-            return h_quad(self.disc_n, float(text[5:]))
-        if text.startswith("mix:"):
-            return h_mix(self.disc_n, float(text[4:]))
-        raise ConfigError(f"unknown h spec {text!r}")
+        return manifold_from_key(self.manifold_key())
 
     def manifold_key(self) -> tuple:
+        """The h spec `zero | quad:q | mix:q` as ("zero", n) or (kind, n, q)."""
         text = self.h_spec.strip().lower()
         if text == "zero":
             return ("zero", self.disc_n)
-        kind, q = text.split(":")
-        return (kind, self.disc_n, float(q))
+        kind, _, q = text.partition(":")
+        if kind not in ("quad", "mix"):
+            raise ConfigError(f"unknown h spec {text!r}")
+        try:
+            return (kind, self.disc_n, float(q))
+        except ValueError as exc:
+            raise ConfigError(f"bad h spec {text!r}") from exc
 
     def config_hash(self) -> str:
         basis = self.raw_text or repr(self)

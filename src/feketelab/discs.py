@@ -42,6 +42,15 @@ def _fsum_complex(terms: np.ndarray) -> complex:
     return complex(math.fsum(terms.real), math.fsum(terms.imag))
 
 
+def _negative_energy_ratio(spec: np.ndarray) -> float:
+    """Energy in strictly negative frequencies over total energy of (n, M) DFT rows."""
+    total = float(np.sum(np.abs(spec) ** 2))
+    if total == 0.0:
+        return 0.0
+    neg = float(np.sum(np.abs(spec[:, spec.shape[1] // 2 + 1 :]) ** 2))
+    return neg / total
+
+
 class AnalyticDisc:
     """Holomorphic map of the disc, stored by its boundary traces.
 
@@ -63,25 +72,16 @@ class AnalyticDisc:
         if traces.ndim != 2 or traces.shape[1] != grid.m:
             raise InputError("traces must have shape (n, M)")
         spec = np.fft.fft(traces, axis=1) / grid.m
-        # grid starts at -pi: re-phase so bin k multiplies e^{i k theta}
-        m = grid.m
-        signs = np.where(np.arange(m) % 2 == 0, 1.0, -1.0)
-        spec = spec * signs
-        coeffs = spec[:, : m // 2 + 1].copy()
-        disc = cls(grid, traces, coeffs)
-        if disc.negative_energy_ratio() > _NEG_ENERGY_TOL:
+        if _negative_energy_ratio(spec) > _NEG_ENERGY_TOL:
             raise InputError("boundary traces carry negative-frequency energy")
-        return disc
+        # grid starts at -pi: re-phase so bin k multiplies e^{i k theta}
+        half = grid.m // 2 + 1
+        signs = np.where(np.arange(half) % 2 == 0, 1.0, -1.0)
+        return cls(grid, traces, spec[:, :half] * signs)
 
     def negative_energy_ratio(self) -> float:
         """Energy in strictly negative frequencies over total energy."""
-        spec = np.fft.fft(self.traces, axis=1) / self.grid.m
-        m = self.grid.m
-        total = float(np.sum(np.abs(spec) ** 2))
-        if total == 0.0:
-            return 0.0
-        neg = float(np.sum(np.abs(spec[:, m // 2 + 1 :]) ** 2))
-        return neg / total
+        return _negative_energy_ratio(np.fft.fft(self.traces, axis=1) / self.grid.m)
 
     def eval(self, z: complex) -> np.ndarray:
         """Interior value by the one-sided coefficient sum (compensated)."""

@@ -79,11 +79,6 @@ class ReferenceMeasure:
             return Sphere().mesh(60000)
         raise NoClosedFormError("no quadrature rule")
 
-    def pair(self, v) -> float:
-        nodes = self.quad_nodes()
-        vals = np.asarray([v(p) for p in nodes], dtype=float)
-        return float(np.mean(vals))
-
     def pair_vectorized(self, v) -> float:
         """Same pairing for callables accepting the whole node array."""
         nodes = self.quad_nodes()
@@ -388,6 +383,7 @@ def _capped_holder_norm_1d(xs: np.ndarray, vals: np.ndarray, gamma: float) -> fl
 
 
 _DEFAULT_GAMMAS = (0.5, 1.0, 1.5, 2.0)
+_LINE_MAX_GAMMA = 2.0
 _SPHERE_MAX_GAMMA = 1.0
 
 
@@ -395,8 +391,14 @@ def build_dictionaries(domain, gammas=_DEFAULT_GAMMAS) -> dict:
     """One dictionary per gamma, sharing members, scales running-max across
     the (sorted) gamma grid so that dist is monotone in gamma."""
     gammas = tuple(sorted(gammas))
+    if not all(g > 0.0 for g in gammas):
+        raise InputError(f"dictionaries need gamma > 0, got gammas {gammas}")
     amb = ambient_of(domain)
     if isinstance(amb, (Interval, Circle)):
+        if any(g > _LINE_MAX_GAMMA for g in gammas):
+            raise InputError(
+                f"interval and circle dictionaries are certified for gamma <= {_LINE_MAX_GAMMA:g} only, got gammas {gammas}"
+            )
         if isinstance(amb, Interval):
             names, funcs = _interval_members()
             xs = np.linspace(-1.0, 1.0, 2001)

@@ -111,6 +111,16 @@ def test_config_rejects_bad_t():
         ExperimentConfig(t_list=(1.5,))
 
 
+def test_config_h_spec_parsed_once():
+    cfg = ExperimentConfig(disc_n=2, h_spec=" Mix:0.25 ")
+    assert cfg.manifold_key() == ("mix", 2, 0.25)
+    assert cfg.manifold().name == "mix(q=0.25)"
+    assert ExperimentConfig(h_spec="zero").manifold_key() == ("zero", 1)
+    for bad in ("cubic:1", "quad:x", "quad"):
+        with pytest.raises(ConfigError):
+            ExperimentConfig(h_spec=bad)
+
+
 # ------------------------------------------------------------------- fekete
 def test_cmd_fekete_contains_bruteforce_optimum(tmp_path):
     cfg = load_config(write_cfg(tmp_path, FEKETE_CFG.format(out=tmp_path)))
@@ -232,15 +242,45 @@ def test_all_pass_sees_error_rows_in_any_column():
     assert not no_pass.all_pass()
 
 
-def test_main_rejects_sphere_gamma_above_one(tmp_path, capsys):
+@pytest.mark.parametrize(
+    "domain, gammas, message",
+    [
+        pytest.param("sphere", "1.5", "gamma <= 1", id="sphere-1.5"),
+        pytest.param("sphere", "0.0", "gamma > 0", id="sphere-0"),
+        pytest.param("interval", "3.0", "gamma <= 2", id="interval-3"),
+        pytest.param("circle", "1.0,2.5", "gamma <= 2", id="circle-2.5"),
+        pytest.param("interval", "-1.0", "gamma > 0", id="interval-neg"),
+    ],
+)
+def test_main_rejects_sphere_gamma_above_one(tmp_path, capsys, domain, gammas, message):
+    """Gammas without a certified dictionary norm fail the run before any cell."""
     cfg = write_cfg(
         tmp_path,
-        "[experiment]\nname = s\nkind = fekete\n\n[fekete]\ndomain = sphere\n"
-        f"k_min = 2\nk_max = 3\nmesh = 2000\nsweeps = 1\ngammas = 1.5\n\n[output]\ndir = {tmp_path}\n",
+        f"[experiment]\nname = s\nkind = fekete\n\n[fekete]\ndomain = {domain}\n"
+        f"k_min = 2\nk_max = 3\nmesh = 2000\nsweeps = 1\ngammas = {gammas}\n\n[output]\ndir = {tmp_path}\n",
     )
     assert main(["fekete", "--config", cfg]) == 1
-    assert "gamma <= 1" in capsys.readouterr().err
+    assert message in capsys.readouterr().err
     assert not (tmp_path / "s_fekete.csv").exists()
+
+
+def test_cmd_fekete_pairs_sphere_cells_once_with_gamma_one(tmp_path, monkeypatch):
+    """Without an exact dist_1, the dist1 column reuses the gamma = 1 distance."""
+    from feketelab import equilibrium
+
+    calls = []
+    dist = equilibrium.dist_gamma_dict
+
+    def counted(*args):
+        calls.append(args[2])
+        return dist(*args)
+
+    monkeypatch.setattr(equilibrium, "dist_gamma_dict", counted)
+    cfg = ExperimentConfig(domain_text="sphere", k_min=2, k_max=3, mesh=2000, sweeps=1, out_dir=str(tmp_path))
+    rec = cmd_fekete(cfg)
+    assert calls == [1.0, 1.0]  # one per cell
+    d1, g1 = rec.columns.index("dist1"), rec.columns.index("dist_g1")
+    assert all(r[d1] == r[g1] for r in rec.rows)
 
 
 # --------------------------------------------------------------- plot files
@@ -281,15 +321,6 @@ def test_emit_disc_trace_file(tmp_path):
     assert len(lines) == 2 + grid.m  # header comment + column row + M rows
     out2 = emit_plotdata(rec, "trace", str(tmp_path / "again"), disc=disc)
     assert open(out[0]).read() == open(out2[0]).read()
-
-
-def test_threaded_batch_is_order_stable(tmp_path):
-    cfg = load_config(write_cfg(tmp_path, FEKETE_CFG.format(out=tmp_path)))
-    import dataclasses
-
-    rec1 = cmd_fekete(dataclasses.replace(cfg, threads=1))
-    rec2 = cmd_fekete(dataclasses.replace(cfg, threads=3))
-    assert rec1.rows == rec2.rows
 
 
 def test_cmd_fekete_arc_uses_self_consistency(tmp_path):
