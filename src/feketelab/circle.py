@@ -1,11 +1,13 @@
 """Spectral machinery on the unit circle and disc.
 
-Real functions on the boundary circle are carried as equispaced samples
-together with their trigonometric coefficients.  On top of that sit the
-harmonic extension to the disc, the conjugate-function (Hilbert) transforms
-T and T1 = T - T(1), derivative and moment functionals of the extension at
-the boundary point 1, a grid estimate of Hoelder norms, and the dual bump
-pair (u1, u2) whose extension derivatives at 1 hit prescribed values.
+Real functions on the boundary circle are carried as equispaced samples;
+their trigonometric coefficients are computed from the samples on first
+read and then cached, so arithmetic on boundary functions runs no FFT.
+On top of that sit the harmonic extension to the disc, the
+conjugate-function (Hilbert) transforms T and T1 = T - T(1), derivative
+and moment functionals of the extension at the boundary point 1, a grid
+estimate of Hoelder norms, and the dual bump pair (u1, u2) whose
+extension derivatives at 1 hit prescribed values.
 
 Conventions.  Nodes are theta_j = 2*pi*j/M - pi.  A function with cosine
 coefficients a_0..a_{M/2} and sine coefficients b_1..b_{M/2-1} extends
@@ -74,9 +76,10 @@ class HolderSpec:
 class CircleFunction:
     """Real boundary function: samples at grid nodes plus cached coefficients.
 
-    Immutable; arithmetic returns new instances.  Coefficients and samples
-    are kept consistent by construction (the transform pair is exact on
-    band-limited data).
+    Immutable; arithmetic returns new instances.  The samples are the state:
+    the coefficients are the discrete transform of the samples, computed on
+    the first read of ``a`` or ``b`` and cached (the transform pair is exact
+    on band-limited data, so ``from_coeffs`` round-trips).
     """
 
     __slots__ = ("grid", "samples", "_a", "_b")
@@ -91,22 +94,28 @@ class CircleFunction:
             raise InputError("samples must be finite")
         object.__setattr__(self, "grid", grid)
         object.__setattr__(self, "samples", _readonly(samples))
-        a, b = _analyze(grid, self.samples)
-        object.__setattr__(self, "_a", _readonly(a))
-        object.__setattr__(self, "_b", _readonly(b))
+        object.__setattr__(self, "_a", None)
+        object.__setattr__(self, "_b", None)
 
     def __setattr__(self, *_):
         raise AttributeError("CircleFunction is immutable")
 
+    def _coeffs(self):
+        if self._a is None:
+            a, b = _analyze(self.grid, self.samples)
+            object.__setattr__(self, "_a", _readonly(a))
+            object.__setattr__(self, "_b", _readonly(b))
+        return self._a, self._b
+
     @property
     def a(self) -> np.ndarray:
         """Cosine coefficients a_0..a_{M/2}."""
-        return self._a
+        return self._coeffs()[0]
 
     @property
     def b(self) -> np.ndarray:
         """Sine coefficients, index-aligned with a (b_0 = b_{M/2} = 0)."""
-        return self._b
+        return self._coeffs()[1]
 
     @classmethod
     def from_coeffs(cls, grid: CircleGrid, a, b) -> "CircleFunction":
@@ -146,7 +155,7 @@ class CircleFunction:
 
     def theta_derivative(self, order: int = 1) -> "CircleFunction":
         """Spectral derivative d^order/dtheta^order as a boundary function."""
-        a, b = self._a.copy(), self._b.copy()
+        a, b = self.a.copy(), self.b.copy()
         k = np.arange(len(a), dtype=float)
         for _ in range(order):
             a, b = k * b, -k * a

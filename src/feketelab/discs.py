@@ -20,7 +20,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cached_property, lru_cache
 
 import numpy as np
 
@@ -58,13 +58,16 @@ class AnalyticDisc:
     frequencies only; interior evaluation is the one-sided power sum.
     """
 
-    __slots__ = ("grid", "n", "traces", "coeffs")
+    __slots__ = ("grid", "n", "traces", "coeffs", "_neg_energy")
 
-    def __init__(self, grid: CircleGrid, traces: np.ndarray, coeffs: np.ndarray):
+    def __init__(
+        self, grid: CircleGrid, traces: np.ndarray, coeffs: np.ndarray, neg_energy: float
+    ):
         self.grid = grid
         self.n = traces.shape[0]
         self.traces = traces
         self.coeffs = coeffs
+        self._neg_energy = neg_energy
 
     @classmethod
     def from_traces(cls, grid: CircleGrid, traces) -> "AnalyticDisc":
@@ -72,16 +75,17 @@ class AnalyticDisc:
         if traces.ndim != 2 or traces.shape[1] != grid.m:
             raise InputError("traces must have shape (n, M)")
         spec = np.fft.fft(traces, axis=1) / grid.m
-        if _negative_energy_ratio(spec) > _NEG_ENERGY_TOL:
+        neg_energy = _negative_energy_ratio(spec)
+        if neg_energy > _NEG_ENERGY_TOL:
             raise InputError("boundary traces carry negative-frequency energy")
         # grid starts at -pi: re-phase so bin k multiplies e^{i k theta}
         half = grid.m // 2 + 1
         signs = np.where(np.arange(half) % 2 == 0, 1.0, -1.0)
-        return cls(grid, traces, spec[:, :half] * signs)
+        return cls(grid, traces, spec[:, :half] * signs, neg_energy)
 
     def negative_energy_ratio(self) -> float:
         """Energy in strictly negative frequencies over total energy."""
-        return _negative_energy_ratio(np.fft.fft(self.traces, axis=1) / self.grid.m)
+        return self._neg_energy
 
     def eval(self, z: complex) -> np.ndarray:
         """Interior value by the one-sided coefficient sum (compensated)."""
@@ -141,7 +145,7 @@ class FamilyParams:
     def n(self) -> int:
         return len(self.z_re)
 
-    @property
+    @cached_property
     def norm(self) -> float:
         return math.sqrt(sum(x * x for x in self.z_re) + sum(x * x for x in self.z_im))
 

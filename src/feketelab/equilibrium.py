@@ -697,8 +697,9 @@ class RateFit:
 def rate_fit(ks, dists, exponent: float = -1.0 / 36.0 + 0.01) -> RateFit:
     """Log-log least squares plus the one-sided bound dist_k <= c k^exponent.
 
-    The bound is always decidable on finite data; c_min is the smallest
-    admissible constant.
+    c_min is the smallest constant for which the bound holds on the data;
+    on finite data some constant always exists, so bound_ok also asks the
+    fitted slope to decay at least as fast as the exponent.
     """
     ks = np.asarray(ks, dtype=float)
     dists = np.asarray(dists, dtype=float)
@@ -711,7 +712,7 @@ def rate_fit(ks, dists, exponent: float = -1.0 / 36.0 + 0.01) -> RateFit:
     return RateFit(
         slope=float(slope),
         intercept=float(intercept),
-        bound_ok=bool(np.isfinite(c_min)),
+        bound_ok=bool(slope <= exponent and np.isfinite(c_min)),
         c_min=c_min,
         exponent=float(exponent),
     )

@@ -27,6 +27,7 @@ from feketelab.circle import (
     rho1,
     rho2,
 )
+from feketelab.circle import _analyze
 from feketelab.errors import DomainError, InputError, PreconditionError
 
 GRID = CircleGrid(64)
@@ -107,6 +108,49 @@ def test_analyze_roundtrip_is_identity():
 def test_analyze_length_mismatch():
     with pytest.raises(InputError):
         analyze(GRID, np.zeros(GRID.m + 1))
+
+
+# ------------------------------------------------------ lazy coefficients
+def test_construction_and_arithmetic_run_no_fft(fft_calls):
+    rng = np.random.default_rng(1)
+    u = CircleFunction(GRID, rng.normal(size=GRID.m))
+    v = analyze(GRID, rng.normal(size=GRID.m))
+    for w in (u + v, u - v, u + 0.5, u - 0.5, 2.0 * u, u * 3.0, -u):
+        assert isinstance(w, CircleFunction)
+    assert sum(fft_calls.values()) == 0
+
+
+def test_coefficients_computed_on_first_read(fft_calls):
+    rng = np.random.default_rng(2)
+    for m in (2**j for j in range(3, 12)):
+        g = CircleGrid(m)
+        u = CircleFunction(g, rng.normal(size=m))
+        a_ref, b_ref = _analyze(g, u.samples)
+        fft_calls.clear()
+        assert u.a.tobytes() == a_ref.tobytes()
+        assert u.b.tobytes() == b_ref.tobytes()
+        assert fft_calls["rfft"] == 1
+        assert u.a is u.a and u.b is u.b
+        assert fft_calls["rfft"] == 1
+        for arr in (u.a, u.b):
+            with pytest.raises(ValueError):
+                arr[0] = 1.0
+
+
+def test_T1_of_fresh_function_runs_one_transform_pair(fft_calls):
+    u = CircleFunction(GRID, np.random.default_rng(3).normal(size=GRID.m))
+    hilbert_T1(u)
+    assert dict(fft_calls) == {"rfft": 1, "irfft": 1}
+
+
+def test_circle_function_is_immutable():
+    u = CircleFunction(GRID, np.cos(GRID.nodes))
+    for name in ("grid", "samples", "_a", "_b", "extra"):
+        with pytest.raises(AttributeError):
+            setattr(u, name, None)
+    u.a
+    with pytest.raises(AttributeError):
+        u._a = np.zeros(GRID.m // 2 + 1)
 
 
 def test_grid_must_be_power_of_two():

@@ -172,6 +172,22 @@ def test_cmd_rate_constant_sequence(tmp_path):
     assert abs(rec.rows[0][rec.columns.index("slope")]) < 1e-12
 
 
+def test_main_rate_non_decaying_input_fails(tmp_path):
+    csv = tmp_path / "fk.csv"
+    lines = ["status,k,dist1"] + [f"ok,{k},{0.05 * k:.17g}" for k in range(2, 10)]
+    csv.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    out = tmp_path / "out"
+    cfg = write_cfg(
+        tmp_path, f"[experiment]\nname = grow\nkind = rate\n\n[output]\ndir = {out}\n", "rate.cfg"
+    )
+    assert main(["rate", "--config", cfg, "--input", str(csv)]) == 2
+    header, row = (out / "grow_rate.csv").read_text().splitlines()[-2:]
+    values = dict(zip(header.split(","), row.split(",")))
+    assert float(values["slope"]) > 0.0
+    assert values["bound_ok"] == "0"
+    assert values["pass"] == "0"
+
+
 def test_cmd_rate_insufficient_data(tmp_path):
     csv = tmp_path / "fk.csv"
     csv.write_text("status,k,dist1\nok,2,0.5\nok,3,0.4\n", encoding="utf-8")

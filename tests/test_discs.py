@@ -358,6 +358,25 @@ def test_disc_rejects_negative_frequency_traces():
         AnalyticDisc.from_traces(GRID, tr[None, :])
 
 
+def test_negative_energy_ratio_kept_from_construction(fft_calls):
+    from feketelab.discs import _negative_energy_ratio
+
+    disc = family_F(_rand_param(Rng(15), 2, 0.4, 0.1), GRID)
+    fft_calls.clear()
+    ratio = disc.negative_energy_ratio()
+    assert sum(fft_calls.values()) == 0
+    assert ratio == _negative_energy_ratio(np.fft.fft(disc.traces, axis=1) / GRID.m)
+
+
+def test_family_params_norm_cached_without_changing_equality():
+    p = FamilyParams((0.3, -0.1), (0.2, 0.4), 0.5)
+    q = FamilyParams((0.3, -0.1), (0.2, 0.4), 0.5)
+    assert p.norm == math.sqrt(sum(x * x for x in p.z_re) + sum(x * x for x in p.z_im))
+    assert p.norm is p.norm
+    assert p == q and hash(p) == hash(q)
+    assert p != FamilyParams((0.3, -0.1), (0.2, 0.4), 0.25)
+
+
 def test_analytic_disc_serialization_layout():
     rng = Rng(14)
     p = _rand_param(rng, 2, 0.4, 0.1)

@@ -394,7 +394,7 @@ def test_rate_fit_constant_sequence():
     ks = np.arange(2, 30)
     fit = rate_fit(ks, np.full(len(ks), 0.4))
     assert abs(fit.slope) < 1e-12
-    assert fit.bound_ok
+    assert not fit.bound_ok
     assert abs(fit.c_min - 0.4 * 29.0 ** (1.0 / 36.0 - 0.01)) < 1e-12
 
 
