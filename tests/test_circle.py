@@ -145,12 +145,12 @@ def test_T1_of_fresh_function_runs_one_transform_pair(fft_calls):
 
 def test_circle_function_is_immutable():
     u = CircleFunction(GRID, np.cos(GRID.nodes))
-    for name in ("grid", "samples", "_a", "_b", "extra"):
-        with pytest.raises(AttributeError):
-            setattr(u, name, None)
-    u.a
-    with pytest.raises(AttributeError):
-        u._a = np.zeros(GRID.m // 2 + 1)
+    for coeffs_read in (False, True):
+        if coeffs_read:
+            assert u.a[1] == pytest.approx(1.0)
+        for name in ("grid", "samples", "_a", "_b", "extra"):
+            with pytest.raises(AttributeError):
+                setattr(u, name, None)
 
 
 def test_grid_must_be_power_of_two():
