@@ -28,6 +28,7 @@ from .discs import (
     AnalyticDisc,
     FamilyParams,
     _capture,
+    _guarded_arc,
     build_u_zt,
     calibrate,
     u_prime_boundary,
@@ -177,7 +178,6 @@ def _iterate(
     grid: CircleGrid,
     manifold: GraphManifold,
     forcing: np.ndarray,
-    u_rows: np.ndarray,
     start: np.ndarray,
 ) -> tuple[np.ndarray, int, list, float]:
     U = start.copy()
@@ -216,25 +216,7 @@ def solve_bishop(
     start: np.ndarray | None = None,
 ) -> BishopSolution:
     """Solve U = t(Re z - Im z) - T1(h(U)) - T1(u_{z,t}) on the grid."""
-    if p.n != manifold.n:
-        raise PreconditionError("parameter and manifold dimensions differ")
-    comps = build_u_zt(p, grid)
-    u_rows = np.stack([c.samples for c in comps])
-    const = np.asarray([p.t * (re - im) for re, im in zip(p.z_re, p.z_im)])
-    forcing = const[:, None] - _t1_rows(grid, u_rows)
-    start = u_rows if start is None else start
-    U, iters, ratios, residual = _iterate(grid, manifold, forcing, u_rows, start)
-    return BishopSolution(
-        grid=grid,
-        manifold=manifold,
-        params=p,
-        U=U,
-        u_data=u_rows,
-        iterations=iters,
-        ratio_log=ratios,
-        residual=residual,
-        singular=False,
-    )
+    return _solve(manifold, p, grid, start, singular=False)
 
 
 def solve_bishop_singular(
@@ -244,15 +226,31 @@ def solve_bishop_singular(
     start: np.ndarray | None = None,
 ) -> BishopSolution:
     """Solve U' = 2t(|z|,...,|z|) - T1(h(U')) - T1(u'_{z,t,tau})."""
+    return _solve(manifold, p, grid, start, singular=True)
+
+
+def _solve(
+    manifold: GraphManifold,
+    p: FamilyParams,
+    grid: CircleGrid,
+    start: np.ndarray | None,
+    singular: bool,
+) -> BishopSolution:
+    """The body of both solves; each public name calls it directly, so a
+    wrapper around one of them never sees the other's calls."""
     if p.n != manifold.n:
         raise PreconditionError("parameter and manifold dimensions differ")
-    if p.tau is None:
-        p = FamilyParams(p.z_re, p.z_im, p.t, tau=(0.0,) * p.n)
-    comps = u_prime_boundary(p, grid)
-    u_rows = np.stack([c.samples for c in comps])
-    forcing = 2.0 * p.t * p.norm - _t1_rows(grid, u_rows)
+    if singular:
+        if p.tau is None:
+            p = FamilyParams(p.z_re, p.z_im, p.t, tau=(0.0,) * p.n)
+        u_rows = np.stack([c.samples for c in u_prime_boundary(p, grid)])
+        const = 2.0 * p.t * p.norm
+    else:
+        u_rows = np.stack([c.samples for c in build_u_zt(p, grid)])
+        const = np.asarray([p.t * (re - im) for re, im in zip(p.z_re, p.z_im)])[:, None]
+    forcing = const - _t1_rows(grid, u_rows)
     start = u_rows if start is None else start
-    U, iters, ratios, residual = _iterate(grid, manifold, forcing, u_rows, start)
+    U, iters, ratios, residual = _iterate(grid, manifold, forcing, start)
     return BishopSolution(
         grid=grid,
         manifold=manifold,
@@ -262,7 +260,7 @@ def solve_bishop_singular(
         iterations=iters,
         ratio_log=ratios,
         residual=residual,
-        singular=True,
+        singular=singular,
     )
 
 
@@ -476,8 +474,6 @@ def calibrate_wedge(
 
     rng = Rng(0x3ED6E)
     n = manifold.n
-    nodes = grid.nodes
-    order = np.argsort(np.abs(nodes), kind="stable")
     ok = np.ones(grid.m, dtype=bool)
     for _ in range(n_samples):
         v = np.asarray(rng.sphere(2 * n))
@@ -485,13 +481,7 @@ def calibrate_wedge(
         z = r * (v[:n] + 1j * v[n:])
         ctrl = solve_tau(manifold, z, t, grid)
         ok &= ctrl.solution.U.min(axis=0) >= -1e-9
-    good = 0
-    for idx in order:
-        if not ok[idx]:
-            break
-        good += 1
-    keep = max(0, good - 1 - guard_nodes)
-    return float(abs(nodes[order[keep]])) if keep > 0 else 0.0
+    return _guarded_arc(grid, ok, guard_nodes)
 
 
 # ---------------------------------------------------------- t calibration

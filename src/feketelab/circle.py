@@ -49,6 +49,12 @@ class CircleGrid:
     def nodes(self) -> np.ndarray:
         return _readonly(TWO_PI * np.arange(self.m) / self.m - math.pi)
 
+    @cached_property
+    def signs(self) -> np.ndarray:
+        """(-1)^k for k = 0..M/2: the nodes start at -pi, so DFT bin k
+        carries the phase e^{-ik pi}."""
+        return _readonly(np.where(np.arange(self.m // 2 + 1) % 2 == 0, 1.0, -1.0))
+
     @property
     def step(self) -> float:
         return TWO_PI / self.m
@@ -121,10 +127,6 @@ class CircleFunction:
     def from_coeffs(cls, grid: CircleGrid, a, b) -> "CircleFunction":
         return cls(grid, _synthesize(grid, np.asarray(a, float), np.asarray(b, float)))
 
-    @classmethod
-    def from_callable(cls, grid: CircleGrid, f) -> "CircleFunction":
-        return cls(grid, np.asarray([f(t) for t in grid.nodes], dtype=float))
-
     def value_at_one(self) -> float:
         """Boundary value at xi = 1 (a grid node)."""
         return float(self.samples[self.grid.index_of_one])
@@ -165,11 +167,7 @@ class CircleFunction:
 
 
 def _analyze(grid: CircleGrid, samples: np.ndarray):
-    m = grid.m
-    c = np.fft.rfft(samples) / m
-    # nodes start at -pi, not 0: shift by e^{-ik pi} = (-1)^k
-    signs = np.where(np.arange(m // 2 + 1) % 2 == 0, 1.0, -1.0)
-    c = c * signs
+    c = np.fft.rfft(samples) / grid.m * grid.signs
     a = 2.0 * c.real
     a[0] = c[0].real
     a[-1] = c[-1].real
@@ -186,23 +184,12 @@ def _synthesize(grid: CircleGrid, a: np.ndarray, b: np.ndarray) -> np.ndarray:
     c = 0.5 * (a - 1j * b)
     c[0] = a[0]
     c[-1] = a[-1]
-    signs = np.where(np.arange(m // 2 + 1) % 2 == 0, 1.0, -1.0)
-    return np.fft.irfft(c * signs, n=m) * m
+    return np.fft.irfft(c * grid.signs, n=m) * m
 
 
 def analyze(grid: CircleGrid, samples) -> CircleFunction:
     """Build a CircleFunction from raw samples (discrete trig transform)."""
     return CircleFunction(grid, np.asarray(samples, dtype=float))
-
-
-@dataclass(frozen=True)
-class HarmonicEval:
-    """Harmonic extension of a boundary function, evaluated by its series."""
-
-    base: CircleFunction
-
-    def __call__(self, z) -> float:
-        return harmonic_extend(self.base, z)
 
 
 def harmonic_extend(u: CircleFunction, z) -> float:

@@ -79,9 +79,7 @@ class AnalyticDisc:
         if neg_energy > _NEG_ENERGY_TOL:
             raise InputError("boundary traces carry negative-frequency energy")
         # grid starts at -pi: re-phase so bin k multiplies e^{i k theta}
-        half = grid.m // 2 + 1
-        signs = np.where(np.arange(half) % 2 == 0, 1.0, -1.0)
-        return cls(grid, traces, spec[:, :half] * signs, neg_energy)
+        return cls(grid, traces, spec[:, : grid.m // 2 + 1] * grid.signs, neg_energy)
 
     def negative_energy_ratio(self) -> float:
         """Energy in strictly negative frequencies over total energy."""
@@ -189,10 +187,11 @@ def solve_quantitative_inverse(prob: InverseProblem, tol: float = 1e-10):
     """Contraction iteration from 0; returns (z_star, ratio_log)."""
     a_inv = np.linalg.inv(prob.matrix)
     z = np.zeros_like(prob.target)
+    phi_z = np.asarray(prob.phi0(z))
     ratios = []
     prev_step = None
     for _ in range(500):
-        g = np.asarray(prob.phi0(z)) - prob.matrix @ z
+        g = phi_z - prob.matrix @ z
         z_new = a_inv @ (prob.target - g)
         step = float(np.linalg.norm(z_new - z))
         if prev_step is not None and prev_step > 0:
@@ -201,7 +200,8 @@ def solve_quantitative_inverse(prob: InverseProblem, tol: float = 1e-10):
                 raise PreconditionError("observed contraction ratio >= 1")
         prev_step = step
         z = z_new
-        if np.linalg.norm(np.asarray(prob.phi0(z)) - prob.target) <= tol:
+        phi_z = np.asarray(prob.phi0(z))
+        if np.linalg.norm(phi_z - prob.target) <= tol:
             return z, ratios
     raise CaptureFailure("inverse iteration did not converge in 500 steps")
 
@@ -394,8 +394,6 @@ def calibrate(grid: CircleGrid, n: int = 1) -> Calibration:
     # -- theta0: largest symmetric arc on which every scanned F' stays in
     # (R+)^n, i.e. Re >= -1e-12 and |Im| <= 1e-12 at t = 1, shrunk by a
     # few nodes as a guard band against unsampled parameters
-    nodes = grid.nodes
-    order = np.argsort(np.abs(nodes), kind="stable")
     attach_ok = np.ones(grid.m, dtype=bool)
     c0_prime_sup = 0.0
     for s in (0.005, 0.01, 0.02, 0.05, 0.1, 0.15, 0.2):
@@ -409,13 +407,7 @@ def calibrate(grid: CircleGrid, n: int = 1) -> Calibration:
                 np.abs(disc.traces.imag).max(axis=0) <= 1e-12
             )
             attach_ok &= ok
-    good = 0
-    for idx in order:
-        if not attach_ok[idx]:
-            break
-        good += 1
-    guard = max(0, good - 1 - 4)
-    theta0 = abs(nodes[order[guard]]) if guard > 0 else 0.0
+    theta0 = _guarded_arc(grid, attach_ok, 4)
 
     # -- r0' from the measured Lipschitz constant of g'(z) = Phi'(z) - t z
     r0p = _calibrate_r0_prime(grid, n)
@@ -429,6 +421,19 @@ def calibrate(grid: CircleGrid, n: int = 1) -> Calibration:
         c0_prime_sup=float(c0_prime_sup),
         g0_norm=g0_norm,
     )
+
+
+def _guarded_arc(grid: CircleGrid, ok: np.ndarray, guard_nodes: int) -> float:
+    """|theta| of the widest arc around theta = 0 whose nodes are all ok,
+    shrunk by guard_nodes nodes; 0.0 when nothing is left.
+
+    Nodes are taken in order of |theta| (stable, so -theta before theta);
+    the arc ends at the first node that is not ok.
+    """
+    order = np.argsort(np.abs(grid.nodes), kind="stable")
+    bad = np.flatnonzero(~ok[order])
+    keep = (bad[0] if len(bad) else grid.m) - 1 - guard_nodes
+    return float(abs(grid.nodes[order[keep]])) if keep > 0 else 0.0
 
 
 def _scan_directions(n: int):

@@ -79,11 +79,6 @@ class ReferenceMeasure:
             return Sphere().mesh(60000)
         raise NoClosedFormError("no quadrature rule")
 
-    def pair_vectorized(self, v) -> float:
-        """Same pairing for callables accepting the whole node array."""
-        nodes = self.quad_nodes()
-        return float(np.mean(np.asarray(v(nodes), dtype=float)))
-
     def total_mass(self) -> float:
         """Mass by quadrature; the quantile substitution absorbs the
         arcsine endpoint singularity so midpoint rule is exact."""
@@ -252,15 +247,6 @@ def w1_atomic_line(xs: np.ndarray, ys: np.ndarray) -> float:
 
 
 # ------------------------------------------------------------- dictionaries
-def _stacked(funcs):
-    """Block evaluator of per-member callables: one (members, nodes) block."""
-
-    def blocks(nodes):
-        yield np.stack([np.asarray(f(nodes), dtype=float) for f in funcs])
-
-    return blocks
-
-
 @dataclass
 class TestDictionary:
     """Family of test functions with certified C^gamma norms <= 1.
@@ -270,38 +256,30 @@ class TestDictionary:
     the gamma grid used to build the dictionary, which makes the resulting
     distance exactly monotone nonincreasing in gamma.
 
-    `funcs` are the members one by one; `blocks` evaluates all of them on a
-    node set at once, as a sequence of (rows, nodes) value blocks in member
-    order (default: the stacked `funcs`).  A pairing evaluates each block
-    once per node set and keeps only its row means, so no nodes-sized
-    matrix outlives the call.  Reference-measure means are cached, and the
-    dictionaries of one `build_dictionaries` call share that cache.
+    `blocks` is the only definition of the members: it evaluates all of
+    them on a node set as a sequence of (rows, nodes) value blocks in the
+    order of `names`.  A pairing evaluates each block once per node set and
+    keeps only its row means, so no nodes-sized matrix outlives the call.
+    Reference-measure means are cached, and the dictionaries of one
+    `build_dictionaries` call share that cache.
     """
 
     domain: object
     gamma: float
     names: list
-    funcs: list
+    blocks: object
     scales: np.ndarray
-    blocks: object = None
     _ref_cache: dict = field(default_factory=dict)
 
-    def __post_init__(self):
-        if self.blocks is None:
-            self.blocks = _stacked(self.funcs)
-
     def __len__(self) -> int:
-        return len(self.funcs)
-
-    def members(self):
-        return zip(self.names, self.funcs, self.scales)
+        return len(self.names)
 
     def means(self, nodes) -> np.ndarray:
         """Mean of every member over a node set."""
         return np.concatenate([np.mean(b, axis=1) for b in self.blocks(nodes)])
 
     def pair_gap(self, mu: EmpiricalMeasure, nu) -> float:
-        if len(self.funcs) == 0:
+        if len(self.names) == 0:
             raise InputError("empty test dictionary")
         nu_means = self._nu_means(nu)
         return float(np.max(np.abs(self.means(mu.atoms) - nu_means) / self.scales))
@@ -377,11 +355,6 @@ def _holder_norms_1d(xs: np.ndarray, vals: np.ndarray, gammas) -> list:
     return norms
 
 
-def _capped_holder_norm_1d(xs: np.ndarray, vals: np.ndarray, gamma: float) -> float:
-    """Capped Hoelder norm of one function sampled on a uniform grid."""
-    return float(_holder_norms_1d(xs, np.asarray(vals, dtype=float)[None], (gamma,))[0][0])
-
-
 _DEFAULT_GAMMAS = (0.5, 1.0, 1.5, 2.0)
 _LINE_MAX_GAMMA = 2.0
 _SPHERE_MAX_GAMMA = 1.0
@@ -400,12 +373,11 @@ def build_dictionaries(domain, gammas=_DEFAULT_GAMMAS) -> dict:
                 f"interval and circle dictionaries are certified for gamma <= {_LINE_MAX_GAMMA:g} only, got gammas {gammas}"
             )
         if isinstance(amb, Interval):
-            names, funcs = _interval_members()
+            names, blocks = _interval_members()
             xs = np.linspace(-1.0, 1.0, 2001)
         else:
-            names, funcs = _circle_members()
+            names, blocks = _circle_members()
             xs = np.linspace(-math.pi, math.pi, 4001)
-        blocks = _stacked(funcs)
         (vals,) = blocks(xs)
         norms = _holder_norms_1d(xs, vals, gammas)
     elif isinstance(amb, Sphere):
@@ -413,23 +385,22 @@ def build_dictionaries(domain, gammas=_DEFAULT_GAMMAS) -> dict:
             raise InputError(
                 f"sphere dictionaries are certified for gamma <= {_SPHERE_MAX_GAMMA:g} only, got gammas {gammas}"
             )
-        names, funcs, blocks = _sphere_members()
+        names, blocks = _sphere_members()
         norms = _sphere_norms(blocks, gammas)
     else:
         raise InputError(f"no dictionary for domain {domain!r}")
 
     ref_cache = {}
     out = {}
-    running = np.zeros(len(funcs))
+    running = np.zeros(len(names))
     for g, norm in zip(gammas, norms):
         running = np.maximum(running, norm)
         out[g] = TestDictionary(
             domain=domain,
             gamma=g,
             names=list(names),
-            funcs=list(funcs),
-            scales=running * (1.0 + 1e-9),
             blocks=blocks,
+            scales=running * (1.0 + 1e-9),
             _ref_cache=ref_cache,
         )
     return out
@@ -442,40 +413,36 @@ def build_dictionary(domain, gamma: float) -> TestDictionary:
 
 
 def _interval_members():
-    names, funcs = [], []
+    """x, cos(m pi (x+1)/2) for m = 1..12 and nine hats of half-width 0.4,
+    evaluated as one (22, nodes) block."""
+    modes = np.arange(1, 13)
+    centers = np.linspace(-0.8, 0.8, 9)
+    names = ["id"] + [f"cos{m}" for m in modes] + [f"hat{c:+.1f}" for c in centers]
 
-    def add(name, f):
-        names.append(name)
-        funcs.append(f)
+    def blocks(x):
+        x = np.asarray(x, float)
+        cosines = np.cos(modes[:, None] * math.pi * (x + 1.0) / 2.0)
+        hats = np.maximum(0.0, 1.0 - np.abs(x - centers[:, None]) / 0.4)
+        yield np.concatenate((x[None], cosines, hats))
 
-    add("id", lambda x: np.asarray(x, float))
-    for m in range(1, 13):
-        add(f"cos{m}", lambda x, m=m: np.cos(m * math.pi * (np.asarray(x, float) + 1.0) / 2.0))
-    for c in np.linspace(-0.8, 0.8, 9):
-        add(f"hat{c:+.1f}", lambda x, c=c: np.maximum(0.0, 1.0 - np.abs(np.asarray(x, float) - c) / 0.4))
-    return names, funcs
+    return names, blocks
 
 
 def _circle_members():
-    names, funcs = [], []
+    """cos(m t), sin(m t) for m = 1..12 and eight periodic hats of
+    half-width 0.5, evaluated as one (32, nodes) block."""
+    modes = np.arange(1, 13)
+    centers = np.linspace(-math.pi, math.pi, 8, endpoint=False)
+    names = [f"{f}{m}" for m in modes for f in ("cos", "sin")] + [f"hat{c:+.2f}" for c in centers]
 
-    def add(name, f):
-        names.append(name)
-        funcs.append(f)
+    def blocks(t):
+        t = np.asarray(t, float)
+        arg = modes[:, None] * t
+        trig = np.stack((np.cos(arg), np.sin(arg)), axis=1).reshape(-1, len(t))
+        hats = np.maximum(0.0, 1.0 - np.abs(np.mod(t - centers[:, None] + math.pi, TWO_PI) - math.pi) / 0.5)
+        yield np.concatenate((trig, hats))
 
-    for m in range(1, 13):
-        add(f"cos{m}", lambda t, m=m: np.cos(m * np.asarray(t, float)))
-        add(f"sin{m}", lambda t, m=m: np.sin(m * np.asarray(t, float)))
-    for c in np.linspace(-math.pi, math.pi, 8, endpoint=False):
-        add(
-            f"hat{c:+.2f}",
-            lambda t, c=c: np.maximum(
-                0.0,
-                1.0
-                - np.abs(np.mod(np.asarray(t, float) - c + math.pi, TWO_PI) - math.pi) / 0.5,
-            ),
-        )
-    return names, funcs
+    return names, blocks
 
 
 def _sphere_pair_lags():
@@ -515,45 +482,23 @@ def _sphere_norm_mesh() -> np.ndarray:
 
 
 def _sphere_members():
-    """200 cones and the 49 harmonics of degree <= 6, with a block
-    evaluator giving one row per cone and one basis matrix for all
+    """200 cones of angular radius 1 and the 49 harmonics of degree <= 6,
+    evaluated as one row per cone and then one basis matrix for all
     harmonics.  Each cone keeps its own `p @ c` product: a single matrix
     product over all centers rounds differently."""
     from .fekete import BasisSpec, basis_matrix
 
-    names, funcs = [], []
     centers = Sphere().mesh(200)
-    width = 1.0
-    for i, c in enumerate(centers):
-        names.append(f"cone{i}")
-        funcs.append(
-            lambda p, c=c: np.maximum(
-                0.0,
-                1.0
-                - np.arccos(np.clip(np.atleast_2d(p) @ c, -1.0, 1.0)) / width,
-            ).reshape(np.shape(p)[:-1] if np.ndim(p) > 1 else ())
-        )
-    cones = list(funcs)
     spec = BasisSpec(Sphere(), 6)
-
-    def harmonic_func(idx):
-        def f(p):
-            p2 = np.atleast_2d(p)
-            vals = basis_matrix(spec, p2)[idx]
-            return vals if np.ndim(p) > 1 else vals[0]
-
-        return f
-
-    for idx in range((6 + 1) ** 2):
-        names.append(f"Y{idx}")
-        funcs.append(harmonic_func(idx))
+    names = [f"cone{i}" for i in range(len(centers))] + [f"Y{i}" for i in range((spec.k + 1) ** 2)]
 
     def blocks(nodes):
-        for f in cones:
-            yield np.asarray(f(nodes), dtype=float).reshape(1, -1)
-        yield basis_matrix(spec, np.atleast_2d(nodes))
+        p = np.atleast_2d(nodes)
+        for c in centers:
+            yield np.maximum(0.0, 1.0 - np.arccos(np.clip(p @ c, -1.0, 1.0)))[None]
+        yield basis_matrix(spec, p)
 
-    return names, funcs, blocks
+    return names, blocks
 
 
 # ------------------------------------------------- subharmonic comparison
@@ -592,9 +537,8 @@ class SubharmonicSample:
             k = np.arange(disc.coeffs.shape[1])
             scaled = disc.coeffs[0] * r**k
             m = disc.grid.m
-            signs = np.where(np.arange(m // 2 + 1) % 2 == 0, 1.0, -1.0)
             full = np.zeros(m, dtype=complex)
-            full[: m // 2 + 1] = scaled * signs
+            full[: m // 2 + 1] = scaled * disc.grid.signs
             ring_vals = np.fft.ifft(full) * m
             mod = np.abs(ring_vals)
             return np.log(np.maximum(mod, 1e-300))

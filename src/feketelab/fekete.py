@@ -300,11 +300,6 @@ class EmpiricalMeasure:
     def weights(self) -> np.ndarray:
         return np.full(len(self.atoms), 1.0 / len(self.atoms))
 
-    def pair(self, v) -> float:
-        """Integral of a callable test function against the measure."""
-        vals = np.asarray([v(p) for p in self.atoms], dtype=float)
-        return float(np.mean(vals))
-
 
 def fekete_measure(config: PointConfiguration) -> EmpiricalMeasure:
     return EmpiricalMeasure(domain=config.domain, atoms=config.points)

@@ -153,6 +153,14 @@ def test_circle_function_is_immutable():
                 setattr(u, name, None)
 
 
+def test_grid_signs_are_cached_and_read_only():
+    g = CircleGrid(16)
+    assert g.signs is g.signs
+    assert g.signs.tolist() == [(-1.0) ** k for k in range(9)]
+    with pytest.raises(ValueError):
+        g.signs[0] = 2.0
+
+
 def test_grid_must_be_power_of_two():
     with pytest.raises(InputError):
         CircleGrid(48)
@@ -190,15 +198,6 @@ def test_extend_rejects_boundary_points():
         harmonic_extend(u, 1.0)
     with pytest.raises(DomainError):
         harmonic_extend(u, 1.2j)
-
-
-def test_harmonic_eval_wrapper():
-    from feketelab.circle import HarmonicEval
-
-    u = analyze(GRID, np.cos(GRID.nodes))
-    ev = HarmonicEval(u)
-    assert abs(ev(0.25 + 0.25j) - 0.25) < 1e-14
-    assert ev(0.0) == u.a[0]
 
 
 # --------------------------------------------------------- Hilbert transforms

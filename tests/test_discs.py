@@ -309,6 +309,37 @@ def test_inverse_scalar_against_bisection_oracle():
     assert all(r <= 0.1 + 1e-6 for r in tail)
 
 
+def test_inverse_evaluates_phi0_once_per_iterate():
+    """One phi0 evaluation per iterate (the residual's serves the next
+    step), with the iterate and ratio log of the plain two-evaluation loop
+    bit for bit."""
+    matrix = np.array([[1.0, 0.2], [-0.1, 0.9]])
+
+    def phi0(z):
+        calls.append(z.copy())
+        return matrix @ z + 0.05 * np.sin(z[::-1])
+
+    target = np.array([0.04, -0.03])
+    calls = []
+    prob = InverseProblem(phi0=phi0, matrix=matrix, radius=0.5, target=target, lipschitz_g=0.05)
+    z, ratios = solve_quantitative_inverse(prob)
+    iterates = len(ratios) + 1
+    assert len(calls) == iterates + 1
+
+    a_inv = np.linalg.inv(matrix)
+    z_ref, ratios_ref, prev = np.zeros(2), [], None
+    for _ in range(500):
+        z_new = a_inv @ (target - (phi0(z_ref) - matrix @ z_ref))
+        step = float(np.linalg.norm(z_new - z_ref))
+        if prev is not None:
+            ratios_ref.append(step / prev)
+        prev, z_ref = step, z_new
+        if np.linalg.norm(phi0(z_ref) - target) <= 1e-10:
+            break
+    assert z.tobytes() == z_ref.tobytes()
+    assert ratios == ratios_ref
+
+
 def test_inverse_rejects_bad_contraction():
     with pytest.raises(PreconditionError):
         InverseProblem(

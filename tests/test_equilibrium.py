@@ -83,12 +83,15 @@ def test_density_is_ddc_of_extremal_on_a_grid():
 def test_sphere_reference_rotation_invariance():
     nu = equilibrium_reference(Sphere())
     rng = np.random.default_rng(0)
-    v = lambda p: np.asarray(p)[..., 2] ** 2 + 0.3 * np.asarray(p)[..., 0]
-    base = nu.pair_vectorized(v)
+    nodes = nu.quad_nodes()
+
+    def mean_v(p):
+        return np.mean(p[:, 2] ** 2 + 0.3 * p[:, 0])
+
+    base = mean_v(nodes)
     for _ in range(10):
         q, _ = np.linalg.qr(rng.normal(size=(3, 3)))
-        rotated = lambda p, q=q: v(np.asarray(p) @ q.T)
-        assert abs(nu.pair_vectorized(rotated) - base) < 2e-3
+        assert abs(mean_v(nodes @ q.T) - base) < 2e-3
 
 
 def test_no_closed_form_for_arcs():
@@ -205,18 +208,22 @@ def test_distance_axioms_on_triples():
 
 # -------------------------------------------------------------- dictionaries
 def test_dictionary_certified_norms():
-    from feketelab.equilibrium import _capped_holder_norm_1d
+    """Every scaled member of the interval and circle dictionaries has
+    grid-estimated C^gamma norm at most 1, for every gamma, on the grid
+    its scale was measured on (for gamma > 1 the hats exceed it on finer
+    grids; see ROADMAP item 4)."""
+    from feketelab.equilibrium import _holder_norms_1d
 
-    dicts = build_dictionaries(INTERVAL)
-    xs = np.linspace(-1, 1, 2001)
-    for g, dct in dicts.items():
-        for name, f, scale in dct.members():
-            vals = np.asarray(f(xs)) / scale
+    for domain, xs, size in (
+        (INTERVAL, np.linspace(-1, 1, 2001), 22),
+        (Circle(), np.linspace(-math.pi, math.pi, 4001), 32),
+    ):
+        for g, dct in build_dictionaries(domain).items():
+            vals = np.concatenate(list(dct.blocks(xs))) / dct.scales[:, None]
+            assert vals.shape == (size, len(xs)) == (len(dct), len(xs))
             assert np.max(np.abs(vals)) <= 1.0 + 1e-6
-        # full grid-estimated norm of the scaled member stays certified
-        for name, f, scale in list(dct.members())[:6]:
-            norm = _capped_holder_norm_1d(xs, np.asarray(f(xs)) / scale, g)
-            assert norm <= 1.0 + 1e-6
+            (norms,) = _holder_norms_1d(xs, vals, (g,))
+            assert np.all(norms <= 1.0 + 1e-6), (g, dct.names[int(np.argmax(norms))])
 
 
 def test_dictionary_monotone_in_gamma():
@@ -244,7 +251,7 @@ def test_dictionary_zero_for_equal_measures():
 def test_empty_dictionary_rejected():
     from feketelab.equilibrium import TestDictionary
 
-    empty = TestDictionary(domain=INTERVAL, gamma=1.0, names=[], funcs=[], scales=np.array([]))
+    empty = TestDictionary(domain=INTERVAL, gamma=1.0, names=[], blocks=lambda nodes: iter(()), scales=np.array([]))
     with pytest.raises(InputError):
         empty.pair_gap(EmpiricalMeasure(INTERVAL, np.array([0.0])), NU_I)
 
@@ -253,9 +260,9 @@ def test_sphere_dictionary_members_certified():
     dct = build_dictionary(Sphere(), 1.0)
     assert len(dct) == 200 + 49
     mesh = Sphere().mesh(5000)
-    for name, f, scale in list(dct.members())[:20]:
-        vals = np.asarray(f(mesh)) / scale
-        assert np.max(np.abs(vals)) <= 1.0 + 1e-6
+    vals = np.concatenate(list(dct.blocks(mesh)))
+    assert vals.shape == (len(dct), len(mesh))
+    assert np.all(np.max(np.abs(vals), axis=1) <= dct.scales * (1.0 + 1e-6))
 
 
 

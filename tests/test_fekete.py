@@ -271,8 +271,8 @@ def test_fekete_measure_is_uniform_probability():
     )
     mu = fekete_measure(cfg)
     np.testing.assert_allclose(mu.weights, [1 / 3] * 3)
-    assert abs(mu.pair(lambda x: 1.0) - 1.0) < 1e-15
-    assert abs(mu.pair(lambda x: x)) < 1e-15  # symmetric configuration
+    assert abs(np.sum(mu.weights) - 1.0) < 1e-15
+    assert abs(np.mean(mu.atoms)) < 1e-15  # symmetric configuration
 
 
 def test_symmetric_interval_config_from_search():
@@ -281,7 +281,7 @@ def test_symmetric_interval_config_from_search():
     cfg, sl = leja_greedy(spec, W0, mesh)
     cfg = exchange_refine(cfg, spec, W0, mesh, sweeps=3, shortlists=sl)
     mu = fekete_measure(cfg)
-    assert abs(mu.pair(lambda x: x)) <= 2.0 / 800  # mesh-step symmetry
+    assert abs(np.mean(mu.atoms)) <= 2.0 / 800  # mesh-step symmetry
 
 
 def test_duplicate_points_rejected():

@@ -121,9 +121,12 @@ def test_arc_and_cap_rank_is_cached(domain, k):
 
 
 def test_benchmark_tracer_sees_the_search_layers(tmp_path):
-    """The benchmark's per-layer metrics wrap fekete functions by name; a
-    rename would silently zero them.  Runs in a fresh interpreter because
-    the tracer patches modules for the life of the process."""
+    """The benchmark's per-layer metrics and its set-up/solve split wrap
+    feketelab functions by name; a rename would silently zero them, and a
+    solve that called the other public solve would be counted twice.  Runs
+    tiny circle and sphere `fekete` and `bishop` commands in a fresh
+    interpreter, because the tracer patches modules for the life of the
+    process, and prints each command's counter increments."""
     script = textwrap.dedent(
         f"""
         import sys
@@ -131,19 +134,44 @@ def test_benchmark_tracer_sees_the_search_layers(tmp_path):
         import tracer
         tr = tracer.Tracer()
         tracer.install(tr)
-        from feketelab.cli import cmd_fekete
+        from feketelab import bishop
+        from feketelab.cli import cmd_bishop, cmd_fekete
         from feketelab.config import ExperimentConfig
-        cmd_fekete(ExperimentConfig(domain_text="circle", k_min=2, k_max=3, mesh=256, sweeps=2))
-        s = tr.summary()
-        for key in ("fekete.leja_greedy.calls", "fekete.exchange_refine.calls",
-                    "fekete.exchange_refine.points_base"):
-            print(key, s.get(key, 0))
+
+        iterate = bishop._iterate
+
+        def counted_iterate(*args):
+            tr.count("iterate.runs")
+            return iterate(*args)
+
+        bishop._iterate = counted_iterate
+        keys = ("fekete.leja_greedy.calls", "fekete.exchange_refine.calls",
+                "fekete.exchange_refine.points_base", "equilibrium.build_dictionaries.calls",
+                "bishop.calibrate_t_threshold.calls", "bishop.solve.calls", "iterate.runs")
+
+        def run(label, cmd, cfg):
+            before = dict(tr.counts)
+            cmd(cfg)
+            for key in keys:
+                print(label, key, tr.counts.get(key, 0) - before.get(key, 0))
+
+        run("circle", cmd_fekete, ExperimentConfig(domain_text="circle", k_min=2, k_max=3, mesh=256, sweeps=2))
+        run("sphere", cmd_fekete, ExperimentConfig(domain_text="sphere", k_min=2, k_max=3, mesh=400, sweeps=1))
+        run("bishop", cmd_bishop, ExperimentConfig(kind="bishop", grid_m=128, t_list=(0.05,), samples=2))
         """
     )
     proc = subprocess.run(
         [sys.executable, "-c", script], capture_output=True, text=True, timeout=300, cwd=tmp_path
     )
     assert proc.returncode == 0, proc.stderr
-    counts = dict(line.split() for line in proc.stdout.splitlines())
-    assert len(counts) == 3
-    assert all(int(v) > 0 for v in counts.values()), counts
+    counts = {}
+    for line in proc.stdout.splitlines():
+        label, key, value = line.split()
+        counts.setdefault(label, {})[key] = int(value)
+    for label in ("circle", "sphere"):
+        for key in ("fekete.leja_greedy.calls", "fekete.exchange_refine.calls", "fekete.exchange_refine.points_base"):
+            assert counts[label][key] > 0, (label, counts[label])
+    assert counts["sphere"]["equilibrium.build_dictionaries.calls"] >= 1, counts["sphere"]
+    bishop = counts["bishop"]
+    assert bishop["bishop.calibrate_t_threshold.calls"] >= 1, bishop
+    assert bishop["bishop.solve.calls"] == bishop["iterate.runs"] > 0, bishop
