@@ -2,7 +2,8 @@
 """Bishop solver verification sweep over the built-in graph manifolds.
 
 Reports contraction ratios, norm-bound margins, the measured Phi^h
-comparison constant, and tau-control residuals; prints the calibrated
+comparison constant, and tau-control residuals (in cells at or below the
+singular threshold); prints the calibrated regular and singular
 t-thresholds for reference.
 """
 
@@ -30,10 +31,14 @@ def main():
             out_dir=OUT,
         )
         th = calibrate_t_threshold(cfg.manifold_key(), grid, False)
+        th_singular = calibrate_t_threshold(cfg.manifold_key(), grid, True)
         rec = cmd_bishop(cfg)
         rec.write_csv(os.path.join(OUT, f"{cfg.name}.csv"))
         rec.write_timings(os.path.join(OUT, f"{cfg.name}_timings.csv"))
-        print(f"{cfg.name}: t-threshold {th:.3f}, all pass: {rec.all_pass()}")
+        print(
+            f"{cfg.name}: t-threshold {th:.4f}, singular t-threshold "
+            f"{th_singular:.4f}, all pass: {rec.all_pass()}"
+        )
         if not rec.all_pass():
             status = 2
     return status

@@ -23,7 +23,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .circle import CircleFunction, CircleGrid, hilbert_T1
+from .circle import CircleGrid, _analyze, _conjugate_rows
 from .discs import (
     AnalyticDisc,
     FamilyParams,
@@ -168,12 +168,6 @@ class BishopSolution:
         return float(np.max(np.abs(self.U)))
 
 
-def _t1_rows(grid: CircleGrid, rows: np.ndarray) -> np.ndarray:
-    return np.stack(
-        [hilbert_T1(CircleFunction(grid, row)).samples for row in rows]
-    )
-
-
 def _iterate(
     grid: CircleGrid,
     manifold: GraphManifold,
@@ -187,7 +181,7 @@ def _iterate(
     consecutive_bad = 0
     for k in range(_MAX_ITER):
         h_of_u = manifold.eval_rows(U)
-        U_next = forcing - _t1_rows(grid, h_of_u)
+        U_next = forcing - _conjugate_rows(grid, h_of_u, True)
         change = float(np.max(np.abs(U_next - U)))
         if prev_change is not None and prev_change > 0.0:
             ratio = change / prev_change
@@ -203,7 +197,7 @@ def _iterate(
             extra_iters += 1 if change > _FIXED_POINT_TOL else 0
         if change <= _FIXED_POINT_TOL:
             residual = float(
-                np.max(np.abs(U - (forcing - _t1_rows(grid, manifold.eval_rows(U)))))
+                np.max(np.abs(U - (forcing - _conjugate_rows(grid, manifold.eval_rows(U), True))))
             )
             return U, extra_iters, ratios, residual
     raise ContractionFailure("Bishop iteration did not converge in 500 steps")
@@ -243,12 +237,12 @@ def _solve(
     if singular:
         if p.tau is None:
             p = FamilyParams(p.z_re, p.z_im, p.t, tau=(0.0,) * p.n)
-        u_rows = np.stack([c.samples for c in u_prime_boundary(p, grid)])
+        u_rows = u_prime_boundary(p, grid)
         const = 2.0 * p.t * p.norm
     else:
-        u_rows = np.stack([c.samples for c in build_u_zt(p, grid)])
-        const = np.asarray([p.t * (re - im) for re, im in zip(p.z_re, p.z_im)])[:, None]
-    forcing = const - _t1_rows(grid, u_rows)
+        u_rows = build_u_zt(p, grid)
+        const = (p.t * (np.asarray(p.z_re) - np.asarray(p.z_im)))[:, None]
+    forcing = const - _conjugate_rows(grid, u_rows, True)
     start = u_rows if start is None else start
     U, iters, ratios, residual = _iterate(grid, manifold, forcing, start)
     return BishopSolution(
@@ -271,14 +265,18 @@ def assemble_Fh(sol: BishopSolution) -> AnalyticDisc:
     return AnalyticDisc.from_traces(sol.grid, traces)
 
 
+def _graph_residual(manifold: GraphManifold, disc: AnalyticDisc, mask: np.ndarray) -> float:
+    """max over the nodes in mask of |Im F - h(Re F)|."""
+    re = disc.traces.real[:, mask]
+    h_re = np.asarray(manifold.h(re.T), dtype=float).T
+    return float(np.max(np.abs(disc.traces.imag[:, mask] - h_re)))
+
+
 def attachment_residual(sol: BishopSolution, disc: AnalyticDisc | None = None) -> float:
     """max over the front half circle of |Im F^h - h(Re F^h)|."""
     disc = assemble_Fh(sol) if disc is None else disc
     front = np.abs(sol.grid.nodes) <= math.pi / 2.0 + 1e-12
-    re = disc.traces.real[:, front]
-    im = disc.traces.imag[:, front]
-    h_re = np.asarray(sol.manifold.h(re.T), dtype=float).T
-    return float(np.max(np.abs(im - h_re)))
+    return _graph_residual(sol.manifold, disc, front)
 
 
 def phi_h(manifold: GraphManifold, zv: np.ndarray, t: float, grid: CircleGrid):
@@ -321,17 +319,6 @@ class TauControl:
     solution: BishopSolution
 
 
-def _theta_derivs_at_one(grid: CircleGrid, rows: np.ndarray):
-    d1 = np.empty(rows.shape[0])
-    d2 = np.empty(rows.shape[0])
-    for j, row in enumerate(rows):
-        f = CircleFunction(grid, row)
-        k = np.arange(len(f.a), dtype=float)
-        d1[j] = float(np.sum(k * f.b))
-        d2[j] = -float(np.sum(k * k * f.a))
-    return d1, d2
-
-
 def tau_target(p: FamilyParams) -> np.ndarray:
     s = p.norm
     rt = math.sqrt(s)
@@ -357,8 +344,9 @@ def solve_tau(
     def phi0(tau_vec):
         p = FamilyParams(p0.z_re, p0.z_im, t, tau=tuple(tau_vec))
         sol = solve_bishop_singular(manifold, p, grid)
-        d1, d2 = _theta_derivs_at_one(grid, sol.U)
-        return d1, d2, sol
+        a, b = _analyze(grid, sol.U)
+        k = np.arange(a.shape[-1], dtype=float)
+        return np.sum(k * b, axis=-1), -np.sum(k * k * a, axis=-1), sol
 
     tau = np.zeros(n)
     d1, d2, sol = phi0(tau)
@@ -412,17 +400,11 @@ def verify_wedge_attachment(sol: BishopSolution, theta_t: float) -> WedgeReport:
     grid = sol.grid
     arc = np.abs(grid.nodes) <= theta_t + 1e-15
     minima = tuple(float(np.min(sol.U[j, arc])) for j in range(sol.U.shape[0]))
-    disc = assemble_Fh(sol)
-    re = disc.traces.real[:, arc]
-    im = disc.traces.imag[:, arc]
-    h_re = np.asarray(sol.manifold.h(re.T), dtype=float).T
-    resid = float(np.max(np.abs(im - h_re)))
-    passed = min(minima) >= -1e-9
     return WedgeReport(
         theta_t=float(theta_t),
         component_minima=minima,
-        attachment_residual=resid,
-        passed=passed,
+        attachment_residual=_graph_residual(sol.manifold, assemble_Fh(sol), arc),
+        passed=min(minima) >= -1e-9,
     )
 
 

@@ -167,13 +167,14 @@ class CircleFunction:
 
 
 def _analyze(grid: CircleGrid, samples: np.ndarray):
+    """Cosine and sine coefficients of every row of a (..., M) sample array."""
     c = np.fft.rfft(samples) / grid.m * grid.signs
     a = 2.0 * c.real
-    a[0] = c[0].real
-    a[-1] = c[-1].real
+    a[..., 0] = c[..., 0].real
+    a[..., -1] = c[..., -1].real
     b = -2.0 * c.imag
-    b[0] = 0.0
-    b[-1] = 0.0
+    b[..., 0] = 0.0
+    b[..., -1] = 0.0
     return a, b
 
 
@@ -185,11 +186,6 @@ def _synthesize(grid: CircleGrid, a: np.ndarray, b: np.ndarray) -> np.ndarray:
     c[0] = a[0]
     c[-1] = a[-1]
     return np.fft.irfft(c * grid.signs, n=m) * m
-
-
-def analyze(grid: CircleGrid, samples) -> CircleFunction:
-    """Build a CircleFunction from raw samples (discrete trig transform)."""
-    return CircleFunction(grid, np.asarray(samples, dtype=float))
 
 
 def harmonic_extend(u: CircleFunction, z) -> float:
@@ -204,26 +200,40 @@ def harmonic_extend(u: CircleFunction, z) -> float:
     return float(np.real(np.sum(coeff * powers)))
 
 
+def _conjugate_rows(grid: CircleGrid, rows, shift_to_one: bool) -> np.ndarray:
+    """T (or T1 when shift_to_one) of every row of a (..., M) sample array.
+
+    One rfft and one irfft per stack: bin k is multiplied by -i, the DC
+    and Nyquist bins are zeroed (the Nyquist conjugate is invisible on
+    the grid), and T1 subtracts the theta = 0 column.  Non-finite samples
+    raise InputError, as a CircleFunction would.
+    """
+    rows = np.asarray(rows, dtype=float)
+    if rows.shape[-1] != grid.m:
+        raise InputError(f"expected {grid.m} samples per row, got shape {rows.shape}")
+    if not np.all(np.isfinite(rows)):
+        raise InputError("samples must be finite")
+    spec = -1j * np.fft.rfft(rows, axis=-1)
+    spec[..., 0] = 0.0
+    spec[..., -1] = 0.0
+    out = np.fft.irfft(spec, n=grid.m, axis=-1)
+    if shift_to_one:
+        out = out - out[..., grid.index_of_one, None]
+    return out
+
+
 def hilbert_T(u: CircleFunction) -> CircleFunction:
     """Hilbert transform: boundary trace of the conjugate vanishing at 0.
 
     Acts per mode as cos k -> sin k, sin k -> -cos k; the Nyquist mode's
     conjugate is invisible on the grid and is set to zero.
     """
-    va = -u.b.copy()
-    vb = u.a.copy()
-    va[0] = 0.0
-    vb[0] = 0.0
-    va[-1] = 0.0
-    vb[-1] = 0.0
-    return CircleFunction.from_coeffs(u.grid, va, vb)
+    return CircleFunction(u.grid, _conjugate_rows(u.grid, u.samples, False))
 
 
 def hilbert_T1(u: CircleFunction) -> CircleFunction:
     """Shifted transform T1 u = T u - T u(1); vanishes at xi = 1 exactly."""
-    v = hilbert_T(u)
-    shift = v.value_at_one()
-    return CircleFunction(u.grid, v.samples - shift)
+    return CircleFunction(u.grid, _conjugate_rows(u.grid, u.samples, True))
 
 
 def conjugate_disc(u: CircleFunction):

@@ -348,6 +348,7 @@ def cmd_bishop(cfg: ExperimentConfig) -> RunRecord:
     manifold = cfg.manifold()
     cal = discs.calibrate(grid, n)
     t_threshold = bsh.calibrate_t_threshold(cfg.manifold_key(), grid, False)
+    t_singular = bsh.calibrate_t_threshold(cfg.manifold_key(), grid, True)
     rng = Rng(cfg.seed)
     rec = RunRecord(
         name=cfg.name,
@@ -370,7 +371,7 @@ def cmd_bishop(cfg: ExperimentConfig) -> RunRecord:
             "pass",
             "note",
         ],
-        calibration={**cal.as_dict(), "t_threshold": t_threshold, "h": manifold.name},
+        calibration={**cal.as_dict(), "t_threshold": t_threshold, "t_threshold_singular": t_singular, "h": manifold.name},
     )
 
     def run_cell(t, z):
@@ -383,18 +384,10 @@ def cmd_bishop(cfg: ExperimentConfig) -> RunRecord:
         holo = disc.negative_energy_ratio()
         sup = sol.sup_norm()
         norm_budget = 4.0 * cal.c0_sup * t
-        phi_val, _ = bsh.phi_h(manifold, z, t, grid)
-        phi0 = discs.family_F(p, grid).eval(1.0 - p.norm + 1j * p.norm)
+        path_point = 1.0 - p.norm + 1j * p.norm
+        phi_val = disc.eval(path_point)
+        phi0 = discs.family_F(p, grid).eval(path_point)
         gap = float(np.max(np.abs(phi_val - phi0))) / (t * t * p.norm)
-        tau_norm = ""
-        tau_res = ""
-        if n >= 1:
-            try:
-                ctrl = bsh.solve_tau(manifold, z, t, grid)
-                tau_norm = float(np.linalg.norm(ctrl.tau)) / t
-                tau_res = ctrl.residual
-            except FeketelabError:
-                tau_norm, tau_res = float("nan"), float("nan")
         ok = (
             gm <= budget
             and sol.residual <= 1e-11
@@ -402,6 +395,15 @@ def cmd_bishop(cfg: ExperimentConfig) -> RunRecord:
             and holo <= 1e-9
             and sup <= norm_budget
         )
+        # tau control is only certified where the singular solve contracts
+        tau_norm = tau_res = ""
+        if t <= t_singular:
+            try:
+                ctrl = bsh.solve_tau(manifold, z, t, grid)
+                tau_norm = float(np.linalg.norm(ctrl.tau)) / t
+                tau_res = ctrl.residual
+            except FeketelabError:
+                ok = False
         return {
             "t": t, "z_norm": p.norm, "iters": sol.iterations, "gm_ratio": gm, "ratio_budget": budget,
             "fixed_residual": sol.residual, "attach_residual": attach, "holo_residual": holo,

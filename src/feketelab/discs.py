@@ -27,6 +27,7 @@ import numpy as np
 from .circle import (
     CircleFunction,
     CircleGrid,
+    _conjugate_rows,
     bump_u_minus,
     dual_basis,
     hilbert_T1,
@@ -206,26 +207,26 @@ def solve_quantitative_inverse(prob: InverseProblem, tol: float = 1e-10):
     raise CaptureFailure("inverse iteration did not converge in 500 steps")
 
 
+def _assemble(grid: CircleGrid, const, rows: np.ndarray) -> AnalyticDisc:
+    """Disc with boundary traces const - T1(rows) + i rows, one per row."""
+    return AnalyticDisc.from_traces(grid, const - _conjugate_rows(grid, rows, True) + 1j * rows)
+
+
 # ---------------------------------------------------------------- family F
-def build_u_zt(p: FamilyParams, grid: CircleGrid) -> list[CircleFunction]:
-    """Imaginary-part data of F: component j is t * u * Im z_j / |z|."""
+def build_u_zt(p: FamilyParams, grid: CircleGrid) -> np.ndarray:
+    """Imaginary-part data of F as (n, M) rows: row j is t * u * Im z_j / |z|."""
     if p.tau is not None:
         raise InputError("build_u_zt takes parameters without tau")
     u = bump_u_minus(grid)
-    s = p.norm
-    return [CircleFunction(grid, (p.t * im / s) * u.samples) for im in p.z_im]
+    return (p.t * np.asarray(p.z_im) / p.norm)[:, None] * u.samples
 
 
 def family_F(p: FamilyParams, grid: CircleGrid) -> AnalyticDisc:
     """Disc half-attached to R^n with F(1, z, t) = t(Re z - Im z)."""
     if not 0.0 < p.norm < 1.0:
         raise DomainError("family F needs 0 < |z| < 1")
-    comps = build_u_zt(p, grid)
-    traces = np.empty((p.n, grid.m), dtype=complex)
-    for j, uj in enumerate(comps):
-        const = p.t * (p.z_re[j] - p.z_im[j])
-        traces[j] = const - hilbert_T1(uj).samples + 1j * uj.samples
-    return AnalyticDisc.from_traces(grid, traces)
+    const = p.t * (np.asarray(p.z_re) - np.asarray(p.z_im))
+    return _assemble(grid, const[:, None], build_u_zt(p, grid))
 
 
 # --------------------------------------------------------------- family F'
@@ -242,44 +243,25 @@ def build_u_delta_gamma(
     return CircleFunction(grid, -c1 * u1.samples - c2 * u2.samples)
 
 
-def fprime_coefficients(p: FamilyParams):
-    """Per-component (c1, c2) multipliers of (u1, u2) in u'_{z,t}."""
+def u_prime_boundary(p: FamilyParams, grid: CircleGrid) -> np.ndarray:
+    """Imaginary-part data of F' (or F'_tau when tau is present) as (n, M)
+    rows: row j is -t c1_j u1 - t c2_j u2 (+ 10 t tau_j u1), with c1, c2
+    the multipliers of build_u_delta_gamma at delta = sqrt|z|, gamma = 2|z|."""
     s = p.norm
-    delta, gamma = math.sqrt(s), 2.0 * s
-    out = []
-    for j in range(p.n):
-        c1 = 2.0 * p.z_im[j] / (delta * (2.0 + delta))
-        c2 = 2.0 * (gamma - p.z_re[j]) / delta**2
-        out.append((p.t * c1, p.t * c2))
-    return out
-
-
-def _u_prime_components(p: FamilyParams, grid: CircleGrid) -> np.ndarray:
+    if not 0.0 < s < 1.0 / (2.0 * p.n):
+        raise DomainError("family F' needs 0 < |z| < 1/(2n)")
     u1, u2 = dual_basis(grid)
-    rows = np.empty((p.n, grid.m))
-    for j, (c1, c2) in enumerate(fprime_coefficients(p)):
-        rows[j] = -c1 * u1.samples - c2 * u2.samples
+    delta, gamma = math.sqrt(s), 2.0 * s
+    c1 = p.t * (2.0 * np.asarray(p.z_im) / (delta * (2.0 + delta)))
+    c2 = p.t * (2.0 * (gamma - np.asarray(p.z_re)) / delta**2)
+    rows = -c1[:, None] * u1.samples - c2[:, None] * u2.samples
     if p.tau is not None:
-        tilde = 10.0 * u1.samples
-        for j in range(p.n):
-            rows[j] = rows[j] + p.t * p.tau[j] * tilde
+        rows = rows + (p.t * np.asarray(p.tau))[:, None] * (10.0 * u1.samples)
     return rows
 
 
-def u_prime_boundary(p: FamilyParams, grid: CircleGrid) -> list[CircleFunction]:
-    """Imaginary-part data of F' (or F'_tau when tau is present)."""
-    if not 0.0 < p.norm < 1.0 / (2.0 * p.n):
-        raise DomainError("family F' needs 0 < |z| < 1/(2n)")
-    return [CircleFunction(grid, row) for row in _u_prime_components(p, grid)]
-
-
 def _assemble_prime(p: FamilyParams, grid: CircleGrid) -> AnalyticDisc:
-    comps = u_prime_boundary(p, grid)
-    traces = np.empty((p.n, grid.m), dtype=complex)
-    const = 2.0 * p.t * p.norm
-    for j, uj in enumerate(comps):
-        traces[j] = const - hilbert_T1(uj).samples + 1j * uj.samples
-    return AnalyticDisc.from_traces(grid, traces)
+    return _assemble(grid, 2.0 * p.t * p.norm, u_prime_boundary(p, grid))
 
 
 def family_Fprime(p: FamilyParams, grid: CircleGrid) -> AnalyticDisc:

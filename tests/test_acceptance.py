@@ -16,8 +16,8 @@ from feketelab import discs
 from feketelab import equilibrium as eq
 from feketelab import fekete as fk
 from feketelab.circle import (
+    CircleFunction,
     CircleGrid,
-    analyze,
     bump_u_minus,
     derivs_at_one,
     dual_basis,
@@ -46,8 +46,8 @@ def test_criterion_01_hilbert_exactness():
     g = CircleGrid(1024)
     worst = 0.0
     for k in range(1, 101):
-        ck = analyze(g, np.cos(k * g.nodes))
-        sk = analyze(g, np.sin(k * g.nodes))
+        ck = CircleFunction(g, np.cos(k * g.nodes))
+        sk = CircleFunction(g, np.sin(k * g.nodes))
         worst = max(worst, float(np.max(np.abs(hilbert_T(ck).samples - np.sin(k * g.nodes)))))
         worst = max(worst, float(np.max(np.abs(hilbert_T(sk).samples + np.cos(k * g.nodes)))))
     elapsed = time.perf_counter() - t0
@@ -349,7 +349,7 @@ def test_criterion_10_subharmonic_comparison():
     tests = []
     for a in np.linspace(0.1, 0.9, 8):
         psi = eq.SubharmonicSample.harmonic(
-            analyze(grid, a * (np.cos(grid.nodes) - 1.0)), name=f"Re({a:.2f}(z-1))"
+            CircleFunction(grid, a * (np.cos(grid.nodes) - 1.0)), name=f"Re({a:.2f}(z-1))"
         )
         tests.append((psi, 1.0, 0.5, 1.0))
     for b in (1.0, 1.5, 2.0, 3.0):
@@ -358,17 +358,17 @@ def test_criterion_10_subharmonic_comparison():
         tests.append((eq.SubharmonicSample.log_modulus(disc), 0.8, 0.5, 1.0))
     for a in (0.2, 0.5, 0.8, 1.1):
         psi = eq.SubharmonicSample.harmonic(
-            analyze(grid, a * (np.cos(2 * grid.nodes) - 1.0)), name="Re(a(z^2-1))"
+            CircleFunction(grid, a * (np.cos(2 * grid.nodes) - 1.0)), name="Re(a(z^2-1))"
         )
         tests.append((psi, 0.7, 0.5, 4.5))
     for s in (0.0, 0.3):
         psi = eq.SubharmonicSample.harmonic(
-            analyze(grid, np.full(grid.m, -s)), name=f"const -{s}"
+            CircleFunction(grid, np.full(grid.m, -s)), name=f"const -{s}"
         )
         tests.append((psi, 1.0, 0.5, 0.5))
     for expo in (0.7, 0.8):
         psi = eq.SubharmonicSample.harmonic(
-            analyze(grid, 0.8 * np.abs(grid.nodes) ** expo), name=f"|theta|^{expo}"
+            CircleFunction(grid, 0.8 * np.abs(grid.nodes) ** expo), name=f"|theta|^{expo}"
         )
         tests.append((psi, 1.0, 0.5, 2.0))
     assert len(tests) == 20

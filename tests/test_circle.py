@@ -14,7 +14,6 @@ from feketelab.circle import (
     CircleFunction,
     CircleGrid,
     HolderSpec,
-    analyze,
     bump_u_minus,
     conjugate_disc,
     derivs_at_one,
@@ -27,7 +26,7 @@ from feketelab.circle import (
     rho1,
     rho2,
 )
-from feketelab.circle import _analyze
+from feketelab.circle import _analyze, _conjugate_rows
 from feketelab.errors import DomainError, InputError, PreconditionError
 
 GRID = CircleGrid(64)
@@ -70,7 +69,7 @@ def multiplier_oracle(u):
 # ---------------------------------------------------------------- analyze
 def test_analyze_pure_cosine_mode():
     g = CircleGrid(8)
-    u = analyze(g, np.cos(g.nodes))
+    u = CircleFunction(g, np.cos(g.nodes))
     assert abs(u.a[1] - 1.0) < 1e-14
     coeffs = np.concatenate([u.a, u.b])
     coeffs[1] -= 1.0
@@ -79,7 +78,7 @@ def test_analyze_pure_cosine_mode():
 
 def test_analyze_constant():
     g = CircleGrid(8)
-    u = analyze(g, np.full(8, 3.0))
+    u = CircleFunction(g, np.full(8, 3.0))
     assert abs(u.a[0] - 3.0) < 1e-14
     assert np.max(np.abs(u.a[1:])) < 1e-14 and np.max(np.abs(u.b)) < 1e-14
 
@@ -87,7 +86,7 @@ def test_analyze_constant():
 def test_analyze_mixed_modes_against_dft_oracle():
     g = CircleGrid(64)
     samples = np.cos(3 * g.nodes) + 2.0 * np.sin(5 * g.nodes)
-    u = analyze(g, samples)
+    u = CircleFunction(g, samples)
     a_ref, b_ref = dft_oracle(samples)
     np.testing.assert_allclose(u.a, a_ref, atol=1e-13)
     np.testing.assert_allclose(u.b, b_ref, atol=1e-13)
@@ -100,21 +99,21 @@ def test_analyze_roundtrip_is_identity():
     g = CircleGrid(32)
     rng = np.random.default_rng(0)
     samples = rng.normal(size=32)
-    u = analyze(g, samples)
+    u = CircleFunction(g, samples)
     v = CircleFunction.from_coeffs(g, u.a, u.b)
     np.testing.assert_allclose(v.samples, samples, atol=1e-12)
 
 
 def test_analyze_length_mismatch():
     with pytest.raises(InputError):
-        analyze(GRID, np.zeros(GRID.m + 1))
+        CircleFunction(GRID, np.zeros(GRID.m + 1))
 
 
 # ------------------------------------------------------ lazy coefficients
 def test_construction_and_arithmetic_run_no_fft(fft_calls):
     rng = np.random.default_rng(1)
     u = CircleFunction(GRID, rng.normal(size=GRID.m))
-    v = analyze(GRID, rng.normal(size=GRID.m))
+    v = CircleFunction(GRID, rng.normal(size=GRID.m))
     for w in (u + v, u - v, u + 0.5, u - 0.5, 2.0 * u, u * 3.0, -u):
         assert isinstance(w, CircleFunction)
     assert sum(fft_calls.values()) == 0
@@ -171,20 +170,20 @@ def test_grid_must_be_power_of_two():
 # ------------------------------------------------------- harmonic extension
 def test_extend_cos_is_re_z():
     g = CircleGrid(64)
-    u = analyze(g, np.cos(g.nodes))
+    u = CircleFunction(g, np.cos(g.nodes))
     assert abs(harmonic_extend(u, 0.5) - 0.5) < 1e-14
 
 
 def test_extend_at_zero_is_mean():
     g = CircleGrid(64)
     rng = np.random.default_rng(1)
-    u = analyze(g, rng.normal(size=64))
+    u = CircleFunction(g, rng.normal(size=64))
     assert abs(harmonic_extend(u, 0.0) - u.a[0]) < 1e-14
 
 
 def test_extend_cos2_against_poisson_quadrature():
     g = CircleGrid(64)
-    u = analyze(g, np.cos(2 * g.nodes))
+    u = CircleFunction(g, np.cos(2 * g.nodes))
     z = 0.3 * np.exp(1j * np.pi / 4)
     val = harmonic_extend(u, z)
     assert abs(val - (z * z).real) < 1e-12  # Re z^2 = 0.09 cos(pi/2) = 0
@@ -193,7 +192,7 @@ def test_extend_cos2_against_poisson_quadrature():
 
 
 def test_extend_rejects_boundary_points():
-    u = analyze(GRID, np.cos(GRID.nodes))
+    u = CircleFunction(GRID, np.cos(GRID.nodes))
     with pytest.raises(DomainError):
         harmonic_extend(u, 1.0)
     with pytest.raises(DomainError):
@@ -203,15 +202,15 @@ def test_extend_rejects_boundary_points():
 # --------------------------------------------------------- Hilbert transforms
 def test_T_on_generators():
     g = CircleGrid(64)
-    cos1 = analyze(g, np.cos(g.nodes))
-    sin1 = analyze(g, np.sin(g.nodes))
+    cos1 = CircleFunction(g, np.cos(g.nodes))
+    sin1 = CircleFunction(g, np.sin(g.nodes))
     np.testing.assert_allclose(hilbert_T(cos1).samples, np.sin(g.nodes), atol=1e-13)
     np.testing.assert_allclose(hilbert_T(sin1).samples, -np.cos(g.nodes), atol=1e-13)
 
 
 def test_T_mixed_modes_against_multiplier_oracle():
     g = CircleGrid(64)
-    u = analyze(g, np.cos(7 * g.nodes) - 4.0 * np.sin(2 * g.nodes))
+    u = CircleFunction(g, np.cos(7 * g.nodes) - 4.0 * np.sin(2 * g.nodes))
     expected = np.sin(7 * g.nodes) + 4.0 * np.cos(2 * g.nodes)
     np.testing.assert_allclose(hilbert_T(u).samples, expected, atol=1e-12)
     np.testing.assert_allclose(hilbert_T(u).samples, multiplier_oracle(u), atol=1e-12)
@@ -221,17 +220,55 @@ def test_T_exact_on_all_modes_below_nyquist():
     g = CircleGrid(256)
     worst = 0.0
     for k in range(1, g.m // 2):
-        ck = analyze(g, np.cos(k * g.nodes))
-        sk = analyze(g, np.sin(k * g.nodes))
+        ck = CircleFunction(g, np.cos(k * g.nodes))
+        sk = CircleFunction(g, np.sin(k * g.nodes))
         worst = max(worst, np.max(np.abs(hilbert_T(ck).samples - np.sin(k * g.nodes))))
         worst = max(worst, np.max(np.abs(hilbert_T(sk).samples + np.cos(k * g.nodes))))
     assert worst <= 1e-12
 
 
+def coefficient_T(u):
+    """T through the coefficient arrays: (a_k, b_k) -> (-b_k, a_k), DC and
+    Nyquist dropped, resynthesized from coefficients."""
+    va, vb = -u.b.copy(), u.a.copy()
+    va[[0, -1]] = 0.0
+    vb[[0, -1]] = 0.0
+    return CircleFunction.from_coeffs(u.grid, va, vb).samples
+
+
+@pytest.mark.parametrize("shape", [(1,), (2,), (6, 2)])
+def test_conjugate_rows_is_the_per_row_transform_bit_for_bit(shape, fft_calls):
+    rng = np.random.default_rng(4)
+    for m in (8, 256, 2048):
+        g = CircleGrid(m)
+        rows = rng.normal(size=shape + (m,)) * 10.0 ** rng.uniform(-10, 3, size=shape + (1,))
+        rows[..., : m // 4] = 0.0  # exact zeros, like the back-half bumps
+        flat = [CircleFunction(g, r) for r in rows.reshape(-1, m)]
+        T = np.stack([coefficient_T(u) for u in flat])
+        T1 = T - T[:, g.index_of_one, None]
+        for shift, one_row, want in ((False, hilbert_T, T), (True, hilbert_T1, T1)):
+            fft_calls.clear()
+            got = _conjugate_rows(g, rows, shift)
+            assert dict(fft_calls) == {"rfft": 1, "irfft": 1}
+            assert got.shape == rows.shape
+            assert got.tobytes() == want.tobytes()
+            per_row = np.stack([one_row(u).samples for u in flat])
+            assert per_row.tobytes() == want.tobytes()
+
+
+def test_conjugate_rows_rejects_non_finite_rows():
+    rows = np.zeros((2, GRID.m))
+    rows[1, 3] = np.nan
+    with pytest.raises(InputError):
+        _conjugate_rows(GRID, rows, True)
+    with pytest.raises(InputError):
+        _conjugate_rows(GRID, np.zeros((2, GRID.m + 1)), True)
+
+
 def test_T1_shifts_value_at_one():
     g = CircleGrid(64)
-    cos1 = analyze(g, np.cos(g.nodes))
-    sin1 = analyze(g, np.sin(g.nodes))
+    cos1 = CircleFunction(g, np.cos(g.nodes))
+    sin1 = CircleFunction(g, np.sin(g.nodes))
     np.testing.assert_allclose(hilbert_T1(cos1).samples, np.sin(g.nodes), atol=1e-13)
     np.testing.assert_allclose(
         hilbert_T1(sin1).samples, -np.cos(g.nodes) + 1.0, atol=1e-13
@@ -267,8 +304,8 @@ def test_T1_commutes_with_theta_derivative():
 )
 def test_T1_linearity(alpha, beta, k1, k2):
     g = CircleGrid(64)
-    u = analyze(g, np.cos(k1 * g.nodes))
-    v = analyze(g, np.sin(k2 * g.nodes))
+    u = CircleFunction(g, np.cos(k1 * g.nodes))
+    v = CircleFunction(g, np.sin(k2 * g.nodes))
     lhs = hilbert_T1(alpha * u + beta * v).samples
     rhs = alpha * hilbert_T1(u).samples + beta * hilbert_T1(v).samples
     np.testing.assert_allclose(lhs, rhs, atol=1e-12)
@@ -277,20 +314,20 @@ def test_T1_linearity(alpha, beta, k1, k2):
 # ----------------------------------------------------------- conjugate disc
 def test_conjugate_disc_of_sine_is_z_minus_one():
     g = CircleGrid(64)
-    u = analyze(g, np.sin(g.nodes))
+    u = CircleFunction(g, np.sin(g.nodes))
     disc = conjugate_disc(u)
     expected = np.exp(1j * g.nodes) - 1.0
     np.testing.assert_allclose(disc.traces[0], expected, atol=1e-13)
 
 
 def test_conjugate_disc_of_zero():
-    disc = conjugate_disc(analyze(GRID, np.zeros(GRID.m)))
+    disc = conjugate_disc(CircleFunction(GRID, np.zeros(GRID.m)))
     assert np.max(np.abs(disc.traces)) == 0.0
 
 
 def test_conjugate_disc_of_cosine_is_iz():
     g = CircleGrid(64)
-    u = analyze(g, np.cos(g.nodes))
+    u = CircleFunction(g, np.cos(g.nodes))
     disc = conjugate_disc(u)
     np.testing.assert_allclose(disc.traces[0], 1j * np.exp(1j * g.nodes), atol=1e-13)
     assert disc.negative_energy_ratio() <= 1e-10
@@ -301,7 +338,7 @@ def test_conjugate_disc_of_cosine_is_iz():
 def test_conjugate_disc_one_sided_spectrum(seed):
     g = CircleGrid(128)
     rng = np.random.default_rng(seed)
-    u = analyze(g, rng.normal(size=g.m))
+    u = CircleFunction(g, rng.normal(size=g.m))
     disc = conjugate_disc(u)
     assert disc.negative_energy_ratio() <= 1e-10
     f1 = disc.boundary_value_at_one()
@@ -311,9 +348,9 @@ def test_conjugate_disc_one_sided_spectrum(seed):
 # -------------------------------------------------------- derivatives at 1
 def test_derivs_of_coordinate_functions():
     g = CircleGrid(64)
-    d = derivs_at_one(analyze(g, np.cos(g.nodes)))
+    d = derivs_at_one(CircleFunction(g, np.cos(g.nodes)))
     assert abs(d.dx - 1.0) < 1e-13 and abs(d.dy) < 1e-13
-    d = derivs_at_one(analyze(g, np.sin(g.nodes)))
+    d = derivs_at_one(CircleFunction(g, np.sin(g.nodes)))
     assert abs(d.dy - 1.0) < 1e-13 and abs(d.dx) < 1e-13
     assert abs(d.dtheta - 1.0) < 1e-13
 
@@ -341,7 +378,7 @@ def test_vanishing_front_half_identities():
 
 # ---------------------------------------------------------------- moments
 def test_moment_of_zero():
-    assert moment_rho(analyze(GRID, np.zeros(GRID.m)), 1) == 0.0
+    assert moment_rho(CircleFunction(GRID, np.zeros(GRID.m)), 1) == 0.0
 
 
 def test_moment_of_nonnegative_backhalf_bump_is_negative():
@@ -354,7 +391,7 @@ def test_moment_of_nonnegative_backhalf_bump_is_negative():
 def test_moment_rejects_front_support():
     g = CircleGrid(64)
     with pytest.raises(PreconditionError):
-        moment_rho(analyze(g, np.cos(g.nodes)), 1)
+        moment_rho(CircleFunction(g, np.cos(g.nodes)), 1)
 
 
 def test_moments_of_dual_basis_are_kronecker():
@@ -392,12 +429,12 @@ def test_dual_basis_spectral_derivatives():
 
 # ------------------------------------------------------------- Hoelder norm
 def test_holder_norm_zero():
-    assert holder_norm(analyze(GRID, np.zeros(GRID.m)), HolderSpec(0, 0.5)) == 0.0
+    assert holder_norm(CircleFunction(GRID, np.zeros(GRID.m)), HolderSpec(0, 0.5)) == 0.0
 
 
 def test_holder_norm_dominates_sup():
     g = CircleGrid(256)
-    u = analyze(g, np.cos(g.nodes))
+    u = CircleFunction(g, np.cos(g.nodes))
     assert holder_norm(u, HolderSpec(0, 0.5)) >= 1.0
 
 
@@ -405,15 +442,15 @@ def test_holder_norm_grid_stable():
     vals = {}
     for m in (2048, 8192):
         g = CircleGrid(m)
-        vals[m] = holder_norm(analyze(g, np.cos(g.nodes)), HolderSpec(0, 0.5))
+        vals[m] = holder_norm(CircleFunction(g, np.cos(g.nodes)), HolderSpec(0, 0.5))
     assert abs(vals[2048] - vals[8192]) <= 0.02 * vals[8192]
 
 
 def test_holder_norm_is_lower_bound_increasing_in_m():
     for m1, m2 in ((512, 1024), (1024, 2048)):
         g1, g2 = CircleGrid(m1), CircleGrid(m2)
-        u1 = analyze(g1, np.cos(3 * g1.nodes) + 0.5 * np.sin(7 * g1.nodes))
-        u2 = analyze(g2, np.cos(3 * g2.nodes) + 0.5 * np.sin(7 * g2.nodes))
+        u1 = CircleFunction(g1, np.cos(3 * g1.nodes) + 0.5 * np.sin(7 * g1.nodes))
+        u2 = CircleFunction(g2, np.cos(3 * g2.nodes) + 0.5 * np.sin(7 * g2.nodes))
         spec = HolderSpec(1, 0.5)
         assert holder_norm(u1, spec) <= holder_norm(u2, spec) * (1 + 1e-12)
 

@@ -6,6 +6,7 @@ from itertools import combinations
 import numpy as np
 import pytest
 
+from feketelab import bishop as bsh
 from feketelab.cli import (
     RunRecord,
     cmd_bishop,
@@ -16,7 +17,7 @@ from feketelab.cli import (
     main,
 )
 from feketelab.config import ExperimentConfig, load_config, parse_domain
-from feketelab.errors import ConfigError, InputError
+from feketelab.errors import ConfigError, ContractionFailure, InputError
 from feketelab.fekete import BasisSpec, Interval, log_vandermonde
 
 
@@ -245,6 +246,63 @@ def test_cmd_bishop_crash_isolation(tmp_path):
     assert len(rec.rows) == 3  # the batch continued through every cell
     assert not rec.all_pass()
 
+
+
+def _thresholds(regular, singular):
+    return lambda key, grid, is_singular=False: singular if is_singular else regular
+
+
+def _csv_column(path, name):
+    lines = [l for l in path.read_text().splitlines() if not l.startswith("#")]
+    idx = lines[0].split(",").index(name)
+    return [l.split(",")[idx] for l in lines[1:]]
+
+
+def test_cmd_bishop_solves_each_cell_once(tmp_path, monkeypatch):
+    """Phi^h comes from the cell's own disc, not from a second solve."""
+    monkeypatch.setattr(bsh, "calibrate_t_threshold", _thresholds(1.0, 0.0))
+    calls = []
+    solve = bsh.solve_bishop
+
+    def counted(*args, **kw):
+        calls.append(args[1])
+        return solve(*args, **kw)
+
+    monkeypatch.setattr(bsh, "solve_bishop", counted)
+    cfg = load_config(
+        write_cfg(tmp_path, BISHOP_CFG.format(out=tmp_path, h="quad:0.5", t="0.05"))
+    )
+    rec = cmd_bishop(cfg)
+    assert rec.all_pass()
+    assert len(rec.rows) == 3 and len(calls) == 3
+
+
+def test_cmd_bishop_tau_failure_inside_its_regime_fails_the_row(tmp_path, monkeypatch):
+    monkeypatch.setattr(bsh, "calibrate_t_threshold", _thresholds(1.0, 0.05))
+
+    def fail(*args, **kw):
+        raise ContractionFailure("forced")
+
+    monkeypatch.setattr(bsh, "solve_tau", fail)
+    path = write_cfg(tmp_path, BISHOP_CFG.format(out=tmp_path, h="quad:0.5", t="0.05"))
+    assert main(["bishop", "--config", path]) == 2
+    csv_path = tmp_path / "t-bishop_bishop.csv"
+    assert _csv_column(csv_path, "status") == ["ok"] * 3
+    assert _csv_column(csv_path, "pass") == ["0"] * 3
+    assert _csv_column(csv_path, "tau_residual") == [""] * 3
+
+
+def test_cmd_bishop_skips_tau_above_the_singular_threshold(tmp_path, monkeypatch):
+    monkeypatch.setattr(bsh, "calibrate_t_threshold", _thresholds(1.0, 0.04))
+    calls = []
+    monkeypatch.setattr(bsh, "solve_tau", lambda *args, **kw: calls.append(args))
+    path = write_cfg(tmp_path, BISHOP_CFG.format(out=tmp_path, h="quad:0.5", t="0.05"))
+    assert main(["bishop", "--config", path]) == 0
+    assert calls == []
+    text = (tmp_path / "t-bishop_bishop.csv").read_text()
+    assert "# calibration.t_threshold_singular=0.040000000000000001\n" in text
+    assert "nan" not in text.lower()
+    assert _csv_column(tmp_path / "t-bishop_bishop.csv", "tau_norm_over_t") == [""] * 3
 
 
 def test_all_pass_sees_error_rows_in_any_column():

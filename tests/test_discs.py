@@ -5,7 +5,7 @@ import math
 import numpy as np
 import pytest
 
-from feketelab.circle import CircleGrid, analyze, bump_u_minus, derivs_at_one, dual_basis
+from feketelab.circle import CircleFunction, CircleGrid, bump_u_minus, derivs_at_one, dual_basis
 from feketelab.discs import (
     FamilyParams,
     InverseProblem,
@@ -35,16 +35,17 @@ def _rand_param(rng, n, radius, t):
 # ----------------------------------------------------------------- build_u
 def test_build_u_zt_zero_imaginary_part():
     p = FamilyParams(z_re=(0.3, -0.2), z_im=(0.0, 0.0), t=0.5)
-    comps = build_u_zt(p, GRID)
-    assert all(np.max(np.abs(c.samples)) == 0.0 for c in comps)
+    rows = build_u_zt(p, GRID)
+    assert rows.shape == (2, GRID.m)
+    assert np.max(np.abs(rows)) == 0.0
 
 
 def test_build_u_zt_axis_aligned():
     p = FamilyParams(z_re=(0.0, 0.0), z_im=(0.25, 0.0), t=1.0)
-    comps = build_u_zt(p, GRID)
+    rows = build_u_zt(p, GRID)
     u = bump_u_minus(GRID)
-    np.testing.assert_allclose(comps[0].samples, u.samples, atol=1e-15)
-    assert np.max(np.abs(comps[1].samples)) == 0.0
+    np.testing.assert_allclose(rows[0], u.samples, atol=1e-15)
+    assert np.max(np.abs(rows[1])) == 0.0
 
 
 def test_build_u_zt_homogeneous_in_t():
@@ -53,8 +54,7 @@ def test_build_u_zt_homogeneous_in_t():
     p2 = FamilyParams(p1.z_re, p1.z_im, 0.5)
     c1 = build_u_zt(p1, GRID)
     c2 = build_u_zt(p2, GRID)
-    for a, b in zip(c1, c2):
-        np.testing.assert_allclose(0.5 * a.samples, b.samples, atol=1e-16)
+    np.testing.assert_allclose(0.5 * c1, c2, atol=1e-16)
 
 
 # ---------------------------------------------------------------- family F
@@ -249,8 +249,8 @@ def test_Fprime_tau_derivative_is_ten_t_identity():
         dp = family_Fprime_tau(FamilyParams(p.z_re, p.z_im, t, tau=tuple(tau_p)), GRID)
         dm = family_Fprime_tau(FamilyParams(p.z_re, p.z_im, t, tau=tuple(tau_m)), GRID)
         for l in range(n):
-            up = analyze(GRID, dp.traces[l].imag)
-            um = analyze(GRID, dm.traces[l].imag)
+            up = CircleFunction(GRID, dp.traces[l].imag)
+            um = CircleFunction(GRID, dm.traces[l].imag)
             deriv = (derivs_at_one(up).dx - derivs_at_one(um).dx) / (2 * h)
             expect = 10.0 * t if l == j else 0.0
             assert abs(deriv - expect) <= 1e-6
@@ -359,7 +359,7 @@ def test_taylor_structure_richardson():
 
     g = CircleGrid(2048)
     u1, u2 = dual_basis(g)
-    combo = analyze(g, 0.7 * u1.samples - 1.3 * u2.samples)
+    combo = CircleFunction(g, 0.7 * u1.samples - 1.3 * u2.samples)
     d = derivs_at_one(combo)
     t1 = hilbert_T1(combo)
     prev = None

@@ -11,7 +11,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from feketelab.circle import CircleGrid, analyze
+from feketelab.circle import CircleFunction, CircleGrid
 from feketelab.discs import AnalyticDisc
 from feketelab.equilibrium import (
     SubharmonicSample,
@@ -335,7 +335,7 @@ def test_sphere_dictionary_evaluates_basis_once_per_node_set(monkeypatch):
 # ------------------------------------------------------------- subharmonic
 def _linear_psi(grid, a):
     return SubharmonicSample.harmonic(
-        analyze(grid, a * (np.cos(grid.nodes) - 1.0)), name=f"Re({a}(z-1))"
+        CircleFunction(grid, a * (np.cos(grid.nodes) - 1.0)), name=f"Re({a}(z-1))"
     )
 
 
@@ -347,7 +347,7 @@ def test_compare_linear_boundary():
 
 def test_compare_zero_function():
     grid = CircleGrid(1024)
-    psi = SubharmonicSample.harmonic(analyze(grid, np.zeros(grid.m)))
+    psi = SubharmonicSample.harmonic(CircleFunction(grid, np.zeros(grid.m)))
     rep = subharmonic_compare(psi, theta0=1.0, beta=0.5, c=0.5)
     assert rep.passed
     assert rep.max_violation <= 0.0
@@ -364,7 +364,7 @@ def test_compare_log_modulus():
 
 def test_compare_rejects_bad_hypothesis():
     grid = CircleGrid(1024)
-    psi = SubharmonicSample.harmonic(analyze(grid, np.full(grid.m, 0.5)))
+    psi = SubharmonicSample.harmonic(CircleFunction(grid, np.full(grid.m, 0.5)))
     with pytest.raises(HypothesisError):
         subharmonic_compare(psi, theta0=0.8, beta=0.5, c=0.3)  # psi(1)=0.5 > 0
 
