@@ -301,28 +301,65 @@ def dist_gamma_dict(mu: EmpiricalMeasure, nu, gamma: float, dictionary: TestDict
     return dictionary.pair_gap(mu, nu)
 
 
-def _lag_maxima(vals: np.ndarray, h: float):
-    """max_j |v[j+lag] - v[j]| of every row of `vals`, one table row per lag.
+def _window_extrema(op, seg: np.ndarray, width: int, out: np.ndarray) -> None:
+    """out[j] = op-extremum of seg[j : j + width], windows cut at the end.
 
-    Returns the (lags, rows) table and the capped distances min(lag h, 1)
-    as scalars.  Lags stop once lag h > 2.5, beyond which the capped
-    distance is constant.  The differences go into one reused buffer and
-    the maxima straight into the table.
+    Doubling: after each pass out[j] covers twice as many entries, and one
+    offset pass tops the last width up to `width`.  The passes run on 1-D
+    views in place, reading ahead of what they write, which numpy does
+    without a temporary copy.
+    """
+    n = len(seg)
+    np.copyto(out, seg)
+    k = 1
+    while 2 * k <= width:
+        op(out[: n - k], out[k:], out=out[: n - k])
+        k *= 2
+    if k < width:
+        s = width - k
+        op(out[: n - s], out[s:], out=out[: n - s])
+
+
+def _lag_maxima(vals: np.ndarray, h: float):
+    """max_j |v[j+lag] - v[j]| of every row of `vals`, one table row per
+    distinct distance.
+
+    Returns the (distances, rows) table and the capped distances
+    min(lag h, 1) as scalars.  Lags stop once lag h > 2.5, beyond which the
+    capped distance is constant.  Each lag with lag h < 1 has its own row,
+    max(max_j d, -min_j d) of its differences d, which go into one reused
+    buffer.  The lags with lag h >= 1 all sit at distance 1 and share one
+    row, max_j max(Wmax[j] - v[j], v[j] - Wmin[j]), where Wmax and Wmin
+    are the extrema of v over the window of nodes those lags reach from
+    j.  Rounding is monotone, so fl(max_i v[i] - v[j]) = max_i fl(v[i] -
+    v[j]), and fl(a - b) = -fl(b - a): every gamma's max of table / dist
+    is the per-lag loop's, bit for bit (a zero entry may carry a minus
+    sign, which adding the sup norm clears).
     """
     rows, m = vals.shape
-    lags = []
+    near, far = [], []
     for lag in range(1, m):
-        lags.append(lag)
+        (near if lag * h < 1.0 else far).append(lag)
         if lag * h > 2.5:
             break
-    table = np.empty((len(lags), rows))
+    dists = [lag * h for lag in near] + ([1.0] if far else [])
+    table = np.empty((len(dists), rows))
     buf = np.empty((rows, m - 1))
-    for row, lag in zip(table, lags):
+    for row, lag in zip(table, near):
         diff = buf[:, : m - lag]
         np.subtract(vals[:, lag:], vals[:, :-lag], out=diff)
-        np.abs(diff, out=diff)
         np.max(diff, axis=1, out=row)
-    return table, [min(lag * h, 1.0) for lag in lags]
+        np.maximum(row, -np.min(diff, axis=1), out=row)
+    if far:
+        lo, width = far[0], len(far)
+        n = m - lo
+        for r, v in enumerate(vals):
+            win = buf[r, :n]
+            _window_extrema(np.maximum, v[lo:], width, win)
+            up = np.max(np.subtract(win, v[:n], out=win))
+            _window_extrema(np.minimum, v[lo:], width, win)
+            table[-1, r] = max(up, np.max(np.subtract(v[:n], win, out=win)))
+    return table, dists
 
 
 def _semi_from_lags(table: np.ndarray, dists, expo: float) -> np.ndarray:
@@ -335,8 +372,10 @@ def _holder_norms_1d(xs: np.ndarray, vals: np.ndarray, gammas) -> list:
     of every row of `vals`; one array per gamma.
 
     gamma in (0,1]: seminorm of the values; gamma in (1,2]: C^1 norm plus
-    seminorm of the finite-difference derivative.  The per-lag maxima do
-    not depend on gamma, so each lag pass serves every gamma.
+    seminorm of the finite-difference derivative.  The `_lag_maxima`
+    table does not depend on gamma, so one scan of the values (and one of
+    the derivative) serves every gamma: one row per lag below distance 1
+    and one shared row for all lags at the capped distance 1.
     """
     h = xs[1] - xs[0]
     sup = np.max(np.abs(vals), axis=1)

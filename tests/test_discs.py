@@ -399,6 +399,28 @@ def test_negative_energy_ratio_kept_from_construction(fft_calls):
     assert ratio == _negative_energy_ratio(np.fft.fft(disc.traces, axis=1) / GRID.m)
 
 
+def test_fsum_complex_equals_fsum_over_the_arrays_bit_for_bit():
+    """math.fsum is correctly rounded, so summing the parts as Python floats
+    gives the bits of summing the numpy arrays."""
+    from feketelab.discs import _fsum_complex
+
+    rng = np.random.default_rng(16)
+    k = np.arange(513)
+    coeffs = (rng.standard_normal(513) + 1j * rng.standard_normal(513)) * 0.9**k
+    big = np.array([1e16, 1.0, -1e16, 3e-8, -1.0, 2.5e300, -2.5e300, 1e-300])
+    cases = [
+        coeffs * complex(0.999, 0.01) ** k,  # decaying terms near |z| = 1
+        coeffs * np.exp(1j * 0.3 * k),
+        big + 1j * big[::-1],  # cancelling terms
+        np.concatenate([coeffs, -coeffs[::-1]]),
+        np.array([-0.0 - 0.0j]),
+    ]
+    for terms in cases:
+        got = _fsum_complex(terms)
+        want = complex(math.fsum(terms.real), math.fsum(terms.imag))
+        assert (got.real.hex(), got.imag.hex()) == (want.real.hex(), want.imag.hex())
+
+
 def test_family_params_norm_cached_without_changing_equality():
     p = FamilyParams((0.3, -0.1), (0.2, 0.4), 0.5)
     q = FamilyParams((0.3, -0.1), (0.2, 0.4), 0.5)

@@ -299,6 +299,89 @@ def test_batched_holder_norms_equal_lag_loop(half_width):
         assert norms.tolist() == [_loop_holder_norm_1d(xs, v, g) for v in vals]
 
 
+def _assert_scan_equals_lag_loop(xs, vals, gammas=(0.5, 1.0, 1.5, 2.0)):
+    from feketelab.equilibrium import _holder_norms_1d
+
+    for g, norms in zip(gammas, _holder_norms_1d(xs, vals, gammas)):
+        expected = np.array([_loop_holder_norm_1d(xs, v, g) for v in vals])
+        assert norms.tobytes() == expected.tobytes(), g
+
+
+@pytest.mark.parametrize("domain", ["interval", "circle"])
+def test_collapsed_scan_equals_lag_loop_on_the_dictionary_grids(domain):
+    """The dictionary members on the grids their scales are built on; gamma
+    1.5 and 2 scan their np.gradient.  All lags at distance >= 1 share one
+    table row."""
+    from feketelab.equilibrium import _circle_members, _interval_members, _lag_maxima
+
+    if domain == "interval":
+        xs, (_, blocks) = np.linspace(-1.0, 1.0, 2001), _interval_members()
+    else:
+        xs, (_, blocks) = np.linspace(-math.pi, math.pi, 4001), _circle_members()
+    (vals,) = blocks(xs)
+    _assert_scan_equals_lag_loop(xs, vals)
+    h = xs[1] - xs[0]
+    table, dists = _lag_maxima(np.gradient(vals, h, axis=1), h)
+    assert dists.count(1.0) == 1 and dists[-1] == 1.0 and len(table) == len(dists)
+
+
+@pytest.mark.parametrize(
+    "xs",
+    [
+        np.linspace(0.0, 0.5, 11),  # no lag reaches distance 1
+        np.linspace(0.0, 1.0, 9),  # only the last lag does
+        np.arange(5) * 3.0,  # 5 nodes, the first lag is already capped
+        np.arange(32) / 16.0,  # capped window of 16 lags
+        np.arange(33) / 16.0,  # ... of 17 lags
+        np.arange(100) / 16.0,  # capped lags cut off past distance 2.5
+    ],
+)
+def test_collapsed_scan_equals_lag_loop_on_edge_grids(xs):
+    rng = np.random.default_rng(len(xs))
+    vals = np.vstack(
+        [
+            xs,  # largest difference at the longest lag
+            np.cos(2.0 * xs),
+            np.abs(xs - xs[len(xs) // 3]),
+            rng.standard_normal(len(xs)),
+            np.full(len(xs), 3.0),
+            np.zeros(len(xs)),
+            np.full(len(xs), -0.0),
+            np.where(np.arange(len(xs)) % 2 == 0, 0.0, -0.0),
+        ]
+    )
+    _assert_scan_equals_lag_loop(xs, vals)
+
+
+def test_collapsed_scan_keeps_the_quotients_at_distance_one():
+    """x and x^2/2 on [-1, 1] reach their largest quotient (2, for the values
+    and for the derivative) only between nodes more than 1 apart."""
+    xs = np.linspace(-1.0, 1.0, 201)
+    vals = np.vstack([xs, xs**2 / 2.0])
+    _assert_scan_equals_lag_loop(xs, vals)
+    assert _loop_holder_norm_1d(xs, vals[0], 0.5) == 3.0
+    assert _loop_holder_norm_1d(xs, vals[1], 1.5) > 3.0
+
+
+def test_collapsed_scan_adds_no_rows_by_nodes_array():
+    """The window extrema run in place in the difference buffer: the scan's
+    peak allocation is that buffer plus the table, not a second block."""
+    import tracemalloc
+
+    from feketelab.equilibrium import _circle_members, _lag_maxima
+
+    xs = np.linspace(-math.pi, math.pi, 4001)
+    (vals,) = _circle_members()[1](xs)
+    tracemalloc.start()
+    try:
+        _lag_maxima(vals, xs[1] - xs[0])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    buf_bytes = vals.shape[0] * (vals.shape[1] - 1) * 8
+    assert peak < 1.35 * buf_bytes
+
+
 def test_sphere_dictionary_rejects_gamma_above_one():
     with pytest.raises(InputError, match="gamma <= 1"):
         build_dictionaries(Sphere(), (1.5, 1.0))
