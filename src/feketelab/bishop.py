@@ -28,10 +28,10 @@ from .discs import (
     AnalyticDisc,
     FamilyParams,
     _capture,
+    _contract,
     _guarded_arc,
-    build_u_zt,
     calibrate,
-    u_prime_boundary,
+    family_data,
 )
 from .errors import (
     ContractionFailure,
@@ -42,7 +42,8 @@ from .errors import (
 )
 
 _FIXED_POINT_TOL = 1e-12
-_MAX_ITER = 500
+_TAU_TOL = 1e-8
+_WEDGE_SAMPLES = 12
 
 
 @dataclass(frozen=True)
@@ -153,7 +154,7 @@ class BishopSolution:
     params: FamilyParams
     U: np.ndarray  # (n, M) real boundary samples
     u_data: np.ndarray  # (n, M) imaginary-part data of the driving family
-    iterations: int
+    iterations: int  # steps run: len(ratio_log) + 1
     ratio_log: list
     residual: float
     singular: bool
@@ -166,41 +167,6 @@ class BishopSolution:
 
     def sup_norm(self) -> float:
         return float(np.max(np.abs(self.U)))
-
-
-def _iterate(
-    grid: CircleGrid,
-    manifold: GraphManifold,
-    forcing: np.ndarray,
-    start: np.ndarray,
-) -> tuple[np.ndarray, int, list, float]:
-    U = start.copy()
-    ratios: list[float] = []
-    prev_change = None
-    extra_iters = 0
-    consecutive_bad = 0
-    for k in range(_MAX_ITER):
-        h_of_u = manifold.eval_rows(U)
-        U_next = forcing - _conjugate_rows(grid, h_of_u, True)
-        change = float(np.max(np.abs(U_next - U)))
-        if prev_change is not None and prev_change > 0.0:
-            ratio = change / prev_change
-            ratios.append(ratio)
-            consecutive_bad = consecutive_bad + 1 if ratio >= 1.0 else 0
-            if consecutive_bad >= 5:
-                raise ContractionFailure(
-                    "iteration ratio >= 1 for 5 consecutive steps (t too large)"
-                )
-        prev_change = change
-        U = U_next
-        if k >= 1:
-            extra_iters += 1 if change > _FIXED_POINT_TOL else 0
-        if change <= _FIXED_POINT_TOL:
-            residual = float(
-                np.max(np.abs(U - (forcing - _conjugate_rows(grid, manifold.eval_rows(U), True))))
-            )
-            return U, extra_iters, ratios, residual
-    raise ContractionFailure("Bishop iteration did not converge in 500 steps")
 
 
 def solve_bishop(
@@ -234,26 +200,24 @@ def _solve(
     wrapper around one of them never sees the other's calls."""
     if p.n != manifold.n:
         raise PreconditionError("parameter and manifold dimensions differ")
-    if singular:
-        if p.tau is None:
-            p = FamilyParams(p.z_re, p.z_im, p.t, tau=(0.0,) * p.n)
-        u_rows = u_prime_boundary(p, grid)
-        const = 2.0 * p.t * p.norm
-    else:
-        u_rows = build_u_zt(p, grid)
-        const = (p.t * (np.asarray(p.z_re) - np.asarray(p.z_im)))[:, None]
+    const, u_rows = family_data(p, grid, prime=singular)
     forcing = const - _conjugate_rows(grid, u_rows, True)
-    start = u_rows if start is None else start
-    U, iters, ratios, residual = _iterate(grid, manifold, forcing, start)
+
+    def step(U):
+        U_next = forcing - _conjugate_rows(grid, manifold.eval_rows(U), True)
+        change = float(np.max(np.abs(U_next - U)))
+        return U_next, change, change
+
+    U, ratios, steps = _contract(step, u_rows if start is None else start, _FIXED_POINT_TOL)
     return BishopSolution(
         grid=grid,
         manifold=manifold,
         params=p,
         U=U,
         u_data=u_rows,
-        iterations=iters,
+        iterations=steps,
         ratio_log=ratios,
-        residual=residual,
+        residual=step(U)[1],
         singular=singular,
     )
 
@@ -289,21 +253,11 @@ def phi_h(manifold: GraphManifold, zv: np.ndarray, t: float, grid: CircleGrid):
 
 
 def phi_h_capture(
-    manifold: GraphManifold,
-    z_target,
-    t: float,
-    grid: CircleGrid,
-    tol: float = 1e-8,
+    manifold: GraphManifold, z_target, t: float, grid: CircleGrid
 ) -> FamilyParams:
-    """Find z* with Phi^h(z*) = z_target; |z*| <= 4 |target| / t."""
-    z_target = np.atleast_1d(np.asarray(z_target, dtype=complex))
-    cal = calibrate(grid, manifold.n)
-    tnorm = float(np.linalg.norm(np.concatenate([z_target.real, z_target.imag])))
-    if not 0.0 < tnorm < cal.r0 * t / 2.0:
-        raise PreconditionError(
-            f"target must be nonzero with norm below r0 t/2 = {cal.r0 * t / 2.0:.3g}"
-        )
-    z = _capture(lambda zv: phi_h(manifold, zv, t, grid)[0], t, z_target, radius=2.0 * cal.r0, tol=tol)
+    """Find z* with Phi^h(z*) = z_target, |z_target| < r0 t/2; |z*| <= 4 |target| / t."""
+    r0 = calibrate(grid, manifold.n).r0
+    z = _capture(lambda zv: phi_h(manifold, zv, t, grid)[0], t, z_target, r0, r0 * t / 2.0, 1.0)
     return FamilyParams.from_complex(z, t)
 
 
@@ -330,7 +284,6 @@ def solve_tau(
     z_param,
     t: float,
     grid: CircleGrid,
-    tol: float = 1e-8,
 ) -> TauControl:
     """Newton in tau so that d/dtheta U'(1) = 2t Im z / (sqrt|z|(2+sqrt|z|)).
 
@@ -353,7 +306,7 @@ def solve_tau(
     res = d1 - target
     step_h = 1e-5 * t
     for step in range(50):
-        if float(np.linalg.norm(res)) <= tol:
+        if float(np.linalg.norm(res)) <= _TAU_TOL:
             gap = float(
                 np.max(np.abs(d2 - 2.0 * t * (2.0 * p0.norm - np.asarray(p0.z_re)) / p0.norm))
             )
@@ -416,39 +369,22 @@ def phi_h_prime(manifold: GraphManifold, zv: np.ndarray, t: float, grid: CircleG
     return disc.eval(1.0 - math.sqrt(s)), ctrl
 
 
-def phi_h_prime_capture(
-    manifold: GraphManifold,
-    z_target,
-    t: float,
-    grid: CircleGrid,
-    tol: float = 1e-8,
-):
-    """Find z* with Phi'^h(z*) = z_target; reports |1 - z*|^2 <= 2|target|/t."""
-    z_target = np.atleast_1d(np.asarray(z_target, dtype=complex))
-    cal = calibrate(grid, manifold.n)
-    tnorm = float(np.linalg.norm(np.concatenate([z_target.real, z_target.imag])))
-    if not 0.0 < tnorm < cal.r0_prime * t / 2.0:
-        raise PreconditionError(
-            f"target must be nonzero with norm below r0' t/2 = {cal.r0_prime * t / 2.0:.3g}"
-        )
+def phi_h_prime_capture(manifold: GraphManifold, z_target, t: float, grid: CircleGrid):
+    """Find z* with Phi'^h(z*) = z_target, |z_target| < r0' t/2; reports
+    |1 - z*|^2 <= 2|target|/t."""
+    r0p = calibrate(grid, manifold.n).r0_prime
     last = {}
 
     def phi(zv):
         val, last["ctrl"] = phi_h_prime(manifold, zv, t, grid)
         return val
 
-    z = _capture(phi, t, z_target, radius=2.0 * cal.r0_prime, tol=tol)
+    z = _capture(phi, t, z_target, r0p, r0p * t / 2.0, 1.0)
     s = math.sqrt(float(np.linalg.norm(np.concatenate([z.real, z.imag]))))
     return FamilyParams.from_complex(z, t, tau=last["ctrl"].tau), s * s
 
 
-def calibrate_wedge(
-    manifold: GraphManifold,
-    t: float,
-    grid: CircleGrid,
-    n_samples: int = 12,
-    guard_nodes: int = 4,
-) -> float:
+def calibrate_wedge(manifold: GraphManifold, t: float, grid: CircleGrid) -> float:
     """Largest uniform arc on which every sampled controlled solution has
     U' >= -1e-9 componentwise; shrunk by a guard band.  Per-sample wedges
     can be read off verify_wedge_attachment reports separately."""
@@ -457,13 +393,13 @@ def calibrate_wedge(
     rng = Rng(0x3ED6E)
     n = manifold.n
     ok = np.ones(grid.m, dtype=bool)
-    for _ in range(n_samples):
+    for _ in range(_WEDGE_SAMPLES):
         v = np.asarray(rng.sphere(2 * n))
         r = 0.45 / (2.0 * n) * (0.1 + 0.85 * rng.uniform())
         z = r * (v[:n] + 1j * v[n:])
         ctrl = solve_tau(manifold, z, t, grid)
         ok &= ctrl.solution.U.min(axis=0) >= -1e-9
-    return _guarded_arc(grid, ok, guard_nodes)
+    return _guarded_arc(grid, ok)
 
 
 # ---------------------------------------------------------- t calibration

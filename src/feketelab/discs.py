@@ -11,7 +11,8 @@ half-attached to R^n, with tau steering the boundary derivative at 1.
 
 Capture solvers invert z -> F(path(z), z, t) by the contraction iteration
 z <- A^{-1}(target - g(z)), exactly the constructive inverse behind both
-families.  The admissible radii r0, r0' and the attachment arc theta0 are
+families.  They, the quantitative inverse and the Bishop solves all run one
+Picard kernel, _contract.  The admissible radii r0, r0' and the attachment arc theta0 are
 not taken from any closed formula; they are measured once per grid size by
 a deterministic scan and kept in a calibration record.
 """
@@ -32,9 +33,48 @@ from .circle import (
     dual_basis,
     hilbert_T1,
 )
-from .errors import CaptureFailure, DomainError, InputError, PreconditionError
+from .errors import (
+    CaptureFailure,
+    ContractionFailure,
+    DomainError,
+    InputError,
+    PreconditionError,
+)
 
 _NEG_ENERGY_TOL = 1e-10
+_MAX_STEPS = 500
+_STALL_STEPS = 5
+_INVERSE_TOL = 1e-10
+_CAPTURE_TOL = 1e-8
+_GUARD_NODES = 4
+
+
+def _contract(step, x, tol: float):
+    """Picard iteration: x, change, err = step(x) until err <= tol.
+
+    Every fixed-point solve of the Cauchy-Riemann layer runs here: the
+    Bishop boundary equation, the captures and the quantitative inverse.
+    Each change over the previous one is logged while the previous change
+    is positive.  Returns (x, ratio_log, steps_run); raises
+    ContractionFailure after _STALL_STEPS ratios >= 1 in a row or when
+    _MAX_STEPS steps run without reaching tol.
+    """
+    ratios = []
+    prev = 0.0
+    stalled = 0
+    for steps in range(1, _MAX_STEPS + 1):
+        x, change, err = step(x)
+        if prev > 0.0:
+            ratios.append(change / prev)
+            stalled = stalled + 1 if ratios[-1] >= 1.0 else 0
+            if stalled == _STALL_STEPS:
+                raise ContractionFailure(
+                    f"contraction ratio >= 1 for {_STALL_STEPS} consecutive steps"
+                )
+        if err <= tol:
+            return x, ratios, steps
+        prev = change
+    raise ContractionFailure(f"iteration did not converge in {_MAX_STEPS} steps")
 
 
 def _fsum_complex(terms: np.ndarray) -> complex:
@@ -185,31 +225,30 @@ class InverseProblem:
             raise PreconditionError("target outside the guaranteed ball")
 
 
-def solve_quantitative_inverse(prob: InverseProblem, tol: float = 1e-10):
-    """Contraction iteration from 0; returns (z_star, ratio_log)."""
+def solve_quantitative_inverse(prob: InverseProblem):
+    """Contraction iteration from 0; returns (z_star, ratio_log).
+
+    Each step is z <- A^-1 (target - (Phi0(z) - A z)); the Phi0 value of
+    the residual check serves the next step, so Phi0 runs once per iterate.
+    """
     a_inv = np.linalg.inv(prob.matrix)
+
+    def step(state):
+        z, phi_z = state
+        z_new = a_inv @ (prob.target - (phi_z - prob.matrix @ z))
+        phi_new = np.asarray(prob.phi0(z_new))
+        change = float(np.linalg.norm(z_new - z))
+        return (z_new, phi_new), change, float(np.linalg.norm(phi_new - prob.target))
+
     z = np.zeros_like(prob.target)
-    phi_z = np.asarray(prob.phi0(z))
-    ratios = []
-    prev_step = None
-    for _ in range(500):
-        g = phi_z - prob.matrix @ z
-        z_new = a_inv @ (prob.target - g)
-        step = float(np.linalg.norm(z_new - z))
-        if prev_step is not None and prev_step > 0:
-            ratios.append(step / prev_step)
-            if len(ratios) >= 3 and min(ratios[-3:]) >= 1.0:
-                raise PreconditionError("observed contraction ratio >= 1")
-        prev_step = step
-        z = z_new
-        phi_z = np.asarray(prob.phi0(z))
-        if np.linalg.norm(phi_z - prob.target) <= tol:
-            return z, ratios
-    raise CaptureFailure("inverse iteration did not converge in 500 steps")
+    (z, _), ratios, _ = _contract(step, (z, np.asarray(prob.phi0(z))), _INVERSE_TOL)
+    return z, ratios
 
 
-def _assemble(grid: CircleGrid, const, rows: np.ndarray) -> AnalyticDisc:
-    """Disc with boundary traces const - T1(rows) + i rows, one per row."""
+def _assemble(p: FamilyParams, grid: CircleGrid, prime: bool) -> AnalyticDisc:
+    """Disc with boundary traces const - T1(rows) + i rows, one per row of
+    the family data."""
+    const, rows = family_data(p, grid, prime)
     return AnalyticDisc.from_traces(grid, const - _conjugate_rows(grid, rows, True) + 1j * rows)
 
 
@@ -226,8 +265,7 @@ def family_F(p: FamilyParams, grid: CircleGrid) -> AnalyticDisc:
     """Disc half-attached to R^n with F(1, z, t) = t(Re z - Im z)."""
     if not 0.0 < p.norm < 1.0:
         raise DomainError("family F needs 0 < |z| < 1")
-    const = p.t * (np.asarray(p.z_re) - np.asarray(p.z_im))
-    return _assemble(grid, const[:, None], build_u_zt(p, grid))
+    return _assemble(p, grid, prime=False)
 
 
 # --------------------------------------------------------------- family F'
@@ -247,7 +285,8 @@ def build_u_delta_gamma(
 def u_prime_boundary(p: FamilyParams, grid: CircleGrid) -> np.ndarray:
     """Imaginary-part data of F' (or F'_tau when tau is present) as (n, M)
     rows: row j is -t c1_j u1 - t c2_j u2 (+ 10 t tau_j u1), with c1, c2
-    the multipliers of build_u_delta_gamma at delta = sqrt|z|, gamma = 2|z|."""
+    the multipliers of build_u_delta_gamma at delta = sqrt|z|, gamma = 2|z|.
+    Parameters without tau are tau = 0: the tau term is left out."""
     s = p.norm
     if not 0.0 < s < 1.0 / (2.0 * p.n):
         raise DomainError("family F' needs 0 < |z| < 1/(2n)")
@@ -261,22 +300,29 @@ def u_prime_boundary(p: FamilyParams, grid: CircleGrid) -> np.ndarray:
     return rows
 
 
-def _assemble_prime(p: FamilyParams, grid: CircleGrid) -> AnalyticDisc:
-    return _assemble(grid, 2.0 * p.t * p.norm, u_prime_boundary(p, grid))
+def family_data(p: FamilyParams, grid: CircleGrid, prime: bool):
+    """Boundary data (const, rows) of F, or of F'_tau when prime; the
+    family's traces are const - T1(rows) + i rows.
+
+    F has const t(Re z - Im z) and rows build_u_zt; F'_tau has const
+    2t|z| and rows u_prime_boundary, where parameters without tau are
+    tau = 0.  The families and the Bishop solves all take their data here.
+    """
+    if prime:
+        return 2.0 * p.t * p.norm, u_prime_boundary(p, grid)
+    return (p.t * (np.asarray(p.z_re) - np.asarray(p.z_im)))[:, None], build_u_zt(p, grid)
 
 
 def family_Fprime(p: FamilyParams, grid: CircleGrid) -> AnalyticDisc:
     """Disc attached to (R+)^n on the calibrated arc, F'(1,z,t) = 2t(|z|,...)."""
     if p.tau is not None:
         raise InputError("family_Fprime takes parameters without tau; see family_Fprime_tau")
-    return _assemble_prime(p, grid)
+    return _assemble(p, grid, prime=True)
 
 
 def family_Fprime_tau(p: FamilyParams, grid: CircleGrid) -> AnalyticDisc:
     """The tau-augmented family; tau = 0 reproduces family_Fprime exactly."""
-    if p.tau is None:
-        p = FamilyParams(p.z_re, p.z_im, p.t, tau=(0.0,) * p.n)
-    return _assemble_prime(p, grid)
+    return _assemble(p, grid, prime=True)
 
 
 def quadratic_minorant_discriminant(p: FamilyParams) -> float:
@@ -390,7 +436,7 @@ def calibrate(grid: CircleGrid, n: int = 1) -> Calibration:
                 np.abs(disc.traces.imag).max(axis=0) <= 1e-12
             )
             attach_ok &= ok
-    theta0 = _guarded_arc(grid, attach_ok, 4)
+    theta0 = _guarded_arc(grid, attach_ok)
 
     # -- r0' from the measured Lipschitz constant of g'(z) = Phi'(z) - t z
     r0p = _calibrate_r0_prime(grid, n)
@@ -406,16 +452,16 @@ def calibrate(grid: CircleGrid, n: int = 1) -> Calibration:
     )
 
 
-def _guarded_arc(grid: CircleGrid, ok: np.ndarray, guard_nodes: int) -> float:
+def _guarded_arc(grid: CircleGrid, ok: np.ndarray) -> float:
     """|theta| of the widest arc around theta = 0 whose nodes are all ok,
-    shrunk by guard_nodes nodes; 0.0 when nothing is left.
+    shrunk by _GUARD_NODES nodes; 0.0 when nothing is left.
 
     Nodes are taken in order of |theta| (stable, so -theta before theta);
     the arc ends at the first node that is not ok.
     """
     order = np.argsort(np.abs(grid.nodes), kind="stable")
     bad = np.flatnonzero(~ok[order])
-    keep = (bad[0] if len(bad) else grid.m) - 1 - guard_nodes
+    keep = (bad[0] if len(bad) else grid.m) - 1 - _GUARD_NODES
     return float(abs(grid.nodes[order[keep]])) if keep > 0 else 0.0
 
 
@@ -464,12 +510,10 @@ def _calibrate_r0_prime(grid: CircleGrid, n: int) -> float:
         for d in dirs:
             za = 2.0 * r * 0.98 * d
             h = 1e-4 * r
+            ga = _phi_prime(za, 1.0, grid) - za
             for pert in (d, 1j * d):
                 zb = za + h * pert
-                fa = _phi_prime(za, 1.0, grid)
-                fb = _phi_prime(zb, 1.0, grid)
-                ga = fa - za
-                gb = fb - zb
+                gb = _phi_prime(zb, 1.0, grid) - zb
                 lip = max(lip, float(np.linalg.norm(gb - ga) / h))
         if lip <= 0.45:
             best = r
@@ -479,59 +523,50 @@ def _calibrate_r0_prime(grid: CircleGrid, n: int) -> float:
 
 
 # ----------------------------------------------------------------- capture
-def _capture(phi, a_scale: float, target: np.ndarray, radius: float, tol: float):
-    """Fixed point z <- (target - g(z))/a from 0, g = phi - a*id, phi(0) = 0."""
-    z = np.zeros_like(target)
-    phi_z = np.zeros_like(target)
-    for _ in range(500):
-        g = phi_z - a_scale * z
-        z = (target - g) / a_scale
-        nz = float(np.linalg.norm(z))
-        if nz == 0.0 or nz > radius:
-            raise CaptureFailure("capture iterate left the admissible ball")
-        phi_z = phi(z)
-        if float(np.linalg.norm(phi_z - target)) <= tol:
-            return z
-    raise CaptureFailure("capture did not converge in 500 iterations")
+def _capture(phi, t: float, z_target, r: float, bound: float, scale: float) -> np.ndarray:
+    """Fixed point z <- (target - (phi(z) - t z)) / t from 0 with phi(0) = 0,
+    target = scale * z_target.
 
-
-def capture_F(z_target, t: float, grid: CircleGrid, tol: float = 1e-8) -> FamilyParams:
-    """Find z* with F(1 - |z*| + i|z*|, z*, t) = t * z_target, |z*| <= 2|z_target|."""
+    Shared by the four captures: z_target must be nonzero with norm below
+    `bound`, and an iterate outside the ball of radius 2r (r the calibrated
+    r0 or r0') raises CaptureFailure.  phi is never evaluated at 0.
+    """
     z_target = np.atleast_1d(np.asarray(z_target, dtype=complex))
-    n = len(z_target)
-    cal = calibrate(grid, n)
-    tn = float(np.linalg.norm(_c2r(z_target)))
-    if not 0.0 < tn < cal.r0:
-        raise PreconditionError(
-            f"target must be nonzero with norm below the calibrated r0 = {cal.r0:.3g}"
-        )
+    if not 0.0 < float(np.linalg.norm(_c2r(z_target))) < bound:
+        raise PreconditionError(f"target must be nonzero with norm below {bound:.3g}")
+    target = scale * z_target
+
+    def step(state):
+        z, phi_z = state
+        z_new = (target - (phi_z - t * z)) / t
+        nz = float(np.linalg.norm(z_new))
+        if nz == 0.0 or nz > 2.0 * r:
+            raise CaptureFailure("capture iterate left the admissible ball")
+        phi_new = phi(z_new)
+        change = float(np.linalg.norm(z_new - z))
+        return (z_new, phi_new), change, float(np.linalg.norm(phi_new - target))
+
+    zero = np.zeros_like(target)
+    (z, _), _, _ = _contract(step, (zero, zero), _CAPTURE_TOL)
+    return z
+
+
+def capture_F(z_target, t: float, grid: CircleGrid) -> FamilyParams:
+    """Find z* with F(1 - |z*| + i|z*|, z*, t) = t * z_target, |z*| <= 2|z_target|."""
+    r0 = calibrate(grid, np.size(z_target)).r0
 
     def phi(zv):
         p = FamilyParams.from_complex(zv, t)
         s = p.norm
         return family_F(p, grid).eval(1.0 - s + 1j * s)
 
-    z_star = _capture(phi, t, t * z_target, radius=2.0 * cal.r0, tol=tol)
-    return FamilyParams.from_complex(z_star, t)
+    return FamilyParams.from_complex(_capture(phi, t, z_target, r0, r0, t), t)
 
 
-def capture_Fprime(z_target, t: float, grid: CircleGrid, tol: float = 1e-8) -> FamilyParams:
+def capture_Fprime(z_target, t: float, grid: CircleGrid) -> FamilyParams:
     """Find z* with F'(1 - |z*|, z*, t) = t * z_target, |z*| <= 2|z_target|."""
-    z_target = np.atleast_1d(np.asarray(z_target, dtype=complex))
-    n = len(z_target)
-    cal = calibrate(grid, n)
-    tn = float(np.linalg.norm(_c2r(z_target)))
-    if not 0.0 < tn < cal.r0_prime:
-        raise PreconditionError(
-            f"target must be nonzero with norm below the calibrated r0' = {cal.r0_prime:.3g}"
-        )
-    z_star = _capture(
-        lambda zv: _phi_prime(zv, t, grid),
-        t,
-        t * z_target,
-        radius=2.0 * cal.r0_prime,
-        tol=tol,
-    )
+    r0p = calibrate(grid, np.size(z_target)).r0_prime
+    z_star = _capture(lambda zv: _phi_prime(zv, t, grid), t, z_target, r0p, r0p, t)
     return FamilyParams.from_complex(z_star, t)
 
 

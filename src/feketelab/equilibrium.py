@@ -643,14 +643,12 @@ def subharmonic_compare(
 
     radii = np.arange(0.05, 0.96, 0.05) if radii is None else np.asarray(radii)
     psi1_at_one = psi1.value_at_one()
+    majorant = SubharmonicSample.harmonic(psi1)
     violation = -math.inf
     constant = 0.0
-    k = np.arange(len(psi1.a))
     for r in radii:
         ring_psi = psi.on_ring(r)
-        a = psi1.a * r**k
-        b = psi1.b * r**k
-        ring_psi1 = _synthesize(grid, a, b)
+        ring_psi1 = majorant.on_ring(r)
         violation = max(violation, float(np.max(ring_psi - ring_psi1)))
         dist_to_one = np.abs(1.0 - r * np.exp(1j * th))
         constant = max(

@@ -22,11 +22,12 @@ class DegenerateBumpError(FeketelabError, ValueError):
 
 
 class CaptureFailure(FeketelabError, RuntimeError):
-    """The capture fixed point did not converge within its iteration budget."""
+    """A capture iterate left its admissible ball."""
 
 
 class ContractionFailure(FeketelabError, RuntimeError):
-    """Observed iteration ratios certify loss of contraction (t too large)."""
+    """A fixed-point iteration stalled (five change ratios >= 1 in a row,
+    e.g. t too large) or used up its 500-step budget."""
 
 
 class ControlFailure(FeketelabError, RuntimeError):

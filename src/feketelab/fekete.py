@@ -24,6 +24,7 @@ NEG_INF = float("-inf")
 
 _GOLDEN_ANGLE = math.pi * (3.0 - math.sqrt(5.0))
 _SHORTLIST = 64
+_GREEDY_BLOCK = 32  # rank-1 deflations applied to the mesh matrix per GEMM
 
 
 # ------------------------------------------------------------------ domains
@@ -331,7 +332,7 @@ def log_vandermonde(config, spec: BasisSpec, weight: Weight | None = None) -> fl
 
 
 # -------------------------------------------------------------------- greedy
-def _greedy_core(w_mat: np.ndarray, n: int, block: int = 32):
+def _greedy_core(w_mat: np.ndarray, n: int):
     """Row-residual greedy on the mesh-by-basis matrix; returns indices and
     per-step top-shortlist candidates.
 
@@ -345,8 +346,8 @@ def _greedy_core(w_mat: np.ndarray, n: int, block: int = 32):
     shortlists = []
     scores2 = np.einsum("ij,ij->i", r, r)
     scale0 = math.sqrt(float(np.max(scores2)))
-    v_pend = np.empty((block, nb))
-    c_pend = np.empty((mesh_sz, block))
+    v_pend = np.empty((_GREEDY_BLOCK, nb))
+    c_pend = np.empty((mesh_sz, _GREEDY_BLOCK))
     pending = 0
 
     def flush():
@@ -379,7 +380,7 @@ def _greedy_core(w_mat: np.ndarray, n: int, block: int = 32):
         pending += 1
         scores2 -= c * c
         np.maximum(scores2, 0.0, out=scores2)
-        if pending == block:
+        if pending == _GREEDY_BLOCK:
             flush()
     return chosen, shortlists
 

@@ -5,8 +5,16 @@ import math
 import numpy as np
 import pytest
 
-from feketelab.circle import CircleGrid
-from feketelab.discs import FamilyParams, calibrate, capture_F, family_F, family_Fprime_tau
+from feketelab.circle import CircleGrid, _conjugate_rows
+from feketelab.discs import (
+    FamilyParams,
+    build_u_zt,
+    calibrate,
+    capture_F,
+    family_F,
+    family_Fprime_tau,
+    u_prime_boundary,
+)
 from feketelab.bishop import (
     GraphManifold,
     assemble_Fh,
@@ -61,10 +69,74 @@ def test_h_zero_reduces_to_family_F():
     rng = Rng(20)
     p = _param(rng, 2, 0.5, 0.05)
     sol = solve_bishop(h_zero(2), p, GRID)
-    assert sol.iterations == 0
+    assert sol.iterations == 2 and sol.ratio_log == [0.0]
     disc = assemble_Fh(sol)
     ref = family_F(p, GRID)
     assert np.max(np.abs(disc.traces - ref.traces)) <= 1e-10
+
+
+def _iterate_oracle(grid, manifold, forcing, start):
+    """The Bishop loop as it stood before the shared contraction kernel,
+    with its old iteration count (steps with change > 1e-12 after the
+    first)."""
+    U = start.copy()
+    ratios = []
+    prev_change = None
+    extra_iters = 0
+    consecutive_bad = 0
+    for k in range(500):
+        h_of_u = manifold.eval_rows(U)
+        U_next = forcing - _conjugate_rows(grid, h_of_u, True)
+        change = float(np.max(np.abs(U_next - U)))
+        if prev_change is not None and prev_change > 0.0:
+            ratio = change / prev_change
+            ratios.append(ratio)
+            consecutive_bad = consecutive_bad + 1 if ratio >= 1.0 else 0
+            if consecutive_bad >= 5:
+                raise ContractionFailure("ratio >= 1 for 5 consecutive steps")
+        prev_change = change
+        U = U_next
+        if k >= 1:
+            extra_iters += 1 if change > 1e-12 else 0
+        if change <= 1e-12:
+            residual = float(
+                np.max(np.abs(U - (forcing - _conjugate_rows(grid, manifold.eval_rows(U), True))))
+            )
+            return U, extra_iters, ratios, residual
+    raise ContractionFailure("did not converge in 500 steps")
+
+
+@pytest.mark.parametrize("singular", [False, True])
+def test_solve_through_the_kernel_matches_the_old_loop(singular):
+    """Both Bishop solves run the shared contraction kernel with the old
+    loop's arithmetic: the same iterate, ratio log and residual bit for
+    bit; `iterations` counts the steps run."""
+    rng = Rng(31)
+    K = h_quad(2, 0.5)
+    if singular:
+        p = _param(rng, 2, 0.2, 0.01, tau=(0.05, -0.03))
+        u_rows = u_prime_boundary(p, GRID)
+        const = 2.0 * p.t * p.norm
+        sol = solve_bishop_singular(K, p, GRID)
+    else:
+        p = _param(rng, 2, 0.5, 0.05)
+        u_rows = build_u_zt(p, GRID)
+        const = (p.t * (np.asarray(p.z_re) - np.asarray(p.z_im)))[:, None]
+        sol = solve_bishop(K, p, GRID)
+    forcing = const - _conjugate_rows(GRID, u_rows, True)
+    U, old_count, ratios, residual = _iterate_oracle(GRID, K, forcing, u_rows)
+    assert sol.U.tobytes() == U.tobytes()
+    assert sol.ratio_log == ratios and len(ratios) >= 3
+    assert sol.residual == residual
+    assert sol.iterations == len(sol.ratio_log) + 1 == old_count + 2
+
+
+def test_singular_solve_without_tau_is_tau_zero():
+    p = _param(Rng(32), 2, 0.2, 0.01)
+    sol = solve_bishop_singular(h_quad(2, 0.5), p, GRID)
+    ref = solve_bishop_singular(h_quad(2, 0.5), FamilyParams(p.z_re, p.z_im, p.t, tau=(0.0, 0.0)), GRID)
+    assert sol.U.tobytes() == ref.U.tobytes()
+    assert sol.ratio_log == ref.ratio_log
 
 
 def test_solver_contracts_at_small_t():
@@ -206,7 +278,7 @@ def test_singular_h_zero_reduces_to_Fprime_tau():
     rng = Rng(28)
     p = _param(rng, 2, 0.2, 0.05, tau=(0.1, -0.2))
     sol = solve_bishop_singular(h_zero(2), p, GRID)
-    assert sol.iterations == 0
+    assert sol.iterations == 2 and sol.ratio_log == [0.0]
     disc = assemble_Fh(sol)
     ref = family_Fprime_tau(p, GRID)
     assert np.max(np.abs(disc.traces - ref.traces)) <= 1e-10

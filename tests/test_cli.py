@@ -219,7 +219,7 @@ def test_cmd_bishop_h_zero_rows(tmp_path):
     rec = cmd_bishop(cfg)
     assert rec.all_pass()
     it_idx = rec.columns.index("iters")
-    assert all(r[it_idx] == 0 for r in rec.rows)
+    assert all(r[it_idx] == 2 for r in rec.rows)
 
 
 def test_cmd_bishop_ratio_budget_column(tmp_path):

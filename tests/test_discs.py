@@ -6,9 +6,12 @@ import numpy as np
 import pytest
 
 from feketelab.circle import CircleFunction, CircleGrid, bump_u_minus, derivs_at_one, dual_basis
+from feketelab import discs
 from feketelab.discs import (
     FamilyParams,
     InverseProblem,
+    _capture,
+    _contract,
     build_u_delta_gamma,
     build_u_zt,
     calibrate,
@@ -20,7 +23,7 @@ from feketelab.discs import (
     quadratic_minorant_discriminant,
     solve_quantitative_inverse,
 )
-from feketelab.errors import DomainError, PreconditionError
+from feketelab.errors import ContractionFailure, DomainError, PreconditionError
 from feketelab.rng import Rng
 
 GRID = CircleGrid(1024)
@@ -136,6 +139,37 @@ def test_capture_F_rejects_large_targets():
     cal = calibrate(GRID, 1)
     with pytest.raises(PreconditionError):
         capture_F(np.array([2.0 * cal.r0 + 0j]), 0.1, GRID)
+
+
+def test_capture_never_evaluates_phi_at_zero():
+    """phi(0) = 0 is taken, not computed: the first phi call is at the
+    first iterate target / t."""
+    t, z_target = 0.5, np.array([1e-3 + 2e-3j, -1e-3j])
+    calls = []
+
+    def phi(z):
+        calls.append(z.copy())
+        return t * z + 0.3 * z * z[::-1]
+
+    z = _capture(phi, t, z_target, 1.0, 1.0, t)
+    assert np.array_equal(calls[0], z_target)
+    assert all(np.linalg.norm(c) > 0.0 for c in calls)
+    assert np.linalg.norm(phi(z) - t * z_target) <= 1e-8
+
+
+def test_capture_with_expanding_phi_stalls():
+    """z <- z_target + 2z doubles every change: the fifth ratio >= 1 in a
+    row stops the capture inside its ball, after six phi calls."""
+    t = 0.5
+    calls = []
+
+    def phi(z):
+        calls.append(z)
+        return -t * z
+
+    with pytest.raises(ContractionFailure):
+        _capture(phi, t, np.array([1e-3 + 1e-3j]), 1.0, 1.0, t)
+    assert len(calls) == 6
 
 
 # ----------------------------------------------------------- u_delta_gamma
@@ -340,6 +374,58 @@ def test_inverse_evaluates_phi0_once_per_iterate():
     assert ratios == ratios_ref
 
 
+def test_inverse_stall_raises_after_five_ratios():
+    """A declared Lipschitz constant that passes the precondition does not
+    make phi0 contract: phi0(z) = -z doubles every change, and the solver
+    stops with ContractionFailure at the fifth ratio >= 1 in a row."""
+    calls = []
+
+    def phi0(z):
+        calls.append(z)
+        return -z
+
+    prob = InverseProblem(phi0=phi0, matrix=np.eye(1), radius=0.5, target=np.array([0.01]), lipschitz_g=0.1)
+    with pytest.raises(ContractionFailure):
+        solve_quantitative_inverse(prob)
+    assert len(calls) == 1 + 6  # phi0(0), then one per step
+
+
+def test_contract_reports_steps_and_ratios():
+    def step(x):
+        return x / 2.0, x / 2.0, x / 2.0
+
+    x, ratios, steps = _contract(step, 1.0, 0.1)
+    assert (x, ratios, steps) == (0.0625, [0.5, 0.5, 0.5], 4)
+
+
+def test_contract_budget_runs_out():
+    """Changes alternating 1, 2 never stall five times in a row; the
+    500-step budget ends the iteration with ContractionFailure."""
+    calls = []
+
+    def step(x):
+        calls.append(x)
+        return x + 1, 1.0 + x % 2, 1.0
+
+    with pytest.raises(ContractionFailure):
+        _contract(step, 0, 1e-3)
+    assert len(calls) == 500
+
+
+def test_contract_stalls_after_exactly_five_ratios():
+    changes = iter([1.0, 2.0, 2.0, 0.5, 1.0, 1.0, 1.0, 1.0, 1.0, 1.0, 1.0])
+    seen = []
+
+    def step(x):
+        seen.append(x)
+        return x + 1, next(changes), 1.0
+
+    with pytest.raises(ContractionFailure):
+        _contract(step, 0, 1e-3)
+    # ratios 2, 1, 0.25, 2, 1, 1, 1, 1: the run of five >= 1 ends at step 9
+    assert len(seen) == 9
+
+
 def test_inverse_rejects_bad_contraction():
     with pytest.raises(PreconditionError):
         InverseProblem(
@@ -349,6 +435,25 @@ def test_inverse_rejects_bad_contraction():
             target=np.array([0.1]),
             lipschitz_g=1.5,
         )
+
+
+# ------------------------------------------------------------- r0' scan
+def test_r0_prime_scan_builds_each_disc_once(monkeypatch):
+    """The base disc of each direction is built and evaluated once, not
+    once per perturbation: 3 evaluations per direction (144 at n = 2),
+    with r0' unchanged bit for bit."""
+    calls = []
+    phi_prime = discs._phi_prime
+
+    def counted(*args):
+        calls.append(args)
+        return phi_prime(*args)
+
+    monkeypatch.setattr(discs, "_phi_prime", counted)
+    r0p = discs._calibrate_r0_prime(GRID, 2)
+    assert len(calls) == 144
+    assert r0p.hex() == "0x1.0f1062b6fad33p-9"
+    assert calibrate(GRID, 2).r0_prime == r0p
 
 
 # ------------------------------------------------------- Taylor structure

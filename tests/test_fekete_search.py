@@ -138,16 +138,16 @@ def test_benchmark_tracer_sees_the_search_layers(tmp_path):
         from feketelab.cli import cmd_bishop, cmd_fekete
         from feketelab.config import ExperimentConfig
 
-        iterate = bishop._iterate
+        contract = bishop._contract
 
-        def counted_iterate(*args):
-            tr.count("iterate.runs")
-            return iterate(*args)
+        def counted_contract(*args):
+            tr.count("contract.runs")
+            return contract(*args)
 
-        bishop._iterate = counted_iterate
+        bishop._contract = counted_contract
         keys = ("fekete.leja_greedy.calls", "fekete.exchange_refine.calls",
                 "fekete.exchange_refine.points_base", "equilibrium.build_dictionaries.calls",
-                "bishop.calibrate_t_threshold.calls", "bishop.solve.calls", "iterate.runs")
+                "bishop.calibrate_t_threshold.calls", "bishop.solve.calls", "contract.runs")
 
         def run(label, cmd, cfg):
             before = dict(tr.counts)
@@ -174,4 +174,4 @@ def test_benchmark_tracer_sees_the_search_layers(tmp_path):
     assert counts["sphere"]["equilibrium.build_dictionaries.calls"] >= 1, counts["sphere"]
     bishop = counts["bishop"]
     assert bishop["bishop.calibrate_t_threshold.calls"] >= 1, bishop
-    assert bishop["bishop.solve.calls"] == bishop["iterate.runs"] > 0, bishop
+    assert bishop["bishop.solve.calls"] == bishop["contract.runs"] > 0, bishop
