@@ -257,7 +257,7 @@ def phi_h_capture(
 ) -> FamilyParams:
     """Find z* with Phi^h(z*) = z_target, |z_target| < r0 t/2; |z*| <= 4 |target| / t."""
     r0 = calibrate(grid, manifold.n).r0
-    z = _capture(lambda zv: phi_h(manifold, zv, t, grid)[0], t, z_target, r0, r0 * t / 2.0, 1.0)
+    z, _ = _capture(lambda zv: phi_h(manifold, zv, t, grid)[0], t, z_target, r0, r0 * t / 2.0, 1.0)
     return FamilyParams.from_complex(z, t)
 
 
@@ -379,7 +379,7 @@ def phi_h_prime_capture(manifold: GraphManifold, z_target, t: float, grid: Circl
         val, last["ctrl"] = phi_h_prime(manifold, zv, t, grid)
         return val
 
-    z = _capture(phi, t, z_target, r0p, r0p * t / 2.0, 1.0)
+    z, _ = _capture(phi, t, z_target, r0p, r0p * t / 2.0, 1.0)
     s = math.sqrt(float(np.linalg.norm(np.concatenate([z.real, z.imag]))))
     return FamilyParams.from_complex(z, t, tau=last["ctrl"].tau), s * s
 
@@ -424,20 +424,23 @@ def calibrate_t_threshold(
         r = 0.3 / (2.0 * n) * (0.2 + 0.8 * rng.uniform())
         samples.append(r * (v[:n] + 1j * v[n:]))
 
-    def works(t: float) -> bool:
+    solve = solve_bishop_singular if singular else solve_bishop
+
+    def fails(z, t: float) -> bool:
         try:
-            for z in samples:
-                p = FamilyParams.from_complex(z, t)
-                if singular:
-                    sol = solve_bishop_singular(manifold, p, grid)
-                else:
-                    sol = solve_bishop(manifold, p, grid)
-                if sol.geometric_mean_ratio() >= 1.0:
-                    return False
-                if attachment_residual(sol) > 1e-9:
-                    return False
+            sol = solve(manifold, FamilyParams.from_complex(z, t), grid)
+            return sol.geometric_mean_ratio() >= 1.0 or attachment_residual(sol) > 1e-9
         except (ContractionFailure, DomainError):
-            return False
+            return True
+
+    # works(t) is an AND of independent deterministic solves, so the order
+    # is free: the sample that failed last moves to the front, and a failing
+    # step usually stops after one solve
+    def works(t: float) -> bool:
+        for i, z in enumerate(samples):
+            if fails(z, t):
+                samples.insert(0, samples.pop(i))
+                return False
         return True
 
     lo, hi = 0.0, 1.0

@@ -284,11 +284,9 @@ def cmd_disc(cfg: ExperimentConfig) -> RunRecord:
         expect = t * (np.asarray(p.z_re) - np.asarray(p.z_im))
         v_err = float(np.max(np.abs(disc.boundary_value_at_one() - expect)))
         target = z * (cal.r0 * 0.8 / max(p.norm, 1e-12))
-        ps = discs.capture_F(target, t, grid)
+        ps, value = discs._capture_family(target, t, grid, prime=False)
         s = ps.norm
-        cap_res = float(
-            np.max(np.abs(discs.family_F(ps, grid).eval(1 - s + 1j * s) - t * target))
-        )
+        cap_res = float(np.max(np.abs(value - t * target)))
         ratio = s / float(np.linalg.norm(np.concatenate([target.real, target.imag])))
         ok = holo <= 1e-10 and attach <= 1e-10 and v_err <= 1e-12 and cap_res <= 1e-8 and ratio <= 2.0
         return {
@@ -312,11 +310,9 @@ def cmd_disc(cfg: ExperimentConfig) -> RunRecord:
         )
         tau_err = float(np.max(np.abs(disc_tau.traces - disc.traces)))
         target = z * (cal.r0_prime * 0.8 / max(p.norm, 1e-12))
-        ps = discs.capture_Fprime(target, t, grid)
+        ps, value = discs._capture_family(target, t, grid, prime=True)
         s = ps.norm
-        cap_res = float(
-            np.max(np.abs(discs.family_Fprime(ps, grid).eval(1 - math.sqrt(s)) - t * target))
-        )
+        cap_res = float(np.max(np.abs(value - t * target)))
         ratio = s / float(np.linalg.norm(np.concatenate([target.real, target.imag])))
         disc_ok = (
             holo <= 1e-10

@@ -374,23 +374,28 @@ class Calibration:
         }
 
 
-def _interior_value(u: CircleFunction, z: complex) -> float:
-    powers = z ** np.arange(len(u.a))
+def _one_sided(u: CircleFunction) -> np.ndarray:
+    """Coefficients a_k - i b_k of the analytic extension of u (b_0 dropped)."""
     coeff = u.a - 1j * u.b
     coeff[0] = u.a[0]
-    return float(np.real(_fsum_complex(coeff * powers)))
+    return coeff
+
+
+def _interior_values(coeffs: np.ndarray, z: complex) -> list:
+    """Re of the one-sided power sum of each row of (r, K) coefficients at
+    z, from one table z**k; only the real parts are summed (compensated)."""
+    terms = (coeffs * z ** np.arange(coeffs.shape[1])).real
+    return [math.fsum(row.tolist()) for row in terms]
 
 
 def _g0_scan(grid: CircleGrid, s_values):
     """Taylor remainders g1, g2 of u and -T1 u along the capture path."""
     u = bump_u_minus(grid)
-    t1u = hilbert_T1(u)
+    coeffs = np.stack((_one_sided(u), _one_sided(hilbert_T1(u))))
     out = []
     for s in s_values:
-        z = 1.0 - s + 1j * s
-        g1 = (_interior_value(u, z) - s) / (s * s)
-        g2 = (-_interior_value(t1u, z) - s) / (s * s)
-        out.append((g1, g2))
+        v_u, v_t1u = _interior_values(coeffs, 1.0 - s + 1j * s)
+        out.append(((v_u - s) / (s * s), (-v_t1u - s) / (s * s)))
     return np.asarray(out)
 
 
@@ -523,9 +528,10 @@ def _calibrate_r0_prime(grid: CircleGrid, n: int) -> float:
 
 
 # ----------------------------------------------------------------- capture
-def _capture(phi, t: float, z_target, r: float, bound: float, scale: float) -> np.ndarray:
+def _capture(phi, t: float, z_target, r: float, bound: float, scale: float):
     """Fixed point z <- (target - (phi(z) - t z)) / t from 0 with phi(0) = 0,
-    target = scale * z_target.
+    target = scale * z_target; returns (z*, phi(z*)), the value being the
+    one the final residual check computed.
 
     Shared by the four captures: z_target must be nonzero with norm below
     `bound`, and an iterate outside the ball of radius 2r (r the calibrated
@@ -547,27 +553,34 @@ def _capture(phi, t: float, z_target, r: float, bound: float, scale: float) -> n
         return (z_new, phi_new), change, float(np.linalg.norm(phi_new - target))
 
     zero = np.zeros_like(target)
-    (z, _), _, _ = _contract(step, (zero, zero), _CAPTURE_TOL)
-    return z
+    (z, phi_z), _, _ = _contract(step, (zero, zero), _CAPTURE_TOL)
+    return z, phi_z
+
+
+def _phi_F(zv: np.ndarray, t: float, grid: CircleGrid) -> np.ndarray:
+    p = FamilyParams.from_complex(zv, t)
+    s = p.norm
+    return family_F(p, grid).eval(1.0 - s + 1j * s)
+
+
+def _capture_family(z_target, t: float, grid: CircleGrid, prime: bool):
+    """Capture through F (or F' when prime) with target t * z_target inside
+    the calibrated radius r0 (or r0'); returns (params at z*, Phi(z*))."""
+    cal = calibrate(grid, np.size(z_target))
+    r = cal.r0_prime if prime else cal.r0
+    phi = _phi_prime if prime else _phi_F
+    z_star, value = _capture(lambda zv: phi(zv, t, grid), t, z_target, r, r, t)
+    return FamilyParams.from_complex(z_star, t), value
 
 
 def capture_F(z_target, t: float, grid: CircleGrid) -> FamilyParams:
     """Find z* with F(1 - |z*| + i|z*|, z*, t) = t * z_target, |z*| <= 2|z_target|."""
-    r0 = calibrate(grid, np.size(z_target)).r0
-
-    def phi(zv):
-        p = FamilyParams.from_complex(zv, t)
-        s = p.norm
-        return family_F(p, grid).eval(1.0 - s + 1j * s)
-
-    return FamilyParams.from_complex(_capture(phi, t, z_target, r0, r0, t), t)
+    return _capture_family(z_target, t, grid, prime=False)[0]
 
 
 def capture_Fprime(z_target, t: float, grid: CircleGrid) -> FamilyParams:
     """Find z* with F'(1 - |z*|, z*, t) = t * z_target, |z*| <= 2|z_target|."""
-    r0p = calibrate(grid, np.size(z_target)).r0_prime
-    z_star = _capture(lambda zv: _phi_prime(zv, t, grid), t, z_target, r0p, r0p, t)
-    return FamilyParams.from_complex(z_star, t)
+    return _capture_family(z_target, t, grid, prime=True)[0]
 
 
 def _c2r(z: np.ndarray) -> np.ndarray:

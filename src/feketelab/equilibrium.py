@@ -400,9 +400,9 @@ _SPHERE_MAX_GAMMA = 1.0
 
 
 def build_dictionaries(domain, gammas=_DEFAULT_GAMMAS) -> dict:
-    """One dictionary per gamma, sharing members, scales running-max across
-    the (sorted) gamma grid so that dist is monotone in gamma."""
-    gammas = tuple(sorted(gammas))
+    """One dictionary per distinct gamma, sharing members, scales running-max
+    across the (sorted) gamma grid so that dist is monotone in gamma."""
+    gammas = tuple(sorted(set(gammas)))
     if not all(g > 0.0 for g in gammas):
         raise InputError(f"dictionaries need gamma > 0, got gammas {gammas}")
     amb = ambient_of(domain)

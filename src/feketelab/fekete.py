@@ -207,14 +207,17 @@ def _sphere_matrix(pts: np.ndarray, k: int) -> np.ndarray:
     x, y, z = pts[:, 0], pts[:, 1], pts[:, 2]
     phi = np.arctan2(y, x)
     p = _legendre_norm_matrix(z, k)
-    rows = []
+    trig = [(np.cos(m * phi), np.sin(m * phi)) for m in range(1, k + 1)]
+    out = np.empty(((k + 1) ** 2, len(phi)))
     sqrt2 = math.sqrt(2.0)
     for l in range(k + 1):
-        rows.append(p[(l, 0)])
-        for m in range(1, l + 1):
-            rows.append(sqrt2 * p[(l, m)] * np.cos(m * phi))
-            rows.append(sqrt2 * p[(l, m)] * np.sin(m * phi))
-    return np.stack(rows)
+        row = l * l  # rows of degree l: m = 0, then (cos, sin) for m = 1..l
+        out[row] = p[(l, 0)]
+        for m, (cos_m, sin_m) in enumerate(trig[:l], start=1):
+            scaled = sqrt2 * p[(l, m)]
+            np.multiply(scaled, cos_m, out=out[row + 2 * m - 1])
+            np.multiply(scaled, sin_m, out=out[row + 2 * m])
+    return out
 
 
 def _ambient_matrix(domain, pts: np.ndarray, k: int) -> np.ndarray:

@@ -391,3 +391,72 @@ def test_phi_h_prime_near_reduction_for_h_zero():
         gap = float(np.max(np.abs(val - t * z)))
         band = p.norm * (t * t + t * math.sqrt(p.norm))
         assert gap <= 10.0 * band  # c4 surrogate
+
+
+def _fixed_order_threshold(key, grid, singular):
+    """calibrate_t_threshold with its six samples always solved in the order
+    drawn; returns (threshold, solves run)."""
+    from feketelab.bishop import manifold_from_key
+
+    manifold = manifold_from_key(key)
+    n = manifold.n
+    rng = Rng(0x7E57)
+    samples = []
+    for _ in range(6):
+        v = np.asarray(rng.sphere(2 * n))
+        r = 0.3 / (2.0 * n) * (0.2 + 0.8 * rng.uniform())
+        samples.append(r * (v[:n] + 1j * v[n:]))
+    solve = solve_bishop_singular if singular else solve_bishop
+    solves = [0]
+
+    def works(t):
+        try:
+            for z in samples:
+                solves[0] += 1
+                sol = solve(manifold, FamilyParams.from_complex(z, t), grid)
+                if sol.geometric_mean_ratio() >= 1.0:
+                    return False
+                if attachment_residual(sol) > 1e-9:
+                    return False
+        except (ContractionFailure, DomainError):
+            return False
+        return True
+
+    lo, hi = 0.0, 1.0
+    if works(hi):
+        return 1.0, solves[0]
+    for _ in range(20):
+        mid = 0.5 * (lo + hi)
+        if mid <= 1e-6:
+            break
+        if works(mid):
+            lo = mid
+        else:
+            hi = mid
+    return lo, solves[0]
+
+
+def test_threshold_with_failing_sample_first_matches_fixed_order(monkeypatch):
+    """Trying the last failing sample first changes neither threshold of any
+    built-in key, and at quad:0.5, n = 2 saves 7 of 74 regular solves."""
+    from feketelab import bishop
+
+    grid = CircleGrid(256)
+    solves = [0]
+    real_solve = bishop._solve
+
+    def counting_solve(*args, **kwargs):
+        solves[0] += 1
+        return real_solve(*args, **kwargs)
+
+    monkeypatch.setattr(bishop, "_solve", counting_solve)
+    keys = [("quad", 1, 0.5), ("quad", 2, 0.5), ("mix", 2, 0.5), ("quad", 2, 0.1), ("quad", 1, 1.0)]
+    for key in keys:
+        for singular in (False, True):
+            want, fixed_solves = _fixed_order_threshold(key, grid, singular)
+            solves[0] = 0
+            got = calibrate_t_threshold.__wrapped__(key, grid, singular)
+            assert got.hex() == want.hex(), (key, singular)
+            assert solves[0] <= fixed_solves
+            if key == ("quad", 2, 0.5) and not singular:
+                assert (solves[0], fixed_solves) == (67, 74)

@@ -211,6 +211,47 @@ def test_cmd_disc_rows_and_columns(tmp_path):
     assert "r0" in rec.calibration and "theta0" in rec.calibration
 
 
+def test_cmd_disc_takes_capture_residual_from_the_final_iterate(tmp_path, monkeypatch):
+    """capture_residual keeps its bits without rebuilding the captured disc:
+    each row builds its own disc plus one per capture step, no more."""
+    from feketelab import discs
+    from feketelab.circle import CircleGrid
+
+    cfg = load_config(write_cfg(tmp_path, DISC_CFG.format(out=tmp_path).replace("samples = 4", "samples = 3")))
+    discs.calibrate(CircleGrid(cfg.grid_m), cfg.disc_n)
+    family = {"F": discs.family_F, "Fprime": discs.family_Fprime}
+    built, steps, captured = [], [], []
+    for name, real in (("family_F", discs.family_F), ("family_Fprime", discs.family_Fprime)):
+        monkeypatch.setattr(discs, name, lambda p, g, real=real: built.append(1) or real(p, g))
+    real_contract = discs._contract
+
+    def contract(step, x, tol):
+        out = real_contract(step, x, tol)
+        steps.append(out[2])
+        return out
+
+    real_capture = discs._capture_family
+
+    def capture(z_target, t, grid, prime):
+        ps, value = real_capture(z_target, t, grid, prime)
+        captured.append((z_target, t, grid, prime, ps))
+        return ps, value
+
+    monkeypatch.setattr(discs, "_contract", contract)
+    monkeypatch.setattr(discs, "_capture_family", capture)
+    rec = cmd_disc(cfg)
+    assert rec.all_pass() and len(rec.rows) == len(captured) == len(steps) == 6
+    assert len(built) == len(rec.rows) + sum(steps)  # the parent rebuilt each captured disc: + 6
+    res_idx = rec.columns.index("capture_residual")
+    for row, (target, t, grid, prime, ps) in zip(rec.rows, captured):
+        s = ps.norm
+        if prime:
+            value = family["Fprime"](ps, grid).eval(1 - np.sqrt(s))
+        else:
+            value = family["F"](ps, grid).eval(1 - s + 1j * s)
+        assert row[res_idx].hex() == float(np.max(np.abs(value - t * target))).hex()
+
+
 # ------------------------------------------------------------------- bishop
 def test_cmd_bishop_h_zero_rows(tmp_path):
     cfg = load_config(

@@ -143,7 +143,8 @@ def test_capture_F_rejects_large_targets():
 
 def test_capture_never_evaluates_phi_at_zero():
     """phi(0) = 0 is taken, not computed: the first phi call is at the
-    first iterate target / t."""
+    first iterate target / t.  The value returned is phi at the last call,
+    which is z*."""
     t, z_target = 0.5, np.array([1e-3 + 2e-3j, -1e-3j])
     calls = []
 
@@ -151,10 +152,12 @@ def test_capture_never_evaluates_phi_at_zero():
         calls.append(z.copy())
         return t * z + 0.3 * z * z[::-1]
 
-    z = _capture(phi, t, z_target, 1.0, 1.0, t)
+    z, value = _capture(phi, t, z_target, 1.0, 1.0, t)
     assert np.array_equal(calls[0], z_target)
     assert all(np.linalg.norm(c) > 0.0 for c in calls)
-    assert np.linalg.norm(phi(z) - t * z_target) <= 1e-8
+    assert calls[-1].tobytes() == z.tobytes()
+    assert value.tobytes() == phi(z).tobytes()
+    assert np.linalg.norm(value - t * z_target) <= 1e-8
 
 
 def test_capture_with_expanding_phi_stalls():
@@ -460,17 +463,18 @@ def test_r0_prime_scan_builds_each_disc_once(monkeypatch):
 def test_taylor_structure_richardson():
     """u(1-s) and -T1u(1-s) expansions: s^3 remainders stay bounded."""
     from feketelab.circle import hilbert_T1
-    from feketelab.discs import _interior_value
+    from feketelab.discs import _interior_values, _one_sided
 
     g = CircleGrid(2048)
     u1, u2 = dual_basis(g)
     combo = CircleFunction(g, 0.7 * u1.samples - 1.3 * u2.samples)
     d = derivs_at_one(combo)
-    t1 = hilbert_T1(combo)
+    coeffs = np.stack((_one_sided(combo), _one_sided(hilbert_T1(combo))))
     prev = None
     for s in (0.08, 0.04, 0.02, 0.01):
-        r_u = (_interior_value(combo, 1 - s) + s * d.dx + s * s * d.dx / 2) / s**3
-        r_t = (-_interior_value(t1, 1 - s) - s * s * d.dxy / 2) / s**3
+        v_u, v_t = _interior_values(coeffs, 1 - s)
+        r_u = (v_u + s * d.dx + s * s * d.dx / 2) / s**3
+        r_t = (-v_t - s * s * d.dxy / 2) / s**3
         bound = max(abs(r_u), abs(r_t))
         if prev is not None:
             assert bound <= 4.0 * prev + 1.0  # bounded, no blow-up as s halves
@@ -478,6 +482,37 @@ def test_taylor_structure_richardson():
 
 
 # ------------------------------------------------------------- calibration
+def _g0_scan_complex_sums(grid, s_values):
+    """The g0 scan with a table z**k and a complex compensated sum per
+    function and path point, of which only the real part is kept."""
+    from feketelab.circle import hilbert_T1
+
+    def value(f, z):
+        coeff = f.a - 1j * f.b
+        coeff[0] = f.a[0]
+        terms = coeff * z ** np.arange(len(f.a))
+        return complex(math.fsum(terms.real.tolist()), math.fsum(terms.imag.tolist())).real
+
+    u = bump_u_minus(grid)
+    t1u = hilbert_T1(u)
+    return np.asarray(
+        [((value(u, z) - s) / (s * s), (-value(t1u, z) - s) / (s * s)) for s in s_values for z in [1.0 - s + 1j * s]]
+    )
+
+
+@pytest.mark.parametrize("m", [256, 1024])
+def test_g0_scan_sums_only_real_parts_bit_for_bit(m, monkeypatch):
+    grid = CircleGrid(m)
+    s_vals = np.linspace(1e-3, 0.95, 400)
+    want = _g0_scan_complex_sums(grid, s_vals)
+    sums = []
+    real_fsum = math.fsum
+    monkeypatch.setattr(math, "fsum", lambda xs: sums.append(len(xs)) or real_fsum(xs))
+    got = discs._g0_scan(grid, s_vals)
+    assert got.tobytes() == want.tobytes()
+    assert sums == [m // 2 + 1] * (2 * len(s_vals))  # the parent's complex sums: 4 per point
+
+
 def test_calibration_is_stable_across_recomputation():
     first = calibrate(GRID, 1)
     calibrate.cache_clear()

@@ -493,3 +493,16 @@ def test_rate_fit_validation():
         rate_fit([1, 2, 3], [0.1, 0.2, 0.1])
     with pytest.raises(InputError):
         rate_fit(np.arange(2, 10), np.linspace(-0.1, 0.5, 8))
+
+
+def test_build_dictionaries_scans_a_repeated_gamma_once(monkeypatch):
+    from feketelab import equilibrium as eq
+
+    scanned = []
+    real = eq._sphere_norms
+    monkeypatch.setattr(eq, "_sphere_norms", lambda blocks, gammas: scanned.append(gammas) or real(blocks, gammas))
+    repeated = build_dictionaries(Sphere(), (1.0, 1.0))
+    single = build_dictionaries(Sphere(), (1.0,))
+    assert scanned == [(1.0,), (1.0,)]
+    assert list(repeated) == list(single) == [1.0]
+    assert repeated[1.0].scales.tobytes() == single[1.0].scales.tobytes()

@@ -320,3 +320,37 @@ def test_rotation_shift_of_circle_optimum():
     step = 2 * math.pi / 512
     rotated = np.mod(cfg.points + step + math.pi, 2 * math.pi) - math.pi
     assert abs(log_vandermonde(rotated, spec) - cfg.logdet) <= 1e-9
+
+
+def _sphere_matrix_rowwise(pts, k):
+    """The row-by-row build: cos(m phi) and sin(m phi) once per (l, m), rows
+    stacked at the end."""
+    from feketelab.fekete import _legendre_norm_matrix
+
+    phi = np.arctan2(pts[:, 1], pts[:, 0])
+    p = _legendre_norm_matrix(pts[:, 2], k)
+    rows = []
+    for l in range(k + 1):
+        rows.append(p[(l, 0)])
+        for m in range(1, l + 1):
+            rows.append(math.sqrt(2.0) * p[(l, m)] * np.cos(m * phi))
+            rows.append(math.sqrt(2.0) * p[(l, m)] * np.sin(m * phi))
+    return np.stack(rows)
+
+
+def test_sphere_matrix_matches_the_rowwise_build_with_one_trig_pair_per_order(monkeypatch):
+    from feketelab import fekete
+
+    mesh = Sphere().mesh(2000)
+    for pts in (mesh, mesh[:1]):
+        for k in range(9):
+            want = _sphere_matrix_rowwise(pts, k)
+            got = fekete._sphere_matrix(pts, k)
+            assert got.shape == want.shape == ((k + 1) ** 2, len(pts))
+            assert got.tobytes() == want.tobytes()
+    calls = []
+    for name in ("cos", "sin"):
+        real = getattr(np, name)
+        monkeypatch.setattr(np, name, lambda x, real=real, name=name: calls.append(name) or real(x))
+    fekete._sphere_matrix(mesh, 8)
+    assert calls.count("cos") == calls.count("sin") == 8  # rowwise: 36 each
