@@ -3,8 +3,8 @@
 
 Reports contraction ratios, norm-bound margins, the measured Phi^h
 comparison constant, and tau-control residuals (in cells at or below the
-singular threshold); prints the calibrated regular and singular
-t-thresholds for reference.
+singular threshold); prints the regular and singular t-thresholds that
+each sweep calibrated and wrote to its CSV header.
 """
 
 import os
@@ -12,8 +12,6 @@ import sys
 
 sys.path.insert(0, os.path.join(os.path.dirname(__file__), "..", "src"))
 
-from feketelab.bishop import calibrate_t_threshold
-from feketelab.circle import CircleGrid
 from feketelab.cli import cmd_bishop
 from feketelab.config import ExperimentConfig
 
@@ -22,7 +20,6 @@ OUT = os.path.join(os.path.dirname(__file__), "..", "out", "bishop_verification"
 
 def main():
     os.makedirs(OUT, exist_ok=True)
-    grid = CircleGrid(1024)
     status = 0
     for n, h in ((1, "quad:0.5"), (2, "quad:0.5"), (2, "mix:0.5"), (2, "quad:0.1")):
         cfg = ExperimentConfig(
@@ -30,9 +27,9 @@ def main():
             grid_m=1024, t_list=(0.02, 0.05), samples=20, h_spec=h, seed=13,
             out_dir=OUT,
         )
-        th = calibrate_t_threshold(cfg.manifold_key(), grid, False)
-        th_singular = calibrate_t_threshold(cfg.manifold_key(), grid, True)
         rec = cmd_bishop(cfg)
+        th = rec.calibration["t_threshold"]
+        th_singular = rec.calibration["t_threshold_singular"]
         rec.write_csv(os.path.join(OUT, f"{cfg.name}.csv"))
         rec.write_timings(os.path.join(OUT, f"{cfg.name}_timings.csv"))
         print(

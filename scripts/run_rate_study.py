@@ -35,7 +35,7 @@ def main():
         rec = cmd_fekete(cfg)
         rec.write_csv(os.path.join(OUT, f"{cfg.name}_fekete.csv"))
         rec.write_timings(os.path.join(OUT, f"{cfg.name}_fekete_timings.csv"))
-        emit_plotdata(rec, "rate", OUT)
+        emit_plotdata(rec, OUT)
         fit = cmd_rate(cfg, fekete_csv=os.path.join(OUT, f"{cfg.name}_fekete.csv"))
         fit.write_csv(os.path.join(OUT, f"{cfg.name}_rate.csv"))
         cols = dict(zip(fit.columns, fit.rows[0]))

@@ -2,10 +2,11 @@
 
 Subcommands: fekete (per-degree configuration study), rate (log-log fit
 and one-sided bound verdict), disc (family diagnostics), bishop (solver
-diagnostics), plot (per-plot data files from a finished CSV).  Outputs are
-deterministic for a fixed config and seed; wall-clock timings go to a
-sidecar file outside that contract.  Every CSV carries the config hash and
-the calibration constants used, so reported inequalities stand alone.
+diagnostics), plot (the rate plot files of a finished fekete CSV).
+Outputs are deterministic for a fixed config and seed; wall-clock timings
+go to a sidecar file outside that contract.  Every CSV carries the config
+hash and the calibration constants used, so reported inequalities stand
+alone.
 """
 
 from __future__ import annotations
@@ -25,7 +26,7 @@ from . import bishop as bsh
 from . import discs
 from . import equilibrium as eq
 from . import fekete as fk
-from .circle import CircleGrid
+from .circle import CircleGrid, _support_mask
 from .config import ExperimentConfig, load_config
 from .errors import FeketelabError, ConfigError, InputError
 from .rng import Rng
@@ -155,10 +156,7 @@ def cmd_fekete(cfg: ExperimentConfig) -> RunRecord:
     weight = _weight_of(cfg)
     mesh = domain.mesh(cfg.mesh) if cfg.mesh else domain.mesh()
     reference, ref_name = _reference_for(cfg, weight, mesh)
-    gammas = tuple(g for g in cfg.gammas)
-    dictionaries = (
-        eq.build_dictionaries(domain, gammas + (1.0,)) if gammas else {1.0: eq.build_dictionary(domain, 1.0)}
-    )
+    dictionaries = eq.build_dictionaries(domain, cfg.gammas + (1.0,))
     rec = RunRecord(
         name=cfg.name,
         config_hash=cfg.config_hash(),
@@ -175,19 +173,49 @@ def cmd_fekete(cfg: ExperimentConfig) -> RunRecord:
     return rec
 
 
+def _record_from_csv(path: str) -> RunRecord:
+    """A command's CSV read back: config hash, columns and rows as strings."""
+    rows = []
+    columns = None
+    config_hash = "unknown"
+    with open(path, "r", encoding="utf-8") as fh:
+        for line in fh:
+            line = line.strip()
+            if line.startswith("# config_hash="):
+                config_hash = line.split("=", 1)[1]
+                continue
+            if line.startswith("#") or not line:
+                continue
+            parts = line.split(",")
+            if columns is None:
+                columns = parts
+            else:
+                rows.append(parts)
+    name = os.path.basename(path).rsplit(".", 1)[0]
+    return RunRecord(name=name, config_hash=config_hash, columns=columns or [], rows=rows)
+
+
+def _rate_points(record: RunRecord) -> list:
+    """(k, dist1) of each ok row of a fekete record.
+
+    A record without a status column counts every row as ok; a row whose k
+    or dist1 does not parse is skipped.
+    """
+    points = []
+    for values in record.rows:
+        row = dict(zip(record.columns, values))
+        if row.get("status", "ok") != "ok":
+            continue
+        try:
+            points.append((int(row["k"]), float(row["dist1"])))
+        except (KeyError, ValueError):
+            continue
+    return points
+
+
 def cmd_rate(cfg: ExperimentConfig, fekete_csv: str | None = None) -> RunRecord:
-    if fekete_csv is None:
-        fek = cmd_fekete(cfg)
-        idx_k = fek.columns.index("k")
-        idx_d = fek.columns.index("dist1")
-        idx_s = fek.columns.index("status")
-        data = [
-            (int(r[idx_k]), float(r[idx_d]))
-            for r in fek.rows
-            if r[idx_s] == "ok" and r[idx_d] != ""
-        ]
-    else:
-        data = _read_rate_input(fekete_csv)
+    fek = cmd_fekete(cfg) if fekete_csv is None else _record_from_csv(fekete_csv)
+    data = _rate_points(fek)
     if len(data) < 5:
         raise InputError("rate fit needs at least 5 data points")
     ks = [k for k, _ in data]
@@ -218,37 +246,6 @@ def cmd_rate(cfg: ExperimentConfig, fekete_csv: str | None = None) -> RunRecord:
     return rec
 
 
-def _read_rate_input(path: str):
-    data = []
-    with open(path, "r", encoding="utf-8") as fh:
-        header = None
-        for line in fh:
-            line = line.strip()
-            if not line or line.startswith("#"):
-                continue
-            parts = line.split(",")
-            if header is None:
-                header = parts
-                continue
-            row = dict(zip(header, parts))
-            if row.get("status", "ok") != "ok":
-                continue
-            try:
-                data.append((int(row["k"]), float(row["dist1"])))
-            except (KeyError, ValueError):
-                continue
-    return data
-
-
-def _sample_targets(rng: Rng, n: int, radius: float, count: int):
-    out = []
-    for _ in range(count):
-        v = np.asarray(rng.sphere(2 * n))
-        r = radius * (0.1 + 0.85 * rng.uniform())
-        out.append(r * (v[:n] + 1j * v[n:]))
-    return out
-
-
 def cmd_disc(cfg: ExperimentConfig) -> RunRecord:
     grid = CircleGrid(cfg.grid_m)
     n = cfg.disc_n
@@ -271,10 +268,10 @@ def cmd_disc(cfg: ExperimentConfig) -> RunRecord:
             "pass",
             "note",
         ],
-        calibration=cal.as_dict(),
+        calibration=dataclasses.asdict(cal),
     )
     wedge = np.abs(grid.nodes) <= cal.theta0 + 1e-15
-    front = np.abs(grid.nodes) <= math.pi / 2.0 + 1e-12
+    front = ~_support_mask(grid)
 
     def cell_F(t, z):
         p = discs.FamilyParams.from_complex(z, t)
@@ -287,7 +284,7 @@ def cmd_disc(cfg: ExperimentConfig) -> RunRecord:
         ps, value = discs._capture_family(target, t, grid, prime=False)
         s = ps.norm
         cap_res = float(np.max(np.abs(value - t * target)))
-        ratio = s / float(np.linalg.norm(np.concatenate([target.real, target.imag])))
+        ratio = s / float(np.linalg.norm(discs._c2r(target)))
         ok = holo <= 1e-10 and attach <= 1e-10 and v_err <= 1e-12 and cap_res <= 1e-8 and ratio <= 2.0
         return {
             "family": "F", "t": t, "z_norm": p.norm, "holo_residual": holo, "attach_residual": attach,
@@ -296,7 +293,7 @@ def cmd_disc(cfg: ExperimentConfig) -> RunRecord:
         }
 
     def cell_Fprime(t, z):
-        z = z * min(1.0, 0.9 / (2 * n) / np.linalg.norm(np.concatenate([z.real, z.imag])))
+        z = z * min(1.0, 0.9 / (2 * n) / np.linalg.norm(discs._c2r(z)))
         p = discs.FamilyParams.from_complex(z, t)
         disc = discs.family_Fprime(p, grid)
         holo = disc.negative_energy_ratio()
@@ -313,7 +310,7 @@ def cmd_disc(cfg: ExperimentConfig) -> RunRecord:
         ps, value = discs._capture_family(target, t, grid, prime=True)
         s = ps.norm
         cap_res = float(np.max(np.abs(value - t * target)))
-        ratio = s / float(np.linalg.norm(np.concatenate([target.real, target.imag])))
+        ratio = s / float(np.linalg.norm(discs._c2r(target)))
         disc_ok = (
             holo <= 1e-10
             and re_min >= -1e-10
@@ -331,7 +328,7 @@ def cmd_disc(cfg: ExperimentConfig) -> RunRecord:
 
     cells = []
     for t in cfg.t_list:
-        for z in _sample_targets(rng, n, 0.45, max(1, cfg.samples // len(cfg.t_list))):
+        for z in discs._sample_targets(rng, n, 0.45, max(1, cfg.samples // len(cfg.t_list))):
             for family, fn in (("F", cell_F), ("Fprime", cell_Fprime)):
                 cells.append((f"{family}:t={t}", {"family": family, "t": t}, partial(fn, t, z)))
     _run_cells(rec, cells)
@@ -367,7 +364,7 @@ def cmd_bishop(cfg: ExperimentConfig) -> RunRecord:
             "pass",
             "note",
         ],
-        calibration={**cal.as_dict(), "t_threshold": t_threshold, "t_threshold_singular": t_singular, "h": manifold.name},
+        calibration={**dataclasses.asdict(cal), "t_threshold": t_threshold, "t_threshold_singular": t_singular, "h": manifold.name},
     )
 
     def run_cell(t, z):
@@ -409,58 +406,41 @@ def cmd_bishop(cfg: ExperimentConfig) -> RunRecord:
 
     cells = []
     for t in cfg.t_list:
-        for z in _sample_targets(rng, n, 0.45 / (2 * n), max(1, cfg.samples // len(cfg.t_list))):
+        for z in discs._sample_targets(rng, n, 0.45 / (2 * n), max(1, cfg.samples // len(cfg.t_list))):
             cells.append((f"t={t}", {"t": t}, partial(run_cell, t, z)))
     _run_cells(rec, cells)
     return rec
 
 
 # --------------------------------------------------------------- plot files
-def emit_plotdata(record: RunRecord, kind: str, out_dir: str, svg: bool = True, disc=None):
-    """Write per-plot .dat files (x, y columns) and optional static SVGs."""
+def emit_plotdata(record: RunRecord, out_dir: str) -> list:
+    """Write the rate plot of a fekete record: `<name>_rate.dat` holds the
+    (k, dist1) points of its ok rows, and `<name>_rate.svg` their log-log
+    plot, written only when some point has k > 0 and dist1 > 0."""
     os.makedirs(out_dir, exist_ok=True)
-    written = []
-    if kind == "rate":
-        cols = record.columns
-        if "k" in cols and "dist1" in cols:
-            xi, yi, si = cols.index("k"), cols.index("dist1"), cols.index("status")
-            pts = [
-                (float(r[xi]), float(r[yi]))
-                for r in record.rows
-                if r[si] == "ok" and r[yi] != ""
-            ]
-            path = os.path.join(out_dir, f"{record.name}_rate.dat")
-            _write_dat(path, record, "k", "dist1", pts)
-            written.append(path)
-            if svg and pts:
-                spath = path[:-4] + ".svg"
-                _write_svg(spath, pts, loglog=True, title=f"{record.name}: dist1 vs k")
-                written.append(spath)
-    elif kind == "trace":
-        if disc is None:
-            raise InputError("trace plots need an analytic disc")
-        path = os.path.join(out_dir, f"{record.name}_trace.csv")
-        with open(path, "w", encoding="utf-8", newline="\n") as fh:
-            fh.write(f"# config_hash={record.config_hash}\n")
-            for row in disc.to_csv_rows():
-                fh.write(",".join(str(v) for v in row) + "\n")
-        written.append(path)
-    else:
-        raise InputError(f"unknown plot kind {kind!r}")
+    if "k" not in record.columns or "dist1" not in record.columns:
+        return []
+    pts = _rate_points(record)
+    path = os.path.join(out_dir, f"{record.name}_rate.dat")
+    _write_dat(path, record, pts)
+    written = [path]
+    logs = [(math.log10(x), math.log10(y)) for x, y in pts if x > 0 and y > 0]
+    if logs:
+        spath = path[:-4] + ".svg"
+        _write_svg(spath, logs, f"{record.name}: dist1 vs k")
+        written.append(spath)
     return written
 
 
-def _write_dat(path: str, record: RunRecord, xname, yname, pts):
+def _write_dat(path: str, record: RunRecord, pts):
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         fh.write(f"# config_hash={record.config_hash}\n")
-        fh.write(f"# columns: {xname} {yname}\n")
+        fh.write("# columns: k dist1\n")
         for x, y in pts:
             fh.write(f"{_fmt(x)} {_fmt(y)}\n")
 
 
-def _write_svg(path: str, pts, loglog=False, title=""):
-    if loglog:
-        pts = [(math.log10(x), math.log10(y)) for x, y in pts if x > 0 and y > 0]
+def _write_svg(path: str, pts, title: str):
     xs = [p[0] for p in pts]
     ys = [p[1] for p in pts]
     x0, x1 = min(xs), max(xs)
@@ -499,9 +479,11 @@ def main(argv=None) -> int:
 
     try:
         if args.command == "plot":
+            if args.kind != "rate":
+                raise InputError(f"unknown plot kind {args.kind!r}")
             rec = _record_from_csv(args.record)
             out = args.out or os.path.dirname(os.path.abspath(args.record)) or "."
-            emit_plotdata(rec, args.kind, out)
+            emit_plotdata(rec, out)
             return 0
         cfg = load_config(args.config)
         if args.seed is not None:
@@ -521,36 +503,13 @@ def main(argv=None) -> int:
         rec.write_csv(base + ".csv")
         rec.write_timings(base + "_timings.csv")
         if args.command == "fekete":
-            emit_plotdata(rec, "rate", cfg.out_dir)
+            emit_plotdata(rec, cfg.out_dir)
         if not rec.all_pass():
             return 2
         return 0
     except (FeketelabError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-
-
-def _record_from_csv(path: str) -> RunRecord:
-    rows = []
-    columns = None
-    config_hash = "unknown"
-    with open(path, "r", encoding="utf-8") as fh:
-        for line in fh:
-            line = line.rstrip("\n")
-            if line.startswith("# config_hash="):
-                config_hash = line.split("=", 1)[1]
-                continue
-            if line.startswith("#") or not line:
-                continue
-            parts = line.split(",")
-            if columns is None:
-                columns = parts
-            else:
-                rows.append(parts)
-    name = os.path.basename(path).rsplit(".", 1)[0]
-    rec = RunRecord(name=name, config_hash=config_hash, columns=columns or [])
-    rec.rows = rows
-    return rec
 
 
 if __name__ == "__main__":

@@ -40,6 +40,7 @@ from .errors import (
     InputError,
     PreconditionError,
 )
+from .rng import Rng
 
 _NEG_ENERGY_TOL = 1e-10
 _MAX_STEPS = 500
@@ -140,19 +141,6 @@ class AnalyticDisc:
     def boundary_value_at_one(self) -> complex | np.ndarray:
         vals = self.traces[:, self.grid.index_of_one]
         return vals[0] if self.n == 1 else vals
-
-    def to_csv_rows(self):
-        """Serialization layout: theta, then Re/Im per component."""
-        header = ["theta"]
-        for j in range(self.n):
-            header += [f"re{j}", f"im{j}"]
-        rows = [header]
-        for i, theta in enumerate(self.grid.nodes):
-            row = [f"{theta:.17g}"]
-            for j in range(self.n):
-                row += [f"{self.traces[j, i].real:.17g}", f"{self.traces[j, i].imag:.17g}"]
-            rows.append(row)
-        return rows
 
 
 @dataclass(frozen=True)
@@ -360,18 +348,6 @@ class Calibration:
     c0_deriv: float
     c0_prime_sup: float
     g0_norm: float
-
-    def as_dict(self) -> dict:
-        return {
-            "grid_m": self.grid_m,
-            "r0": self.r0,
-            "r0_prime": self.r0_prime,
-            "theta0": self.theta0,
-            "c0_sup": self.c0_sup,
-            "c0_deriv": self.c0_deriv,
-            "c0_prime_sup": self.c0_prime_sup,
-            "g0_norm": self.g0_norm,
-        }
 
 
 def _one_sided(u: CircleFunction) -> np.ndarray:
@@ -585,3 +561,14 @@ def capture_Fprime(z_target, t: float, grid: CircleGrid) -> FamilyParams:
 
 def _c2r(z: np.ndarray) -> np.ndarray:
     return np.concatenate([z.real, z.imag])
+
+
+def _sample_targets(rng: Rng, n: int, radius: float, count: int) -> list:
+    """`count` points z in C^n, each a uniform direction on the unit sphere
+    of R^2n scaled to a radius drawn uniformly in [0.1, 0.95) * radius."""
+    out = []
+    for _ in range(count):
+        v = np.asarray(rng.sphere(2 * n))
+        r = radius * (0.1 + 0.85 * rng.uniform())
+        out.append(r * (v[:n] + 1j * v[n:]))
+    return out

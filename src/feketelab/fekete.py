@@ -403,12 +403,6 @@ class GreedyState:
     shortlists: list
 
 
-def _greedy_state(spec: BasisSpec, weight: Weight, mesh: np.ndarray, n: int) -> GreedyState:
-    w_mat = _weighted_matrix(spec, weight, mesh).T  # mesh x basis
-    chosen, shortlists = _greedy_core(w_mat, n)
-    return GreedyState(w=w_mat, chosen=np.asarray(chosen), shortlists=shortlists)
-
-
 def leja_greedy(
     spec: BasisSpec, weight: Weight, mesh: np.ndarray
 ) -> tuple[PointConfiguration, GreedyState]:
@@ -417,7 +411,9 @@ def leja_greedy(
     n = basis_dim(spec)
     if len(mesh) < 5 * n:
         raise InsufficientMeshError(f"mesh must have at least 5 N_k = {5 * n} nodes")
-    state = _greedy_state(spec, weight, mesh, n)
+    w_mat = _weighted_matrix(spec, weight, mesh).T  # mesh x basis
+    chosen, shortlists = _greedy_core(w_mat, n)
+    state = GreedyState(w=w_mat, chosen=np.asarray(chosen), shortlists=shortlists)
     pts = mesh[state.chosen]
     cfg = PointConfiguration(
         domain=spec.domain,
@@ -463,25 +459,22 @@ def exchange_refine(
     spec: BasisSpec,
     weight: Weight,
     mesh: np.ndarray,
-    sweeps: int = 3,
-    shortlists: GreedyState | None = None,
+    sweeps: int,
+    state: GreedyState,
 ) -> PointConfiguration:
     """Single-point exchange; accepts a move only when the weighted logdet
     strictly increases, so logdet is monotone.
 
-    Works on mesh indices into the weighted mesh matrix W of `shortlists`
-    (the state `leja_greedy` returns; without it W is built and the greedy
-    run on it for the shortlists).  Every point of `config` must be a mesh
-    node.  Candidates per point: its greedy-residual shortlist plus a
-    window of mesh nodes around its current position (the shortlist alone
-    cannot settle configurations to mesh resolution).  Swapping column i
-    of A for W[c] scales det A by (A^-1 W[c])_i, so only row i of A^-1 is
-    scored, and an accepted move updates A^-1 by Sherman-Morrison; A^-1 is
-    recomputed from the current columns at the start of every sweep.
+    Works on mesh indices into the weighted mesh matrix W of `state` (the
+    search state `leja_greedy` returns for `spec`, `weight` and `mesh`).
+    Every point of `config` must be a mesh node.  Candidates per point: its
+    greedy-residual shortlist plus a window of mesh nodes around its
+    current position (the shortlist alone cannot settle configurations to
+    mesh resolution).  Swapping column i of A for W[c] scales det A by
+    (A^-1 W[c])_i, so only row i of A^-1 is scored, and an accepted move
+    updates A^-1 by Sherman-Morrison; A^-1 is recomputed from the current
+    columns at the start of every sweep.
     """
-    state = shortlists
-    if state is None:
-        state = _greedy_state(spec, weight, mesh, config.size)
     w_mat = state.w
     idx = _mesh_indices(mesh, config.points, state.chosen)
     for _ in range(sweeps):

@@ -54,9 +54,6 @@ class Rng:
         """Uniform double in [0, 1) with 53 random bits."""
         return (self.next_u64() >> 11) * (1.0 / (1 << 53))
 
-    def uniforms(self, n: int) -> list[float]:
-        return [self.uniform() for _ in range(n)]
-
     def normal(self) -> float:
         """Standard normal via Box-Muller, one cached mate per pair."""
         if self._gauss_cache is not None:

@@ -256,7 +256,7 @@ def test_criterion_08_fekete_small_cases():
         fk.log_vandermonde(mesh[list(tri)], spec) for tri in combinations(range(41), 3)
     )
     cfg, sl = fk.leja_greedy(spec, w0, mesh)
-    cfg = fk.exchange_refine(cfg, spec, w0, mesh, sweeps=4, shortlists=sl)
+    cfg = fk.exchange_refine(cfg, spec, w0, mesh, sweeps=4, state=sl)
     interval_ok = abs(cfg.logdet - best_val) <= 1e-12
     step = float(np.max(np.diff(mesh)))
     target = np.array([-1.0, 0.0, 1.0])
@@ -269,7 +269,7 @@ def test_criterion_08_fekete_small_cases():
     for k in (1, 2):
         cspec = fk.BasisSpec(circ, k)
         ccfg, csl = fk.leja_greedy(cspec, w0, cmesh)
-        ccfg = fk.exchange_refine(ccfg, cspec, w0, cmesh, sweeps=6, shortlists=csl)
+        ccfg = fk.exchange_refine(ccfg, cspec, w0, cmesh, sweeps=6, state=csl)
         th = np.sort(ccfg.points)
         gaps = np.diff(np.concatenate([th, [th[0] + 2 * math.pi]]))
         dev = float(np.max(np.abs(gaps - 2 * math.pi / (2 * k + 1))))
@@ -296,7 +296,7 @@ def test_criterion_09_rate_study():
     for k in range(2, 41):
         spec = fk.BasisSpec(circ, k)
         cfg, sl = fk.leja_greedy(spec, w0, cmesh)
-        cfg = fk.exchange_refine(cfg, spec, w0, cmesh, sweeps=5, shortlists=sl)
+        cfg = fk.exchange_refine(cfg, spec, w0, cmesh, sweeps=5, state=sl)
         d = eq.dist1_circle(fk.fekete_measure(cfg), nu_c)
         cdists.append(d)
         circle_ok &= d <= math.pi / (2 * k + 1) + cstep
@@ -311,7 +311,7 @@ def test_criterion_09_rate_study():
     for k in range(2, 41):
         spec = fk.BasisSpec(dom, k)
         cfg, sl = fk.leja_greedy(spec, w0, imesh)
-        cfg = fk.exchange_refine(cfg, spec, w0, imesh, sweeps=5, shortlists=sl)
+        cfg = fk.exchange_refine(cfg, spec, w0, imesh, sweeps=5, state=sl)
         idists.append(eq.dist1_interval(fk.fekete_measure(cfg), nu_i))
     ma = np.convolve(idists, np.ones(5) / 5, mode="valid")
     interval_ok = bool(np.all(np.diff(ma) < 0))
@@ -327,7 +327,7 @@ def test_criterion_09_rate_study():
     for k in range(2, 16):
         spec = fk.BasisSpec(sph, k)
         cfg, sl = fk.leja_greedy(spec, w0, smesh)
-        cfg = fk.exchange_refine(cfg, spec, w0, smesh, sweeps=2, shortlists=sl)
+        cfg = fk.exchange_refine(cfg, spec, w0, smesh, sweeps=2, state=sl)
         sdists.append(eq.dist_gamma_dict(fk.fekete_measure(cfg), nu_s, 1.0, sdict))
     sma = np.convolve(sdists, np.ones(5) / 5, mode="valid")
     sphere_ok = bool(np.all(np.diff(sma) < 0))

@@ -1,5 +1,7 @@
 """Experiment CLI: config parsing, determinism, crash isolation, exit codes."""
 
+import glob
+import math
 import os
 from itertools import combinations
 
@@ -9,6 +11,7 @@ import pytest
 from feketelab import bishop as bsh
 from feketelab.cli import (
     RunRecord,
+    _fmt,
     cmd_bishop,
     cmd_disc,
     cmd_fekete,
@@ -17,6 +20,7 @@ from feketelab.cli import (
     main,
 )
 from feketelab.config import ExperimentConfig, load_config, parse_domain
+from feketelab.equilibrium import rate_fit
 from feketelab.errors import ConfigError, ContractionFailure, InputError
 from feketelab.fekete import BasisSpec, Interval, log_vandermonde
 
@@ -406,8 +410,8 @@ def test_emit_plotdata_deterministic(tmp_path):
         columns=["status", "k", "dist1"],
         rows=[["ok", 2, 0.5], ["ok", 3, 0.33], ["ok", 4, 0.25]],
     )
-    out1 = emit_plotdata(rec, "rate", str(tmp_path / "one"))
-    out2 = emit_plotdata(rec, "rate", str(tmp_path / "two"))
+    out1 = emit_plotdata(rec, str(tmp_path / "one"))
+    out2 = emit_plotdata(rec, str(tmp_path / "two"))
     with open(out1[0], "rb") as fa, open(out2[0], "rb") as fb:
         assert fa.read() == fb.read()
     dat = open(out1[0]).read()
@@ -416,26 +420,160 @@ def test_emit_plotdata_deterministic(tmp_path):
     assert svgs and open(svgs[0]).read().startswith("<svg")
 
 
-def test_emit_plotdata_unknown_kind(tmp_path):
-    rec = RunRecord(name="p", config_hash="x", columns=["k"], rows=[])
-    with pytest.raises(InputError):
-        emit_plotdata(rec, "pie-chart", str(tmp_path))
+def test_emit_plotdata_unknown_kind(tmp_path, capsys):
+    """`rate` is the only plot kind; `trace` and anything else exit 1."""
+    csv = tmp_path / "p_fekete.csv"
+    csv.write_text("status,k,dist1\nok,2,0.5\n", encoding="utf-8")
+    for kind in ("trace", "pie-chart"):
+        assert main(["plot", "--record", str(csv), "--kind", kind, "--out", str(tmp_path / kind)]) == 1
+        assert "unknown plot kind" in capsys.readouterr().err
+        assert not (tmp_path / kind).exists()
 
 
-def test_emit_disc_trace_file(tmp_path):
-    from feketelab.circle import CircleGrid
-    from feketelab.discs import FamilyParams, family_F
+def test_main_fekete_single_self_consistent_degree_exits_0(tmp_path):
+    """With k_min = k_max on an arc the only row is the self-consistency
+    reference itself, so dist1 = 0 and no point survives the log-log
+    filter: the .dat is written, the .svg left out."""
+    out = tmp_path / "o"
+    cfg = write_cfg(
+        tmp_path,
+        "[experiment]\nname = arc4\nkind = fekete\n\n[fekete]\ndomain = arc:-1.0,1.0\n"
+        f"k_min = 4\nk_max = 4\nmesh = 2048\nsweeps = 2\n\n[output]\ndir = {out}\n",
+    )
+    assert main(["fekete", "--config", cfg]) == 0
+    assert (out / "arc4_rate.dat").read_text().splitlines()[2:] == ["4 0"]
+    assert not (out / "arc4_rate.svg").exists()
 
-    grid = CircleGrid(1024)
-    disc = family_F(FamilyParams(z_re=(0.2,), z_im=(0.1,), t=0.1), grid)
-    rec = RunRecord(name="tr", config_hash="beef", columns=[], rows=[])
-    out = emit_plotdata(rec, "trace", str(tmp_path), disc=disc)
-    lines = open(out[0]).read().splitlines()
-    assert lines[0] == "# config_hash=beef"
-    assert lines[1] == "theta,re0,im0"
-    assert len(lines) == 2 + grid.m  # header comment + column row + M rows
-    out2 = emit_plotdata(rec, "trace", str(tmp_path / "again"), disc=disc)
-    assert open(out[0]).read() == open(out2[0]).read()
+
+def test_main_plot_without_status_column(tmp_path):
+    """A CSV without a status column counts every row as ok, in `plot` as
+    in `rate --input`."""
+    csv = tmp_path / "bare_fekete.csv"
+    csv.write_text("k,dist1\n" + "".join(f"{k},{1.0 / k:.17g}\n" for k in range(2, 8)), encoding="utf-8")
+    assert main(["plot", "--record", str(csv)]) == 0
+    dat = (tmp_path / "bare_fekete_rate.dat").read_text().splitlines()
+    assert dat[2:] == [f"{k} {1.0 / k:.17g}" for k in range(2, 8)]
+    assert (tmp_path / "bare_fekete_rate.svg").exists()
+    cfg = write_cfg(tmp_path, f"[experiment]\nname = bare\nkind = rate\n\n[output]\ndir = {tmp_path}\n")
+    assert main(["rate", "--config", cfg, "--input", str(csv)]) == 0
+
+
+def test_main_plot_skips_unparsable_dist1(tmp_path):
+    csv = tmp_path / "bad_fekete.csv"
+    csv.write_text("status,k,dist1\nok,2,0.5\nok,3,n/a\nerror,4,\nok,5,0.2\n", encoding="utf-8")
+    assert main(["plot", "--record", str(csv)]) == 0
+    assert (tmp_path / "bad_fekete_rate.dat").read_text().splitlines()[2:] == ["2 0.5", "5 0.20000000000000001"]
+
+
+def test_main_rate_reads_crlf_input(tmp_path):
+    lines = ["# config_hash=deadbeef", "status,k,dist1"] + [f"ok,{k},{1.0 / k:.17g}" for k in range(2, 12)]
+    fits = []
+    for tag, end in (("lf", "\n"), ("crlf", "\r\n")):
+        csv = tmp_path / f"{tag}.csv"
+        csv.write_bytes(end.join(lines).encode() + end.encode())
+        out = tmp_path / tag
+        cfg = write_cfg(tmp_path, f"[experiment]\nname = r\nkind = rate\n\n[output]\ndir = {out}\n", f"{tag}.cfg")
+        assert main(["rate", "--config", cfg, "--input", str(csv)]) == 0
+        fits.append((out / "r_rate.csv").read_text().splitlines()[-1])
+    assert fits[0] == fits[1]
+
+
+# Frozen copies of the CSV reader of `rate --input` and of the reader and
+# writer of `plot` from before the two commands shared _record_from_csv and
+# _rate_points; on every golden fekete CSV the shared path must give the
+# same fit and the same plot bytes.
+def _frozen_read_rate_input(path):
+    data = []
+    with open(path, "r", encoding="utf-8") as fh:
+        header = None
+        for line in fh:
+            line = line.strip()
+            if not line or line.startswith("#"):
+                continue
+            parts = line.split(",")
+            if header is None:
+                header = parts
+                continue
+            row = dict(zip(header, parts))
+            if row.get("status", "ok") != "ok":
+                continue
+            try:
+                data.append((int(row["k"]), float(row["dist1"])))
+            except (KeyError, ValueError):
+                continue
+    return data
+
+
+def _frozen_plot(path, out_dir):
+    rows, columns, config_hash = [], None, "unknown"
+    with open(path, "r", encoding="utf-8") as fh:
+        for line in fh:
+            line = line.rstrip("\n")
+            if line.startswith("# config_hash="):
+                config_hash = line.split("=", 1)[1]
+                continue
+            if line.startswith("#") or not line:
+                continue
+            if columns is None:
+                columns = line.split(",")
+            else:
+                rows.append(line.split(","))
+    name = os.path.basename(path).rsplit(".", 1)[0]
+    os.makedirs(out_dir, exist_ok=True)
+    xi, yi, si = columns.index("k"), columns.index("dist1"), columns.index("status")
+    pts = [(float(r[xi]), float(r[yi])) for r in rows if r[si] == "ok" and r[yi] != ""]
+    dat = os.path.join(out_dir, f"{name}_rate.dat")
+    with open(dat, "w", encoding="utf-8", newline="\n") as fh:
+        fh.write(f"# config_hash={config_hash}\n# columns: k dist1\n")
+        for x, y in pts:
+            fh.write(f"{_fmt(x)} {_fmt(y)}\n")
+    pts = [(math.log10(x), math.log10(y)) for x, y in pts if x > 0 and y > 0]
+    xs, ys = [p[0] for p in pts], [p[1] for p in pts]
+    x0, x1, y0, y1 = min(xs), max(xs), min(ys), max(ys)
+    w, h, pad = 640, 480, 50
+    sx = lambda x: pad + (w - 2 * pad) * (x - x0) / max(x1 - x0, 1e-300)
+    sy = lambda y: h - pad - (h - 2 * pad) * (y - y0) / max(y1 - y0, 1e-300)
+    poly = " ".join(f"{sx(x):.2f},{sy(y):.2f}" for x, y in pts)
+    with open(dat[:-4] + ".svg", "w", encoding="utf-8", newline="\n") as fh:
+        fh.write(
+            f'<svg xmlns="http://www.w3.org/2000/svg" width="{w}" height="{h}">'
+            f'<rect width="{w}" height="{h}" fill="white"/>'
+            f'<text x="{pad}" y="25" font-size="14">{name}: dist1 vs k</text>'
+            f'<polyline points="{poly}" fill="none" stroke="black" stroke-width="1.5"/>'
+        )
+        for x, y in pts:
+            fh.write(f'<circle cx="{sx(x):.2f}" cy="{sy(y):.2f}" r="3" fill="steelblue"/>')
+        fh.write("</svg>")
+
+
+GOLDEN_FEKETE = sorted(glob.glob(os.path.join(os.path.dirname(__file__), "data", "*_fekete.csv")))
+
+
+@pytest.mark.parametrize("path", GOLDEN_FEKETE, ids=os.path.basename)
+def test_shared_reader_matches_frozen_rate_and_plot(path, tmp_path):
+    assert len(GOLDEN_FEKETE) == 5
+    def frozen_fit():
+        data = _frozen_read_rate_input(path)
+        if len(data) < 5:
+            raise InputError("rate fit needs at least 5 data points")
+        fit = rate_fit([k for k, _ in data], [d for _, d in data])
+        return [len(data), fit.slope, fit.intercept, fit.exponent, fit.bound_ok, fit.c_min, fit.bound_ok]
+
+    def shared_fit():
+        return cmd_rate(ExperimentConfig(name="g", kind="rate"), fekete_csv=path).rows[0]
+
+    def outcome(fn):
+        try:
+            return repr(fn())
+        except InputError as exc:
+            return f"InputError: {exc}"
+
+    assert outcome(shared_fit) == outcome(frozen_fit)
+    assert main(["plot", "--record", path, "--out", str(tmp_path / "new")]) == 0
+    _frozen_plot(path, str(tmp_path / "old"))
+    for suffix in ("_rate.dat", "_rate.svg"):
+        name = os.path.basename(path)[:-4] + suffix
+        assert (tmp_path / "new" / name).read_bytes() == (tmp_path / "old" / name).read_bytes()
 
 
 def test_cmd_fekete_arc_uses_self_consistency(tmp_path):

@@ -568,12 +568,3 @@ def test_family_params_norm_cached_without_changing_equality():
     assert p.norm is p.norm
     assert p == q and hash(p) == hash(q)
     assert p != FamilyParams((0.3, -0.1), (0.2, 0.4), 0.25)
-
-
-def test_analytic_disc_serialization_layout():
-    rng = Rng(14)
-    p = _rand_param(rng, 2, 0.4, 0.1)
-    disc = family_F(p, GRID)
-    rows = disc.to_csv_rows()
-    assert rows[0] == ["theta", "re0", "im0", "re1", "im1"]
-    assert len(rows) == GRID.m + 1

@@ -506,3 +506,14 @@ def test_build_dictionaries_scans_a_repeated_gamma_once(monkeypatch):
     assert scanned == [(1.0,), (1.0,)]
     assert list(repeated) == list(single) == [1.0]
     assert repeated[1.0].scales.tobytes() == single[1.0].scales.tobytes()
+
+
+@pytest.mark.parametrize(
+    "domain", [Interval(), Circle(), Sphere(), CircleArc(-1.0, 1.0)], ids=["interval", "circle", "sphere", "arc"]
+)
+def test_gamma_one_scales_do_not_depend_on_the_lower_grid(domain):
+    """Distances are capped at 1, so the gamma = 0.5 norm of a member never
+    exceeds its gamma = 1 norm and the running maximum at gamma = 1 is that
+    norm: `fekete` builds (1.0,) alone when no gammas are configured."""
+    alone = build_dictionaries(domain, (1.0,))[1.0].scales
+    assert alone.tobytes() == build_dictionary(domain, 1.0).scales.tobytes()

@@ -170,7 +170,7 @@ def test_greedy_circle_k1_near_equilateral():
     spec = BasisSpec(Circle(), 1)
     mesh = Circle().mesh(240)
     cfg, sl = leja_greedy(spec, W0, mesh)
-    cfg = exchange_refine(cfg, spec, W0, mesh, sweeps=4, shortlists=sl)
+    cfg = exchange_refine(cfg, spec, W0, mesh, sweeps=4, state=sl)
     th = np.sort(cfg.points)
     gaps = np.diff(np.concatenate([th, [th[0] + 2 * math.pi]]))
     assert np.max(np.abs(gaps - 2 * math.pi / 3)) <= 2 * math.pi / 240 + 1e-12
@@ -215,7 +215,8 @@ def test_exchange_keeps_bruteforce_optimum():
         logdet=best[0],
         weight=W0,
     )
-    out = exchange_refine(start, spec, W0, mesh, sweeps=2)
+    _, state = leja_greedy(spec, W0, mesh)
+    out = exchange_refine(start, spec, W0, mesh, sweeps=2, state=state)
     assert np.array_equal(np.sort(out.points), np.sort(start.points))
     assert abs(out.logdet - best[0]) < 1e-12
 
@@ -231,7 +232,8 @@ def test_exchange_monotone_logdet():
         logdet=log_vandermonde(mesh[pick], spec),
         weight=W0,
     )
-    out = exchange_refine(start, spec, W0, mesh, sweeps=3)
+    _, state = leja_greedy(spec, W0, mesh)
+    out = exchange_refine(start, spec, W0, mesh, sweeps=3, state=state)
     assert out.logdet >= start.logdet - 1e-12
 
 
@@ -239,7 +241,7 @@ def test_exchange_circle_k2_reaches_equispaced():
     spec = BasisSpec(Circle(), 2)
     mesh = Circle().mesh(512)
     cfg, sl = leja_greedy(spec, W0, mesh)
-    cfg = exchange_refine(cfg, spec, W0, mesh, sweeps=5, shortlists=sl)
+    cfg = exchange_refine(cfg, spec, W0, mesh, sweeps=5, state=sl)
     th = np.sort(cfg.points)
     gaps = np.diff(np.concatenate([th, [th[0] + 2 * math.pi]]))
     assert np.max(np.abs(gaps - 2 * math.pi / 5)) <= 2 * math.pi / 512 + 1e-12
@@ -279,7 +281,7 @@ def test_symmetric_interval_config_from_search():
     spec = BasisSpec(Interval(), 4)
     mesh = Interval().mesh(801)
     cfg, sl = leja_greedy(spec, W0, mesh)
-    cfg = exchange_refine(cfg, spec, W0, mesh, sweeps=3, shortlists=sl)
+    cfg = exchange_refine(cfg, spec, W0, mesh, sweeps=3, state=sl)
     mu = fekete_measure(cfg)
     assert abs(np.mean(mu.atoms)) <= 2.0 / 800  # mesh-step symmetry
 
@@ -316,7 +318,7 @@ def test_rotation_shift_of_circle_optimum():
     spec = BasisSpec(Circle(), 2)
     mesh = Circle().mesh(512)
     cfg, sl = leja_greedy(spec, W0, mesh)
-    cfg = exchange_refine(cfg, spec, W0, mesh, sweeps=4, shortlists=sl)
+    cfg = exchange_refine(cfg, spec, W0, mesh, sweeps=4, state=sl)
     step = 2 * math.pi / 512
     rotated = np.mod(cfg.points + step + math.pi, 2 * math.pi) - math.pi
     assert abs(log_vandermonde(rotated, spec) - cfg.logdet) <= 1e-9

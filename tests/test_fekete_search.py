@@ -35,7 +35,7 @@ LINEAR = Weight(phi=lambda p: 0.3 * np.atleast_1d(np.asarray(p, float)), name="l
 
 def _search(spec, weight, mesh, sweeps):
     cfg, state = leja_greedy(spec, weight, mesh)
-    return exchange_refine(cfg, spec, weight, mesh, sweeps=sweeps, shortlists=state)
+    return exchange_refine(cfg, spec, weight, mesh, sweeps=sweeps, state=state)
 
 
 @pytest.mark.parametrize("k", range(1, 9))
@@ -57,11 +57,9 @@ def test_exchange_rejects_off_mesh_start():
     start = PointConfiguration(
         domain=Interval(), points=pts, logdet=log_vandermonde(pts, spec), weight=W0
     )
-    with pytest.raises(InputError):
-        exchange_refine(start, spec, W0, mesh, sweeps=2)
     _, state = leja_greedy(spec, W0, mesh)
     with pytest.raises(InputError):
-        exchange_refine(start, spec, W0, mesh, sweeps=2, shortlists=state)
+        exchange_refine(start, spec, W0, mesh, sweeps=2, state=state)
 
 
 CASES = [
@@ -80,18 +78,15 @@ def test_exchange_result_contract(spec, weight, mesh):
     """Distinct mesh nodes, monotone logdet, and a logdet that is exactly
     the log-Vandermonde of the returned points."""
     cfg, state = leja_greedy(spec, weight, mesh)
-    for out in (
-        exchange_refine(cfg, spec, weight, mesh, sweeps=3, shortlists=state),
-        exchange_refine(cfg, spec, weight, mesh, sweeps=3),
-    ):
-        flat = mesh.reshape(len(mesh), -1)
-        idx = [
-            int(np.flatnonzero(np.all(flat == p, axis=1))[0])
-            for p in out.points.reshape(out.size, -1)
-        ]
-        assert len(set(idx)) == out.size == basis_dim(spec)
-        assert out.logdet >= cfg.logdet
-        assert out.logdet == log_vandermonde(out.points, spec, weight)
+    out = exchange_refine(cfg, spec, weight, mesh, sweeps=3, state=state)
+    flat = mesh.reshape(len(mesh), -1)
+    idx = [
+        int(np.flatnonzero(np.all(flat == p, axis=1))[0])
+        for p in out.points.reshape(out.size, -1)
+    ]
+    assert len(set(idx)) == out.size == basis_dim(spec)
+    assert out.logdet >= cfg.logdet
+    assert out.logdet == log_vandermonde(out.points, spec, weight)
 
 
 def test_greedy_state_indexes_the_weighted_mesh_matrix():
