@@ -23,7 +23,7 @@ def main():
     status = 0
     for n, h in ((1, "quad:0.5"), (2, "quad:0.5"), (2, "mix:0.5"), (2, "quad:0.1")):
         cfg = ExperimentConfig(
-            name=f"bishop-n{n}-{h.replace(':', '')}", kind="bishop", disc_n=n,
+            name=f"bishop-n{n}-{h.replace(':', '')}", disc_n=n,
             grid_m=1024, t_list=(0.02, 0.05), samples=20, h_spec=h, seed=13,
             out_dir=OUT,
         )

@@ -18,7 +18,7 @@ def main():
     status = 0
     for n in (1, 2):
         cfg = ExperimentConfig(
-            name=f"disc-n{n}", kind="disc", disc_n=n, grid_m=1024,
+            name=f"disc-n{n}", disc_n=n, grid_m=1024,
             t_list=(0.02, 0.05, 0.1), samples=60, seed=9, out_dir=OUT,
         )
         rec = cmd_disc(cfg)

@@ -49,6 +49,7 @@ from .rng import Rng
 _FIXED_POINT_TOL = 1e-12
 _TAU_TOL = 1e-8
 _WEDGE_SAMPLES = 12
+_SPOT_CHECK_SAMPLES = 64
 
 
 @dataclass(frozen=True)
@@ -80,11 +81,11 @@ class GraphManifold:
                 raise DomainError("Dh(0) must vanish")
         self.spot_check_bounds()
 
-    def spot_check_bounds(self, samples: int = 64):
+    def spot_check_bounds(self):
         """|h(x)| <= c1 |x|^2 and |Dh(x)| <= c1 |x| on a unit-ball sample."""
         rng = Rng(0xB15409)
         eps = 1e-6
-        for _ in range(samples):
+        for _ in range(_SPOT_CHECK_SAMPLES):
             x = np.asarray(rng.ball(self.n))
             hx = np.asarray(self.h(x), dtype=float)
             nx = np.linalg.norm(x)
@@ -186,10 +187,9 @@ def solve_bishop_singular(
     manifold: GraphManifold,
     p: FamilyParams,
     grid: CircleGrid,
-    start: np.ndarray | None = None,
 ) -> BishopSolution:
     """Solve U' = 2t(|z|,...,|z|) - T1(h(U')) - T1(u'_{z,t,tau})."""
-    return _solve(manifold, p, grid, start, singular=True)
+    return _solve(manifold, p, grid, None, singular=True)
 
 
 def _solve(
@@ -401,7 +401,7 @@ def calibrate_wedge(manifold: GraphManifold, t: float, grid: CircleGrid) -> floa
 # ---------------------------------------------------------- t calibration
 @lru_cache(maxsize=None)
 def calibrate_t_threshold(
-    manifold_key: tuple, grid: CircleGrid, singular: bool = False
+    manifold_key: tuple, grid: CircleGrid, singular: bool
 ) -> float:
     """Largest t in [0, 1], to within 2^-20 by bisection, at which each of six
     fixed samples passes: its solve converges within the 500-step Picard

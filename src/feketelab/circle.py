@@ -155,12 +155,10 @@ class CircleFunction:
         if other.grid.m != self.grid.m:
             raise InputError("grid sizes differ")
 
-    def theta_derivative(self, order: int = 1) -> "CircleFunction":
-        """Spectral derivative d^order/dtheta^order as a boundary function."""
-        a, b = self.a.copy(), self.b.copy()
-        k = np.arange(len(a), dtype=float)
-        for _ in range(order):
-            a, b = k * b, -k * a
+    def theta_derivative(self) -> "CircleFunction":
+        """Spectral derivative d/dtheta as a boundary function."""
+        k = np.arange(len(self.a), dtype=float)
+        a, b = k * self.b, -k * self.a
         a[-1] = 0.0  # Nyquist sine is invisible on the grid
         b[-1] = 0.0
         return CircleFunction.from_coeffs(self.grid, a, b)

@@ -110,8 +110,6 @@ def _weight_of(cfg: ExperimentConfig) -> fk.Weight:
         a = float(cfg.weight.split(":")[1])
         return fk.Weight(
             phi=lambda pts: a * np.atleast_1d(np.asarray(pts, float)).reshape(len(np.atleast_1d(pts)), -1)[:, 0],
-            alpha=1.0,
-            name=cfg.weight,
         )
     raise ConfigError(f"unknown weight {cfg.weight!r}")
 
@@ -213,9 +211,8 @@ def _rate_points(record: RunRecord) -> list:
     return points
 
 
-def cmd_rate(cfg: ExperimentConfig, fekete_csv: str | None = None) -> RunRecord:
-    fek = cmd_fekete(cfg) if fekete_csv is None else _record_from_csv(fekete_csv)
-    data = _rate_points(fek)
+def cmd_rate(cfg: ExperimentConfig, fekete_csv: str) -> RunRecord:
+    data = _rate_points(_record_from_csv(fekete_csv))
     if len(data) < 5:
         raise InputError("rate fit needs at least 5 data points")
     ks = [k for k, _ in data]
@@ -273,6 +270,13 @@ def cmd_disc(cfg: ExperimentConfig) -> RunRecord:
     wedge = np.abs(grid.nodes) <= cal.theta0 + 1e-15
     front = ~_support_mask(grid)
 
+    def capture_columns(z, t, p, r, prime):
+        """capture_residual and capture_ratio of the capture of z scaled to |target| = 0.8 r."""
+        target = z * (r * 0.8 / max(p.norm, 1e-12))
+        ps, value = discs._capture_family(target, t, grid, prime=prime)
+        cap_res = float(np.max(np.abs(value - t * target)))
+        return cap_res, ps.norm / float(np.linalg.norm(discs._c2r(target)))
+
     def cell_F(t, z):
         p = discs.FamilyParams.from_complex(z, t)
         disc = discs.family_F(p, grid)
@@ -280,11 +284,7 @@ def cmd_disc(cfg: ExperimentConfig) -> RunRecord:
         attach = float(np.max(np.abs(disc.traces.imag[:, front])))
         expect = t * (np.asarray(p.z_re) - np.asarray(p.z_im))
         v_err = float(np.max(np.abs(disc.boundary_value_at_one() - expect)))
-        target = z * (cal.r0 * 0.8 / max(p.norm, 1e-12))
-        ps, value = discs._capture_family(target, t, grid, prime=False)
-        s = ps.norm
-        cap_res = float(np.max(np.abs(value - t * target)))
-        ratio = s / float(np.linalg.norm(discs._c2r(target)))
+        cap_res, ratio = capture_columns(z, t, p, cal.r0, prime=False)
         ok = holo <= 1e-10 and attach <= 1e-10 and v_err <= 1e-12 and cap_res <= 1e-8 and ratio <= 2.0
         return {
             "family": "F", "t": t, "z_norm": p.norm, "holo_residual": holo, "attach_residual": attach,
@@ -306,11 +306,7 @@ def cmd_disc(cfg: ExperimentConfig) -> RunRecord:
             discs.FamilyParams(p.z_re, p.z_im, t, tau=(0.0,) * n), grid
         )
         tau_err = float(np.max(np.abs(disc_tau.traces - disc.traces)))
-        target = z * (cal.r0_prime * 0.8 / max(p.norm, 1e-12))
-        ps, value = discs._capture_family(target, t, grid, prime=True)
-        s = ps.norm
-        cap_res = float(np.max(np.abs(value - t * target)))
-        ratio = s / float(np.linalg.norm(discs._c2r(target)))
+        cap_res, ratio = capture_columns(z, t, p, cal.r0_prime, prime=True)
         disc_ok = (
             holo <= 1e-10
             and re_min >= -1e-10
@@ -416,10 +412,11 @@ def cmd_bishop(cfg: ExperimentConfig) -> RunRecord:
 def emit_plotdata(record: RunRecord, out_dir: str) -> list:
     """Write the rate plot of a fekete record: `<name>_rate.dat` holds the
     (k, dist1) points of its ok rows, and `<name>_rate.svg` their log-log
-    plot, written only when some point has k > 0 and dist1 > 0."""
-    os.makedirs(out_dir, exist_ok=True)
+    plot, written only when some point has k > 0 and dist1 > 0.  A record
+    without k and dist1 columns raises InputError and writes nothing."""
     if "k" not in record.columns or "dist1" not in record.columns:
-        return []
+        raise InputError(f"{record.name}: a rate plot needs k and dist1 columns")
+    os.makedirs(out_dir, exist_ok=True)
     pts = _rate_points(record)
     path = os.path.join(out_dir, f"{record.name}_rate.dat")
     _write_dat(path, record, pts)
@@ -465,22 +462,20 @@ def _write_svg(path: str, pts, title: str):
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(prog="feketelab")
     sub = parser.add_subparsers(dest="command", required=True)
-    for name in ("fekete", "rate", "disc", "bishop", "plot"):
+    for name in ("fekete", "rate", "disc", "bishop"):
         p = sub.add_parser(name)
-        p.add_argument("--config", required=(name != "plot"))
+        p.add_argument("--config", required=True)
         p.add_argument("--out", default=None)
         p.add_argument("--seed", type=int, default=None)
         if name == "rate":
-            p.add_argument("--input", default=None, help="existing fekete CSV")
-        if name == "plot":
-            p.add_argument("--record", required=True, help="CSV produced by a command")
-            p.add_argument("--kind", default="rate")
+            p.add_argument("--input", required=True, help="existing fekete CSV")
+    p = sub.add_parser("plot")
+    p.add_argument("--record", required=True, help="CSV produced by a command")
+    p.add_argument("--out", default=None)
     args = parser.parse_args(argv)
 
     try:
         if args.command == "plot":
-            if args.kind != "rate":
-                raise InputError(f"unknown plot kind {args.kind!r}")
             rec = _record_from_csv(args.record)
             out = args.out or os.path.dirname(os.path.abspath(args.record)) or "."
             emit_plotdata(rec, out)
@@ -494,7 +489,7 @@ def main(argv=None) -> int:
         if args.command == "fekete":
             rec = cmd_fekete(cfg)
         elif args.command == "rate":
-            rec = cmd_rate(cfg, fekete_csv=args.input)
+            rec = cmd_rate(cfg, args.input)
         elif args.command == "disc":
             rec = cmd_disc(cfg)
         else:

@@ -38,7 +38,6 @@ class ExperimentConfig:
     """Everything a batch run needs; hashable into the output headers."""
 
     name: str = "experiment"
-    kind: str = "fekete"
     domain_text: str = "circle"
     k_min: int = 2
     k_max: int = 10
@@ -58,8 +57,6 @@ class ExperimentConfig:
     def __post_init__(self):
         if self.k_min > self.k_max:
             raise ConfigError("k range must be nonempty and increasing")
-        if self.kind not in ("fekete", "rate", "disc", "bishop"):
-            raise ConfigError(f"unknown experiment kind {self.kind!r}")
         for t in self.t_list:
             if not 0.0 < t <= 1.0:
                 raise ConfigError("t values must lie in (0, 1]")
@@ -112,7 +109,6 @@ def load_config(path: str) -> ExperimentConfig:
     try:
         cfg = ExperimentConfig(
             name=get("experiment", "name", "experiment"),
-            kind=get("experiment", "kind", "fekete"),
             domain_text=get("fekete", "domain", "circle"),
             k_min=int(get("fekete", "k_min", 2)),
             k_max=int(get("fekete", "k_max", 10)),

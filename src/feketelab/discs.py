@@ -376,7 +376,7 @@ def _g0_scan(grid: CircleGrid, s_values):
 
 
 @lru_cache(maxsize=None)
-def calibrate(grid: CircleGrid, n: int = 1) -> Calibration:
+def calibrate(grid: CircleGrid, n: int) -> Calibration:
     """Deterministic startup scan; cached per (grid, n)."""
     # -- r0 from the C^1 size of the path remainder g0 = g2 + i g1
     s_vals = np.linspace(1e-3, 0.95, 400)
@@ -465,8 +465,6 @@ def _scan_directions(n: int):
 
 def _random_directions(n: int, count: int):
     """Seeded unit directions used only by the calibration scans."""
-    from .rng import Rng
-
     rng = Rng(0x5EEDD15C)
     out = []
     for _ in range(count):

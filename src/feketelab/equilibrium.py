@@ -92,9 +92,9 @@ class ReferenceMeasure:
             return float(np.sum(self.density(theta)) * TWO_PI / 4096)
         return 1.0
 
-    def density_cdf_gap(self, a: float, b: float, nodes: int = 400) -> float:
-        """|int_a^b density - (F(b) - F(a))| via Gauss-Legendre inside (-1,1)."""
-        x, w = np.polynomial.legendre.leggauss(nodes)
+    def density_cdf_gap(self, a: float, b: float) -> float:
+        """|int_a^b density - (F(b) - F(a))| via 400-node Gauss-Legendre inside (-1,1)."""
+        x, w = np.polynomial.legendre.leggauss(400)
         x = 0.5 * (b - a) * x + 0.5 * (a + b)
         quad = 0.5 * (b - a) * float(np.sum(w * self.density(x)))
         return abs(quad - float(self.cdf(b) - self.cdf(a)))
@@ -394,12 +394,11 @@ def _holder_norms_1d(xs: np.ndarray, vals: np.ndarray, gammas) -> list:
     return norms
 
 
-_DEFAULT_GAMMAS = (0.5, 1.0, 1.5, 2.0)
 _LINE_MAX_GAMMA = 2.0
 _SPHERE_MAX_GAMMA = 1.0
 
 
-def build_dictionaries(domain, gammas=_DEFAULT_GAMMAS) -> dict:
+def build_dictionaries(domain, gammas) -> dict:
     """One dictionary per distinct gamma, sharing members, scales running-max
     across the (sorted) gamma grid so that dist is monotone in gamma."""
     gammas = tuple(sorted(set(gammas)))
@@ -443,12 +442,6 @@ def build_dictionaries(domain, gammas=_DEFAULT_GAMMAS) -> dict:
             _ref_cache=ref_cache,
         )
     return out
-
-
-def build_dictionary(domain, gamma: float) -> TestDictionary:
-    """The gamma member of the default grid's dictionaries.  Its scales
-    depend only on the grid values up to gamma, so only those are built."""
-    return build_dictionaries(domain, tuple(g for g in _DEFAULT_GAMMAS if g < gamma) + (gamma,))[gamma]
 
 
 def _interval_members():
@@ -548,23 +541,22 @@ class SubharmonicSample:
     analytic disc g (zero-free on the closure for finite samples).
     """
 
-    def __init__(self, grid: CircleGrid, boundary: CircleFunction, ring_eval, name="psi"):
+    def __init__(self, grid: CircleGrid, boundary: CircleFunction, ring_eval):
         self.grid = grid
         self.boundary = boundary
         self._ring_eval = ring_eval
-        self.name = name
 
     @classmethod
-    def harmonic(cls, u: CircleFunction, name="harmonic") -> "SubharmonicSample":
+    def harmonic(cls, u: CircleFunction) -> "SubharmonicSample":
         def ring(r):
             a = u.a * r ** np.arange(len(u.a))
             b = u.b * r ** np.arange(len(u.b))
             return _synthesize(u.grid, a, b)
 
-        return cls(u.grid, u, ring, name)
+        return cls(u.grid, u, ring)
 
     @classmethod
-    def log_modulus(cls, disc: AnalyticDisc, name="log|g|") -> "SubharmonicSample":
+    def log_modulus(cls, disc: AnalyticDisc) -> "SubharmonicSample":
         if disc.n != 1:
             raise InputError("log-modulus samples need a one-dimensional disc")
         vals = np.abs(disc.traces[0])
@@ -582,7 +574,7 @@ class SubharmonicSample:
             mod = np.abs(ring_vals)
             return np.log(np.maximum(mod, 1e-300))
 
-        return cls(disc.grid, boundary, ring, name)
+        return cls(disc.grid, boundary, ring)
 
     def on_ring(self, r: float) -> np.ndarray:
         return self._ring_eval(float(r))
@@ -621,13 +613,13 @@ def subharmonic_compare(
     theta0: float,
     beta: float,
     c: float,
-    radii=None,
 ) -> ComparisonReport:
     """Check psi <= harmonic majorant psi1 interiorly; report the constant.
 
     Verifies the boundary hypothesis psi <= c |theta|^beta on (-theta0,
-    theta0) and psi <= c globally on the grid first, then compares on
-    interior rings and infers C = max (psi1(z) - psi1(1)) / |1-z|^beta.
+    theta0) and psi <= c globally on the grid first, then compares on the
+    interior rings r = 0.05, 0.10, ..., 0.95 and infers
+    C = max (psi1(z) - psi1(1)) / |1-z|^beta.
     """
     grid = psi.grid
     th = grid.nodes
@@ -641,12 +633,11 @@ def subharmonic_compare(
     if np.any(vals > psi1.samples + 1e-12):
         raise HypothesisError("majorant does not dominate on the boundary grid")
 
-    radii = np.arange(0.05, 0.96, 0.05) if radii is None else np.asarray(radii)
     psi1_at_one = psi1.value_at_one()
     majorant = SubharmonicSample.harmonic(psi1)
     violation = -math.inf
     constant = 0.0
-    for r in radii:
+    for r in np.arange(0.05, 0.96, 0.05):
         ring_psi = psi.on_ring(r)
         ring_psi1 = majorant.on_ring(r)
         violation = max(violation, float(np.max(ring_psi - ring_psi1)))
@@ -666,6 +657,11 @@ def subharmonic_compare(
 
 
 # --------------------------------------------------------------- rate fits
+# Exponent of the one-sided rate bound dist_k <= c k^BOUND_EXPONENT that
+# `feketelab rate` checks and writes to its bound_exponent column.
+BOUND_EXPONENT = -1.0 / 36.0 + 0.01
+
+
 @dataclass(frozen=True)
 class RateFit:
     slope: float
@@ -675,8 +671,8 @@ class RateFit:
     exponent: float
 
 
-def rate_fit(ks, dists, exponent: float = -1.0 / 36.0 + 0.01) -> RateFit:
-    """Log-log least squares plus the one-sided bound dist_k <= c k^exponent.
+def rate_fit(ks, dists) -> RateFit:
+    """Log-log least squares plus the one-sided bound dist_k <= c k^BOUND_EXPONENT.
 
     c_min is the smallest constant for which the bound holds on the data;
     on finite data some constant always exists, so bound_ok also asks the
@@ -689,11 +685,11 @@ def rate_fit(ks, dists, exponent: float = -1.0 / 36.0 + 0.01) -> RateFit:
     if np.any(dists <= 0.0):
         raise InputError("distances must be positive")
     slope, intercept = np.polyfit(np.log(ks), np.log(dists), 1)
-    c_min = float(np.max(dists / ks**exponent))
+    c_min = float(np.max(dists / ks**BOUND_EXPONENT))
     return RateFit(
         slope=float(slope),
         intercept=float(intercept),
-        bound_ok=bool(slope <= exponent and np.isfinite(c_min)),
+        bound_ok=bool(slope <= BOUND_EXPONENT and np.isfinite(c_min)),
         c_min=c_min,
-        exponent=float(exponent),
+        exponent=BOUND_EXPONENT,
     )

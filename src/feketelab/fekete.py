@@ -131,16 +131,9 @@ def ambient_of(domain):
 # ------------------------------------------------------------------- weight
 @dataclass(frozen=True)
 class Weight:
-    """Continuous weight phi with a declared Hoelder (alpha, constant)."""
+    """Continuous weight phi on the domain."""
 
     phi: object
-    alpha: float = 1.0
-    constant: float = 0.0
-    name: str = "phi"
-
-    def __post_init__(self):
-        if not 0.0 < self.alpha <= 1.0:
-            raise InputError("declared Hoelder exponent must lie in (0, 1]")
 
     def values(self, pts: np.ndarray) -> np.ndarray:
         vals = np.asarray(self.phi(pts), dtype=float)
@@ -150,7 +143,7 @@ class Weight:
 
 
 def zero_weight() -> Weight:
-    return Weight(phi=lambda pts: np.zeros(len(np.atleast_1d(pts))), name="zero")
+    return Weight(phi=lambda pts: np.zeros(len(np.atleast_1d(pts))))
 
 
 # -------------------------------------------------------------------- basis

@@ -70,15 +70,11 @@ class Rng:
     def normals(self, n: int) -> list[float]:
         return [self.normal() for _ in range(n)]
 
-    def ball(self, dim: int, radius: float = 1.0) -> list[float]:
-        """Uniform point in the open euclidean ball of the given radius."""
-        v = self.normals(dim)
-        norm = math.sqrt(sum(x * x for x in v))
-        while norm == 0.0:
-            v = self.normals(dim)
-            norm = math.sqrt(sum(x * x for x in v))
-        r = radius * self.uniform() ** (1.0 / dim)
-        return [r * x / norm for x in v]
+    def ball(self, dim: int) -> list[float]:
+        """Uniform point in the open unit ball of R^dim."""
+        direction = self.sphere(dim)
+        r = self.uniform() ** (1.0 / dim)
+        return [r * x for x in direction]
 
     def sphere(self, dim: int) -> list[float]:
         """Uniform direction on the unit sphere of R^dim."""

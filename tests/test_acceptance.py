@@ -322,7 +322,7 @@ def test_criterion_09_rate_study():
     sph = fk.Sphere()
     nu_s = eq.equilibrium_reference(sph)
     smesh = sph.mesh(40000)
-    sdict = eq.build_dictionary(sph, 1.0)
+    sdict = eq.build_dictionaries(sph, (0.5, 1.0))[1.0]
     sdists = []
     for k in range(2, 16):
         spec = fk.BasisSpec(sph, k)
@@ -349,7 +349,7 @@ def test_criterion_10_subharmonic_comparison():
     tests = []
     for a in np.linspace(0.1, 0.9, 8):
         psi = eq.SubharmonicSample.harmonic(
-            CircleFunction(grid, a * (np.cos(grid.nodes) - 1.0)), name=f"Re({a:.2f}(z-1))"
+            CircleFunction(grid, a * (np.cos(grid.nodes) - 1.0))
         )
         tests.append((psi, 1.0, 0.5, 1.0))
     for b in (1.0, 1.5, 2.0, 3.0):
@@ -358,17 +358,17 @@ def test_criterion_10_subharmonic_comparison():
         tests.append((eq.SubharmonicSample.log_modulus(disc), 0.8, 0.5, 1.0))
     for a in (0.2, 0.5, 0.8, 1.1):
         psi = eq.SubharmonicSample.harmonic(
-            CircleFunction(grid, a * (np.cos(2 * grid.nodes) - 1.0)), name="Re(a(z^2-1))"
+            CircleFunction(grid, a * (np.cos(2 * grid.nodes) - 1.0))
         )
         tests.append((psi, 0.7, 0.5, 4.5))
     for s in (0.0, 0.3):
         psi = eq.SubharmonicSample.harmonic(
-            CircleFunction(grid, np.full(grid.m, -s)), name=f"const -{s}"
+            CircleFunction(grid, np.full(grid.m, -s))
         )
         tests.append((psi, 1.0, 0.5, 0.5))
     for expo in (0.7, 0.8):
         psi = eq.SubharmonicSample.harmonic(
-            CircleFunction(grid, 0.8 * np.abs(grid.nodes) ** expo), name=f"|theta|^{expo}"
+            CircleFunction(grid, 0.8 * np.abs(grid.nodes) ** expo)
         )
         tests.append((psi, 1.0, 0.5, 2.0))
     assert len(tests) == 20

@@ -23,6 +23,7 @@ from feketelab.bishop import (
     h_mix,
     h_quad,
     h_zero,
+    manifold_from_key,
     phi_h,
     phi_h_capture,
     phi_h_prime,
@@ -57,6 +58,29 @@ def test_manifold_rejects_nonvanishing_h():
         GraphManifold(n=1, h=lambda x: np.asarray(x) + 1.0, c1=1.0)
     with pytest.raises(DomainError):
         GraphManifold(n=1, h=lambda x: 2.0 * np.asarray(x), c1=3.0)  # Dh(0) != 0
+
+
+def test_spot_check_passes_the_builtin_manifolds_and_catches_a_false_bound():
+    for key in (("quad", 1, 0.5), ("quad", 2, 0.1), ("mix", 2, 0.5), ("zero", 3)):
+        manifold_from_key(key)
+    with pytest.raises(DomainError, match="declared bound"):
+        GraphManifold(n=2, h=lambda x: np.asarray(x) ** 2, c1=0.5)  # |h(x)| >= |x|^2 / sqrt(2)
+
+
+def test_ball_takes_its_direction_from_sphere():
+    """Rng.ball draws a sphere direction, then one uniform for the radius:
+    the stream advances as normals-with-rejection plus one uniform, and
+    each point r * (x / |x|) is within an ulp of (r * x) / |x|."""
+    for dim in (1, 2, 4):
+        new, ref = Rng(0xB15409), Rng(0xB15409)
+        for _ in range(64):
+            got = new.ball(dim)
+            v = ref.normals(dim)
+            norm = math.sqrt(sum(x * x for x in v))
+            r = ref.uniform() ** (1.0 / dim)
+            np.testing.assert_allclose(got, [r * x / norm for x in v], rtol=0, atol=4.5e-16)
+            assert math.hypot(*got) < 1.0
+        assert new.next_u64() == ref.next_u64()
 
 
 def test_h_mix_needs_two_dimensions():

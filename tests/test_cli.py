@@ -12,6 +12,7 @@ from feketelab import bishop as bsh
 from feketelab.cli import (
     RunRecord,
     _fmt,
+    _record_from_csv,
     cmd_bishop,
     cmd_disc,
     cmd_fekete,
@@ -162,7 +163,7 @@ def test_cmd_rate_from_synthetic_csv(tmp_path):
     for k in range(2, 12):
         lines.append(f"ok,{k},{1.0 / k:.17g}")
     csv.write_text("\n".join(lines) + "\n", encoding="utf-8")
-    cfg = ExperimentConfig(name="syn", kind="rate")
+    cfg = ExperimentConfig(name="syn")
     rec = cmd_rate(cfg, fekete_csv=str(csv))
     slope = rec.rows[0][rec.columns.index("slope")]
     assert abs(slope + 1.0) < 1e-9
@@ -173,7 +174,7 @@ def test_cmd_rate_constant_sequence(tmp_path):
     csv = tmp_path / "fk.csv"
     lines = ["status,k,dist1"] + [f"ok,{k},0.25" for k in range(2, 10)]
     csv.write_text("\n".join(lines) + "\n", encoding="utf-8")
-    rec = cmd_rate(ExperimentConfig(name="c", kind="rate"), fekete_csv=str(csv))
+    rec = cmd_rate(ExperimentConfig(name="c"), fekete_csv=str(csv))
     assert abs(rec.rows[0][rec.columns.index("slope")]) < 1e-12
 
 
@@ -197,7 +198,7 @@ def test_cmd_rate_insufficient_data(tmp_path):
     csv = tmp_path / "fk.csv"
     csv.write_text("status,k,dist1\nok,2,0.5\nok,3,0.4\n", encoding="utf-8")
     with pytest.raises(InputError):
-        cmd_rate(ExperimentConfig(name="x", kind="rate"), fekete_csv=str(csv))
+        cmd_rate(ExperimentConfig(name="x"), fekete_csv=str(csv))
 
 
 # --------------------------------------------------------------------- disc
@@ -420,14 +421,39 @@ def test_emit_plotdata_deterministic(tmp_path):
     assert svgs and open(svgs[0]).read().startswith("<svg")
 
 
-def test_emit_plotdata_unknown_kind(tmp_path, capsys):
-    """`rate` is the only plot kind; `trace` and anything else exit 1."""
-    csv = tmp_path / "p_fekete.csv"
-    csv.write_text("status,k,dist1\nok,2,0.5\n", encoding="utf-8")
-    for kind in ("trace", "pie-chart"):
-        assert main(["plot", "--record", str(csv), "--kind", kind, "--out", str(tmp_path / kind)]) == 1
-        assert "unknown plot kind" in capsys.readouterr().err
-        assert not (tmp_path / kind).exists()
+def test_plot_of_a_record_without_rate_columns_fails(tmp_path, capsys):
+    """A disc CSV has no (k, dist1) points: `plot` exits 1 with a named
+    error and creates no output directory."""
+    path = os.path.join(os.path.dirname(__file__), "data", "disc_disc.csv")
+    with pytest.raises(InputError, match="k and dist1"):
+        emit_plotdata(_record_from_csv(path), str(tmp_path / "direct"))
+    assert main(["plot", "--record", path, "--out", str(tmp_path / "o")]) == 1
+    assert "k and dist1" in capsys.readouterr().err
+    assert not (tmp_path / "direct").exists() and not (tmp_path / "o").exists()
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        pytest.param(["rate", "--config", "x.cfg"], id="rate-without-input"),
+        pytest.param(["plot", "--record", "p.csv", "--kind", "rate"], id="plot-kind"),
+        pytest.param(["plot", "--record", "p.csv", "--config", "x"], id="plot-config"),
+        pytest.param(["plot", "--record", "p.csv", "--seed", "1"], id="plot-seed"),
+    ],
+)
+def test_main_usage_errors(argv, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    assert "usage:" in capsys.readouterr().err
+
+
+def test_main_fekete_ignores_a_kind_line(tmp_path):
+    """The subcommand decides the experiment; a config that still carries
+    `[experiment] kind` loads and runs under any subcommand."""
+    cfg = write_cfg(tmp_path, FEKETE_CFG.replace("kind = fekete", "kind = rate").format(out=tmp_path))
+    assert main(["fekete", "--config", cfg]) == 0
+    assert (tmp_path / "t-interval_fekete.csv").exists()
 
 
 def test_main_fekete_single_self_consistent_degree_exits_0(tmp_path):
@@ -560,7 +586,7 @@ def test_shared_reader_matches_frozen_rate_and_plot(path, tmp_path):
         return [len(data), fit.slope, fit.intercept, fit.exponent, fit.bound_ok, fit.c_min, fit.bound_ok]
 
     def shared_fit():
-        return cmd_rate(ExperimentConfig(name="g", kind="rate"), fekete_csv=path).rows[0]
+        return cmd_rate(ExperimentConfig(name="g"), fekete_csv=path).rows[0]
 
     def outcome(fn):
         try:

@@ -16,7 +16,6 @@ from feketelab.discs import AnalyticDisc
 from feketelab.equilibrium import (
     SubharmonicSample,
     build_dictionaries,
-    build_dictionary,
     dist1_circle,
     dist1_interval,
     dist_gamma_dict,
@@ -40,6 +39,7 @@ INTERVAL = Interval()
 CIRCLE = Circle()
 NU_I = equilibrium_reference(INTERVAL)
 NU_C = equilibrium_reference(CIRCLE)
+GAMMAS = (0.5, 1.0, 1.5, 2.0)  # the gamma grid of the interval and circle dictionaries
 
 
 def quadrature_dist1_oracle(atoms, n_grid=400000):
@@ -218,7 +218,7 @@ def test_dictionary_certified_norms():
         (INTERVAL, np.linspace(-1, 1, 2001), 22),
         (Circle(), np.linspace(-math.pi, math.pi, 4001), 32),
     ):
-        for g, dct in build_dictionaries(domain).items():
+        for g, dct in build_dictionaries(domain, GAMMAS).items():
             vals = np.concatenate(list(dct.blocks(xs))) / dct.scales[:, None]
             assert vals.shape == (size, len(xs)) == (len(dct), len(xs))
             assert np.max(np.abs(vals)) <= 1.0 + 1e-6
@@ -227,14 +227,14 @@ def test_dictionary_certified_norms():
 
 
 def test_dictionary_monotone_in_gamma():
-    dicts = build_dictionaries(INTERVAL)
+    dicts = build_dictionaries(INTERVAL, GAMMAS)
     mu = EmpiricalMeasure(INTERVAL, np.array([0.3]))
     vals = [dist_gamma_dict(mu, NU_I, g, dicts[g]) for g in sorted(dicts)]
     assert all(a >= b - 1e-15 for a, b in zip(vals, vals[1:]))
 
 
 def test_dictionary_duality_against_w1():
-    dicts = build_dictionaries(INTERVAL)
+    dicts = build_dictionaries(INTERVAL, GAMMAS)
     rng = np.random.default_rng(6)
     for _ in range(5):
         mu = EmpiricalMeasure(INTERVAL, np.sort(rng.uniform(-1, 1, 7)))
@@ -243,7 +243,7 @@ def test_dictionary_duality_against_w1():
 
 
 def test_dictionary_zero_for_equal_measures():
-    dct = build_dictionary(INTERVAL, 1.0)
+    dct = build_dictionaries(INTERVAL, (0.5, 1.0))[1.0]
     mu = EmpiricalMeasure(INTERVAL, np.array([-0.2, 0.5]))
     assert dct.pair_gap(mu, mu) == 0.0
 
@@ -257,7 +257,7 @@ def test_empty_dictionary_rejected():
 
 
 def test_sphere_dictionary_members_certified():
-    dct = build_dictionary(Sphere(), 1.0)
+    dct = build_dictionaries(Sphere(), (0.5, 1.0))[1.0]
     assert len(dct) == 200 + 49
     mesh = Sphere().mesh(5000)
     vals = np.concatenate(list(dct.blocks(mesh)))
@@ -386,7 +386,7 @@ def test_sphere_dictionary_rejects_gamma_above_one():
     with pytest.raises(InputError, match="gamma <= 1"):
         build_dictionaries(Sphere(), (1.5, 1.0))
     with pytest.raises(InputError, match="gamma <= 1"):
-        build_dictionary(Sphere(), 1.5)
+        build_dictionaries(Sphere(), (0.5, 1.0, 1.5))
 
 
 def test_sphere_dictionary_evaluates_basis_once_per_node_set(monkeypatch):
@@ -417,9 +417,7 @@ def test_sphere_dictionary_evaluates_basis_once_per_node_set(monkeypatch):
 
 # ------------------------------------------------------------- subharmonic
 def _linear_psi(grid, a):
-    return SubharmonicSample.harmonic(
-        CircleFunction(grid, a * (np.cos(grid.nodes) - 1.0)), name=f"Re({a}(z-1))"
-    )
+    return SubharmonicSample.harmonic(CircleFunction(grid, a * (np.cos(grid.nodes) - 1.0)))
 
 
 def test_compare_linear_boundary():
@@ -516,4 +514,4 @@ def test_gamma_one_scales_do_not_depend_on_the_lower_grid(domain):
     exceeds its gamma = 1 norm and the running maximum at gamma = 1 is that
     norm: `fekete` builds (1.0,) alone when no gammas are configured."""
     alone = build_dictionaries(domain, (1.0,))[1.0].scales
-    assert alone.tobytes() == build_dictionary(domain, 1.0).scales.tobytes()
+    assert alone.tobytes() == build_dictionaries(domain, (0.5, 1.0))[1.0].scales.tobytes()

@@ -30,7 +30,7 @@ from feketelab.fekete import (
 
 ROOT = Path(__file__).resolve().parent.parent
 W0 = zero_weight()
-LINEAR = Weight(phi=lambda p: 0.3 * np.atleast_1d(np.asarray(p, float)), name="linear:0.3")
+LINEAR = Weight(phi=lambda p: 0.3 * np.atleast_1d(np.asarray(p, float)))
 
 
 def _search(spec, weight, mesh, sweeps):
@@ -152,7 +152,7 @@ def test_benchmark_tracer_sees_the_search_layers(tmp_path):
 
         run("circle", cmd_fekete, ExperimentConfig(domain_text="circle", k_min=2, k_max=3, mesh=256, sweeps=2))
         run("sphere", cmd_fekete, ExperimentConfig(domain_text="sphere", k_min=2, k_max=3, mesh=400, sweeps=1))
-        run("bishop", cmd_bishop, ExperimentConfig(kind="bishop", grid_m=128, t_list=(0.05,), samples=2))
+        run("bishop", cmd_bishop, ExperimentConfig(grid_m=128, t_list=(0.05,), samples=2))
         """
     )
     proc = subprocess.run(
