@@ -191,11 +191,14 @@ def harmonic_extend(u: CircleFunction, z) -> float:
     z = complex(z)
     if abs(z) > 1.0 - 1e-9:
         raise DomainError(f"harmonic extension requires |z| <= 1 - 1e-9, got {abs(z)}")
-    kmax = len(u.a) - 1
-    powers = z ** np.arange(kmax + 1)
+    return float(np.real(np.sum(_one_sided(u) * z ** np.arange(len(u.a)))))
+
+
+def _one_sided(u: CircleFunction) -> np.ndarray:
+    """Coefficients a_k - i b_k of the analytic extension of u (b_0 dropped)."""
     coeff = u.a - 1j * u.b
     coeff[0] = u.a[0]
-    return float(np.real(np.sum(coeff * powers)))
+    return coeff
 
 
 def _conjugate_rows(grid: CircleGrid, rows, shift_to_one: bool) -> np.ndarray:

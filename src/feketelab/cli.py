@@ -130,13 +130,13 @@ def _reference_for(cfg: ExperimentConfig, weight, mesh):
         return fk.fekete_measure(config), f"fekete-self-consistency(k={cfg.k_max})"
 
 
-def _dist_to_reference(domain, mu, reference, dictionaries):
+def _dist_to_reference(domain, mu, reference, dictionary):
     """dist_1 plus the configured dictionary distances; returns dict.
 
     Where dist_1 has no exact formula (sphere, caps) it is the gamma = 1
     dictionary distance, computed once for both columns.
     """
-    out = {f"dist_g{g:g}": eq.dist_gamma_dict(mu, reference, g, d) for g, d in dictionaries.items()}
+    out = {f"dist_g{g:g}": d for g, d in eq.dist_gamma_dict(mu, reference, dictionary).items()}
     exact = isinstance(reference, eq.ReferenceMeasure)
     if exact and isinstance(domain, fk.Interval):
         out["dist1"] = eq.dist1_interval(mu, reference)
@@ -154,17 +154,17 @@ def cmd_fekete(cfg: ExperimentConfig) -> RunRecord:
     weight = _weight_of(cfg)
     mesh = domain.mesh(cfg.mesh) if cfg.mesh else domain.mesh()
     reference, ref_name = _reference_for(cfg, weight, mesh)
-    dictionaries = eq.build_dictionaries(domain, cfg.gammas + (1.0,))
+    dictionary = eq.build_dictionaries(domain, cfg.gammas + (1.0,))
     rec = RunRecord(
         name=cfg.name,
         config_hash=cfg.config_hash(),
-        columns=["status", "k", "n_k", "logdet", "dist1", *(f"dist_g{g:g}" for g in dictionaries), "pass", "note"],
+        columns=["status", "k", "n_k", "logdet", "dist1", *(f"dist_g{g:g}" for g in dictionary.gammas), "pass", "note"],
         calibration={"reference": ref_name, "mesh": len(mesh), "sweeps": cfg.sweeps},
     )
 
     def run_cell(k: int):
         config = _fekete_config(fk.BasisSpec(domain, k), weight, mesh, cfg.sweeps)
-        dists = _dist_to_reference(domain, fk.fekete_measure(config), reference, dictionaries)
+        dists = _dist_to_reference(domain, fk.fekete_measure(config), reference, dictionary)
         return {"k": k, "n_k": config.size, "logdet": config.logdet, **dists, "pass": np.isfinite(config.logdet)}
 
     _run_cells(rec, [(f"k={k}", {"k": k}, partial(run_cell, k)) for k in cfg.ks])
@@ -273,7 +273,7 @@ def cmd_disc(cfg: ExperimentConfig) -> RunRecord:
     def capture_columns(z, t, p, r, prime):
         """capture_residual and capture_ratio of the capture of z scaled to |target| = 0.8 r."""
         target = z * (r * 0.8 / max(p.norm, 1e-12))
-        ps, value = discs._capture_family(target, t, grid, prime=prime)
+        ps, value = (discs.capture_Fprime if prime else discs.capture_F)(target, t, grid)
         cap_res = float(np.max(np.abs(value - t * target)))
         return cap_res, ps.norm / float(np.linalg.norm(discs._c2r(target)))
 

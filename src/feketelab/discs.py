@@ -29,6 +29,7 @@ from .circle import (
     CircleFunction,
     CircleGrid,
     _conjugate_rows,
+    _one_sided,
     bump_u_minus,
     dual_basis,
     hilbert_T1,
@@ -350,13 +351,6 @@ class Calibration:
     g0_norm: float
 
 
-def _one_sided(u: CircleFunction) -> np.ndarray:
-    """Coefficients a_k - i b_k of the analytic extension of u (b_0 dropped)."""
-    coeff = u.a - 1j * u.b
-    coeff[0] = u.a[0]
-    return coeff
-
-
 def _interior_values(coeffs: np.ndarray, z: complex) -> list:
     """Re of the one-sided power sum of each row of (r, K) coefficients at
     z, from one table z**k; only the real parts are summed (compensated)."""
@@ -537,24 +531,20 @@ def _phi_F(zv: np.ndarray, t: float, grid: CircleGrid) -> np.ndarray:
     return family_F(p, grid).eval(1.0 - s + 1j * s)
 
 
-def _capture_family(z_target, t: float, grid: CircleGrid, prime: bool):
-    """Capture through F (or F' when prime) with target t * z_target inside
-    the calibrated radius r0 (or r0'); returns (params at z*, Phi(z*))."""
-    cal = calibrate(grid, np.size(z_target))
-    r = cal.r0_prime if prime else cal.r0
-    phi = _phi_prime if prime else _phi_F
-    z_star, value = _capture(lambda zv: phi(zv, t, grid), t, z_target, r, r, t)
+def capture_F(z_target, t: float, grid: CircleGrid):
+    """Find z* with F(1 - |z*| + i|z*|, z*, t) = t * z_target, |z*| <= 2|z_target|,
+    for t * z_target inside the calibrated radius r0; returns (params at z*, Phi(z*))."""
+    r = calibrate(grid, np.size(z_target)).r0
+    z_star, value = _capture(lambda zv: _phi_F(zv, t, grid), t, z_target, r, r, t)
     return FamilyParams.from_complex(z_star, t), value
 
 
-def capture_F(z_target, t: float, grid: CircleGrid) -> FamilyParams:
-    """Find z* with F(1 - |z*| + i|z*|, z*, t) = t * z_target, |z*| <= 2|z_target|."""
-    return _capture_family(z_target, t, grid, prime=False)[0]
-
-
-def capture_Fprime(z_target, t: float, grid: CircleGrid) -> FamilyParams:
-    """Find z* with F'(1 - |z*|, z*, t) = t * z_target, |z*| <= 2|z_target|."""
-    return _capture_family(z_target, t, grid, prime=True)[0]
+def capture_Fprime(z_target, t: float, grid: CircleGrid):
+    """Find z* with F'(1 - |z*|, z*, t) = t * z_target, |z*| <= 2|z_target|,
+    for t * z_target inside the calibrated radius r0'; returns (params at z*, Phi(z*))."""
+    r = calibrate(grid, np.size(z_target)).r0_prime
+    z_star, value = _capture(lambda zv: _phi_prime(zv, t, grid), t, z_target, r, r, t)
+    return FamilyParams.from_complex(z_star, t), value
 
 
 def _c2r(z: np.ndarray) -> np.ndarray:

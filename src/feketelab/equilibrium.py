@@ -2,10 +2,10 @@
 
 Closed-form references: arcsine on the interval, uniform on circle and
 sphere.  dist_1 on the interval and circle is computed exactly from CDFs;
-on the sphere (and for general gamma) a certified test dictionary gives a
-documented lower bound.  The subharmonic comparison check builds the
-explicit harmonic majorant with smooth-cutoff boundary data and verifies
-the maximum principle on an interior grid.
+on the sphere, and for every gamma in (0, 1], a certified test dictionary
+gives a documented lower bound.  The subharmonic comparison check builds
+the explicit harmonic majorant with smooth-cutoff boundary data and
+verifies the maximum principle on an interior grid.
 """
 
 from __future__ import annotations
@@ -36,7 +36,6 @@ class ReferenceMeasure:
     """Closed-form equilibrium measure on a model domain."""
 
     domain: object
-    name: str
 
     def density(self, x):
         if isinstance(self.domain, Interval):
@@ -102,12 +101,8 @@ class ReferenceMeasure:
 
 def equilibrium_reference(domain) -> ReferenceMeasure:
     """Arcsine on [-1,1]; uniform on S^1 and S^2; no closed form elsewhere."""
-    if isinstance(domain, Interval):
-        return ReferenceMeasure(domain, "arcsine")
-    if isinstance(domain, Circle):
-        return ReferenceMeasure(domain, "uniform-circle")
-    if isinstance(domain, Sphere):
-        return ReferenceMeasure(domain, "uniform-sphere")
+    if isinstance(domain, (Interval, Circle, Sphere)):
+        return ReferenceMeasure(domain)
     raise NoClosedFormError(
         f"no closed-form equilibrium measure on {getattr(domain, 'kind', domain)!r}; "
         "fall back to high-degree Fekete self-consistency"
@@ -249,56 +244,47 @@ def w1_atomic_line(xs: np.ndarray, ys: np.ndarray) -> float:
 # ------------------------------------------------------------- dictionaries
 @dataclass
 class TestDictionary:
-    """Family of test functions with certified C^gamma norms <= 1.
+    """Family of test functions with certified C^gamma norms <= 1 for every
+    gamma of `gammas`.
 
-    Each member is stored unnormalized together with its certified norm
-    scale; pairings divide by the scale.  Scales are running maxima across
-    the gamma grid used to build the dictionary, which makes the resulting
-    distance exactly monotone nonincreasing in gamma.
+    Each member is stored unnormalized; row g of `scales` holds every
+    member's certified norm at gammas[g], and a pairing divides by it.
+    The rows are running maxima across the sorted gamma grid, which makes
+    the resulting distance exactly monotone nonincreasing in gamma.
 
     `blocks` is the only definition of the members: it evaluates all of
-    them on a node set as a sequence of (rows, nodes) value blocks in the
-    order of `names`.  A pairing evaluates each block once per node set and
-    keeps only its row means, so no nodes-sized matrix outlives the call.
-    Reference-measure means are cached, and the dictionaries of one
-    `build_dictionaries` call share that cache.
+    them on a node set as a sequence of (rows, nodes) value blocks.  A
+    pairing evaluates each block once per node set and keeps only its row
+    means, so no nodes-sized matrix outlives the call, and every gamma
+    divides the same means.  Reference-measure means are cached at the
+    first pairing.
     """
 
-    domain: object
-    gamma: float
-    names: list
+    gammas: tuple
     blocks: object
     scales: np.ndarray
-    _ref_cache: dict = field(default_factory=dict)
-
-    def __len__(self) -> int:
-        return len(self.names)
+    _ref_means: dict = field(default_factory=dict)
 
     def means(self, nodes) -> np.ndarray:
         """Mean of every member over a node set."""
         return np.concatenate([np.mean(b, axis=1) for b in self.blocks(nodes)])
 
-    def pair_gap(self, mu: EmpiricalMeasure, nu) -> float:
-        if len(self.names) == 0:
-            raise InputError("empty test dictionary")
-        nu_means = self._nu_means(nu)
-        return float(np.max(np.abs(self.means(mu.atoms) - nu_means) / self.scales))
 
-    def _nu_means(self, nu) -> np.ndarray:
-        if isinstance(nu, ReferenceMeasure):
-            if nu not in self._ref_cache:
-                self._ref_cache[nu] = self.means(nu.quad_nodes())
-            return self._ref_cache[nu]
-        if isinstance(nu, EmpiricalMeasure):
-            return self.means(nu.atoms)
+def dist_gamma_dict(mu: EmpiricalMeasure, nu, dictionary: TestDictionary) -> dict:
+    """{gamma: lower bound of dist_gamma}, the max pairing gap over the
+    dictionary, from one evaluation of the members at mu's atoms."""
+    if dictionary.scales.size == 0:
+        raise InputError("empty test dictionary")
+    if isinstance(nu, ReferenceMeasure):
+        if nu not in dictionary._ref_means:
+            dictionary._ref_means[nu] = dictionary.means(nu.quad_nodes())
+        nu_means = dictionary._ref_means[nu]
+    elif isinstance(nu, EmpiricalMeasure):
+        nu_means = dictionary.means(nu.atoms)
+    else:
         raise InputError("unsupported measure type")
-
-
-def dist_gamma_dict(mu: EmpiricalMeasure, nu, gamma: float, dictionary: TestDictionary) -> float:
-    """Lower bound of dist_gamma: max pairing gap over the dictionary."""
-    if abs(dictionary.gamma - gamma) > 1e-12:
-        raise InputError("dictionary was certified for a different gamma")
-    return dictionary.pair_gap(mu, nu)
+    gaps = np.max(np.abs(dictionary.means(mu.atoms) - nu_means) / dictionary.scales, axis=1)
+    return dict(zip(dictionary.gammas, gaps.tolist()))
 
 
 def _window_extrema(op, seg: np.ndarray, width: int, out: np.ndarray) -> None:
@@ -367,81 +353,42 @@ def _semi_from_lags(table: np.ndarray, dists, expo: float) -> np.ndarray:
     return np.max(table / dpow[:, None], axis=0)
 
 
-def _holder_norms_1d(xs: np.ndarray, vals: np.ndarray, gammas) -> list:
+def _holder_norms_1d(xs: np.ndarray, vals: np.ndarray, gammas) -> np.ndarray:
     """sup + Hoelder seminorm with distances capped at 1, on a uniform grid,
-    of every row of `vals`; one array per gamma.
+    of every row of `vals`; one row per gamma in (0, 1].
 
-    gamma in (0,1]: seminorm of the values; gamma in (1,2]: C^1 norm plus
-    seminorm of the finite-difference derivative.  The `_lag_maxima`
-    table does not depend on gamma, so one scan of the values (and one of
-    the derivative) serves every gamma: one row per lag below distance 1
-    and one shared row for all lags at the capped distance 1.
+    The `_lag_maxima` table does not depend on gamma, so one scan of the
+    values serves every gamma: one row per lag below distance 1 and one
+    shared row for all lags at the capped distance 1.
     """
-    h = xs[1] - xs[0]
+    table, dists = _lag_maxima(vals, xs[1] - xs[0])
     sup = np.max(np.abs(vals), axis=1)
-    if any(g <= 1.0 for g in gammas):
-        table, dists = _lag_maxima(vals, h)
-    if any(g > 1.0 for g in gammas):
-        dv = np.gradient(vals, h, axis=1)
-        c1 = sup + np.max(np.abs(dv), axis=1)
-        dtable, dists = _lag_maxima(dv, h)
-    norms = []
-    for g in gammas:
-        if g <= 1.0:
-            norms.append(sup + _semi_from_lags(table, dists, g))
-        else:
-            norms.append(c1 + _semi_from_lags(dtable, dists, g - 1.0))
-    return norms
+    return np.array([sup + _semi_from_lags(table, dists, g) for g in gammas])
 
 
-_LINE_MAX_GAMMA = 2.0
-_SPHERE_MAX_GAMMA = 1.0
-
-
-def build_dictionaries(domain, gammas) -> dict:
-    """One dictionary per distinct gamma, sharing members, scales running-max
-    across the (sorted) gamma grid so that dist is monotone in gamma."""
+def build_dictionaries(domain, gammas) -> TestDictionary:
+    """One dictionary for every distinct gamma: the members are shared, and
+    the scales are running maxima across the (sorted) gamma grid so that
+    dist is monotone in gamma."""
     gammas = tuple(sorted(set(gammas)))
     if not all(g > 0.0 for g in gammas):
         raise InputError(f"dictionaries need gamma > 0, got gammas {gammas}")
+    if any(g > 1.0 for g in gammas):
+        raise InputError(f"dictionaries are certified for gamma <= 1 only, got gammas {gammas}")
     amb = ambient_of(domain)
     if isinstance(amb, (Interval, Circle)):
-        if any(g > _LINE_MAX_GAMMA for g in gammas):
-            raise InputError(
-                f"interval and circle dictionaries are certified for gamma <= {_LINE_MAX_GAMMA:g} only, got gammas {gammas}"
-            )
         if isinstance(amb, Interval):
-            names, blocks = _interval_members()
-            xs = np.linspace(-1.0, 1.0, 2001)
+            blocks, xs = _interval_members(), np.linspace(-1.0, 1.0, 2001)
         else:
-            names, blocks = _circle_members()
-            xs = np.linspace(-math.pi, math.pi, 4001)
+            blocks, xs = _circle_members(), np.linspace(-math.pi, math.pi, 4001)
         (vals,) = blocks(xs)
         norms = _holder_norms_1d(xs, vals, gammas)
     elif isinstance(amb, Sphere):
-        if any(g > _SPHERE_MAX_GAMMA for g in gammas):
-            raise InputError(
-                f"sphere dictionaries are certified for gamma <= {_SPHERE_MAX_GAMMA:g} only, got gammas {gammas}"
-            )
-        names, blocks = _sphere_members()
+        blocks = _sphere_members()
         norms = _sphere_norms(blocks, gammas)
     else:
         raise InputError(f"no dictionary for domain {domain!r}")
-
-    ref_cache = {}
-    out = {}
-    running = np.zeros(len(names))
-    for g, norm in zip(gammas, norms):
-        running = np.maximum(running, norm)
-        out[g] = TestDictionary(
-            domain=domain,
-            gamma=g,
-            names=list(names),
-            blocks=blocks,
-            scales=running * (1.0 + 1e-9),
-            _ref_cache=ref_cache,
-        )
-    return out
+    return TestDictionary(gammas, blocks, np.maximum.accumulate(norms, axis=0) * (1.0 + 1e-9))
 
 
 def _interval_members():
@@ -449,7 +396,6 @@ def _interval_members():
     evaluated as one (22, nodes) block."""
     modes = np.arange(1, 13)
     centers = np.linspace(-0.8, 0.8, 9)
-    names = ["id"] + [f"cos{m}" for m in modes] + [f"hat{c:+.1f}" for c in centers]
 
     def blocks(x):
         x = np.asarray(x, float)
@@ -457,7 +403,7 @@ def _interval_members():
         hats = np.maximum(0.0, 1.0 - np.abs(x - centers[:, None]) / 0.4)
         yield np.concatenate((x[None], cosines, hats))
 
-    return names, blocks
+    return blocks
 
 
 def _circle_members():
@@ -465,7 +411,6 @@ def _circle_members():
     half-width 0.5, evaluated as one (32, nodes) block."""
     modes = np.arange(1, 13)
     centers = np.linspace(-math.pi, math.pi, 8, endpoint=False)
-    names = [f"{f}{m}" for m in modes for f in ("cos", "sin")] + [f"hat{c:+.2f}" for c in centers]
 
     def blocks(t):
         t = np.asarray(t, float)
@@ -474,7 +419,7 @@ def _circle_members():
         hats = np.maximum(0.0, 1.0 - np.abs(np.mod(t - centers[:, None] + math.pi, TWO_PI) - math.pi) / 0.5)
         yield np.concatenate((trig, hats))
 
-    return names, blocks
+    return blocks
 
 
 def _sphere_pair_lags():
@@ -482,9 +427,9 @@ def _sphere_pair_lags():
     return (1, 2, 3, 5, 8, 13, 21, 34, 55, 89, 144, 233, 377, 610, 987)
 
 
-def _sphere_norms(blocks, gammas) -> list:
+def _sphere_norms(blocks, gammas) -> np.ndarray:
     """sup + Hoelder seminorm over Fibonacci-lag neighbor pairs of the norm
-    mesh, distances capped at 1, of every member; one array per gamma.
+    mesh, distances capped at 1, of every member; one row per gamma.
 
     The lag distances and their powers are computed once and shared by
     all members.  Each member's differences are taken on its own row, so
@@ -505,7 +450,7 @@ def _sphere_norms(blocks, gammas) -> list:
                 semi = [max(s, np.max(diff / dg)) for s, dg in zip(semi, pows)]
             sup = np.max(np.abs(vals))
             norms.append([sup + s for s in semi])
-    return list(np.array(norms).T)
+    return np.array(norms).T
 
 
 @lru_cache(maxsize=4)
@@ -522,7 +467,6 @@ def _sphere_members():
 
     centers = Sphere().mesh(200)
     spec = BasisSpec(Sphere(), 6)
-    names = [f"cone{i}" for i in range(len(centers))] + [f"Y{i}" for i in range((spec.k + 1) ** 2)]
 
     def blocks(nodes):
         p = np.atleast_2d(nodes)
@@ -530,7 +474,7 @@ def _sphere_members():
             yield np.maximum(0.0, 1.0 - np.arccos(np.clip(p @ c, -1.0, 1.0)))[None]
         yield basis_matrix(spec, p)
 
-    return names, blocks
+    return blocks
 
 
 # ------------------------------------------------- subharmonic comparison

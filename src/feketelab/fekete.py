@@ -313,7 +313,8 @@ def log_vandermonde(config, spec: BasisSpec, weight: Weight | None = None) -> fl
     """log |det[s_i(p_j)]| - k sum phi(p_j), or -inf if numerically singular.
 
     Computed by row-pivoted LU in log space (sign discarded), never by a
-    dense determinant.
+    dense determinant.  On an arc or cap whose basis has lost numerical
+    rank the matrix is not square, and InsufficientMeshError is raised.
     """
     weight = zero_weight() if weight is None else weight
     pts = config.points if isinstance(config, PointConfiguration) else np.asarray(config)
@@ -321,6 +322,10 @@ def log_vandermonde(config, spec: BasisSpec, weight: Weight | None = None) -> fl
     if len(pts) != n:
         raise InputError(f"need exactly N_k = {n} points, got {len(pts)}")
     a = _weighted_matrix(spec, weight, pts)
+    if a.shape[0] != n:
+        raise InsufficientMeshError(
+            f"k = {spec.k}: the basis has numerical rank {n} below its ambient dimension {a.shape[0]}"
+        )
     sign, logdet = np.linalg.slogdet(a)
     if sign == 0.0 or not np.isfinite(logdet):
         return NEG_INF

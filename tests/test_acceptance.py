@@ -136,14 +136,11 @@ def test_criterion_04_capture_bounds():
         cal = discs.calibrate(GRID, n)
         if i % 2 == 0:
             target = _random_z(rng, n, cal.r0 * 0.95)
-            ps = discs.capture_F(target, t, GRID)
-            s = ps.norm
-            val = discs.family_F(ps, GRID).eval(1 - s + 1j * s)
+            ps, val = discs.capture_F(target, t, GRID)
         else:
             target = _random_z(rng, n, cal.r0_prime * 0.95)
-            ps = discs.capture_Fprime(target, t, GRID)
-            s = ps.norm
-            val = discs.family_Fprime(ps, GRID).eval(1 - math.sqrt(s))
+            ps, val = discs.capture_Fprime(target, t, GRID)
+        s = ps.norm
         worst_res = max(worst_res, float(np.max(np.abs(val - t * target))))
         tn = float(np.linalg.norm(np.concatenate([target.real, target.imag])))
         worst_ratio = max(worst_ratio, s / tn)
@@ -322,13 +319,13 @@ def test_criterion_09_rate_study():
     sph = fk.Sphere()
     nu_s = eq.equilibrium_reference(sph)
     smesh = sph.mesh(40000)
-    sdict = eq.build_dictionaries(sph, (0.5, 1.0))[1.0]
+    sdict = eq.build_dictionaries(sph, (0.5, 1.0))
     sdists = []
     for k in range(2, 16):
         spec = fk.BasisSpec(sph, k)
         cfg, sl = fk.leja_greedy(spec, w0, smesh)
         cfg = fk.exchange_refine(cfg, spec, w0, smesh, sweeps=2, state=sl)
-        sdists.append(eq.dist_gamma_dict(fk.fekete_measure(cfg), nu_s, 1.0, sdict))
+        sdists.append(eq.dist_gamma_dict(fk.fekete_measure(cfg), nu_s, sdict)[1.0])
     sma = np.convolve(sdists, np.ones(5) / 5, mode="valid")
     sphere_ok = bool(np.all(np.diff(sma) < 0))
 

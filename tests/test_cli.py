@@ -235,15 +235,17 @@ def test_cmd_disc_takes_capture_residual_from_the_final_iterate(tmp_path, monkey
         steps.append(out[2])
         return out
 
-    real_capture = discs._capture_family
+    def recorded(real, prime):
+        def capture(z_target, t, grid):
+            ps, value = real(z_target, t, grid)
+            captured.append((z_target, t, grid, prime, ps))
+            return ps, value
 
-    def capture(z_target, t, grid, prime):
-        ps, value = real_capture(z_target, t, grid, prime)
-        captured.append((z_target, t, grid, prime, ps))
-        return ps, value
+        return capture
 
     monkeypatch.setattr(discs, "_contract", contract)
-    monkeypatch.setattr(discs, "_capture_family", capture)
+    monkeypatch.setattr(discs, "capture_F", recorded(discs.capture_F, False))
+    monkeypatch.setattr(discs, "capture_Fprime", recorded(discs.capture_Fprime, True))
     rec = cmd_disc(cfg)
     assert rec.all_pass() and len(rec.rows) == len(captured) == len(steps) == 6
     assert len(built) == len(rec.rows) + sum(steps)  # the parent rebuilt each captured disc: + 6
@@ -367,8 +369,10 @@ def test_all_pass_sees_error_rows_in_any_column():
     [
         pytest.param("sphere", "1.5", "gamma <= 1", id="sphere-1.5"),
         pytest.param("sphere", "0.0", "gamma > 0", id="sphere-0"),
-        pytest.param("interval", "3.0", "gamma <= 2", id="interval-3"),
-        pytest.param("circle", "1.0,2.5", "gamma <= 2", id="circle-2.5"),
+        pytest.param("interval", "3.0", "gamma <= 1", id="interval-3"),
+        pytest.param("circle", "1.0,2.5", "gamma <= 1", id="circle-2.5"),
+        pytest.param("interval", "0.5,1.5", "gamma <= 1", id="interval-1.5"),
+        pytest.param("circle", "2.0", "gamma <= 1", id="circle-2"),
         pytest.param("interval", "-1.0", "gamma > 0", id="interval-neg"),
     ],
 )
@@ -392,15 +396,40 @@ def test_cmd_fekete_pairs_sphere_cells_once_with_gamma_one(tmp_path, monkeypatch
     dist = equilibrium.dist_gamma_dict
 
     def counted(*args):
-        calls.append(args[2])
+        calls.append(args[2].gammas)
         return dist(*args)
 
     monkeypatch.setattr(equilibrium, "dist_gamma_dict", counted)
     cfg = ExperimentConfig(domain_text="sphere", k_min=2, k_max=3, mesh=2000, sweeps=1, out_dir=str(tmp_path))
     rec = cmd_fekete(cfg)
-    assert calls == [1.0, 1.0]  # one per cell
+    assert calls == [(1.0,), (1.0,)]  # one per cell
     d1, g1 = rec.columns.index("dist1"), rec.columns.index("dist_g1")
     assert all(r[d1] == r[g1] for r in rec.rows)
+
+
+@pytest.mark.parametrize("domain", ["interval", "circle"])
+def test_cmd_fekete_evaluates_the_members_at_each_cells_atoms_once(tmp_path, monkeypatch, domain):
+    """Every gamma divides the same member means: a cell with gammas
+    (0.5, 1.0) evaluates the dictionary at its atoms once, and the
+    reference means are computed once for the whole run."""
+    from feketelab import equilibrium
+
+    sizes = []
+    means = equilibrium.TestDictionary.means
+
+    def counted(self, nodes):
+        sizes.append(len(nodes))
+        return means(self, nodes)
+
+    monkeypatch.setattr(equilibrium.TestDictionary, "means", counted)
+    cfg = ExperimentConfig(
+        domain_text=domain, k_min=2, k_max=4, mesh=1000, sweeps=1, gammas=(0.5, 1.0), out_dir=str(tmp_path)
+    )
+    rec = cmd_fekete(cfg)
+    n_k = rec.columns.index("n_k")
+    assert rec.all_pass() and "dist_g0.5" in rec.columns
+    reference = len(equilibrium.equilibrium_reference(cfg.domain).quad_nodes())
+    assert sorted(sizes) == sorted([reference] + [int(r[n_k]) for r in rec.rows])
 
 
 # --------------------------------------------------------------- plot files
@@ -469,6 +498,21 @@ def test_main_fekete_single_self_consistent_degree_exits_0(tmp_path):
     assert main(["fekete", "--config", cfg]) == 0
     assert (out / "arc4_rate.dat").read_text().splitlines()[2:] == ["4 0"]
     assert not (out / "arc4_rate.svg").exists()
+
+
+def test_main_fekete_on_an_arc_past_its_numerical_rank_exits_1(tmp_path, capsys):
+    """On arc:-1.0,1.5 the trig basis of degree 12 has numerical rank 23 <
+    25 on the arc's mesh: the k_max reference search stops with a named
+    error, not a numpy traceback."""
+    cfg = write_cfg(
+        tmp_path,
+        "[experiment]\nname = arc12\n\n[fekete]\ndomain = arc:-1.0,1.5\n"
+        f"k_min = 2\nk_max = 12\nmesh = 2048\nsweeps = 1\n\n[output]\ndir = {tmp_path}\n",
+    )
+    assert main(["fekete", "--config", cfg]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: k = 12:") and "rank 23" in err and "dimension 25" in err
+    assert not (tmp_path / "arc12_fekete.csv").exists()
 
 
 def test_main_plot_without_status_column(tmp_path):

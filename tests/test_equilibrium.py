@@ -39,7 +39,7 @@ INTERVAL = Interval()
 CIRCLE = Circle()
 NU_I = equilibrium_reference(INTERVAL)
 NU_C = equilibrium_reference(CIRCLE)
-GAMMAS = (0.5, 1.0, 1.5, 2.0)  # the gamma grid of the interval and circle dictionaries
+GAMMAS = (0.25, 0.5, 0.75, 1.0)  # a gamma grid for the dictionaries, which take gamma <= 1
 
 
 def quadrature_dist1_oracle(atoms, n_grid=400000):
@@ -210,59 +210,61 @@ def test_distance_axioms_on_triples():
 def test_dictionary_certified_norms():
     """Every scaled member of the interval and circle dictionaries has
     grid-estimated C^gamma norm at most 1, for every gamma, on the grid
-    its scale was measured on (for gamma > 1 the hats exceed it on finer
-    grids; see ROADMAP item 4)."""
+    its scale was measured on."""
     from feketelab.equilibrium import _holder_norms_1d
 
     for domain, xs, size in (
         (INTERVAL, np.linspace(-1, 1, 2001), 22),
         (Circle(), np.linspace(-math.pi, math.pi, 4001), 32),
     ):
-        for g, dct in build_dictionaries(domain, GAMMAS).items():
-            vals = np.concatenate(list(dct.blocks(xs))) / dct.scales[:, None]
-            assert vals.shape == (size, len(xs)) == (len(dct), len(xs))
+        dct = build_dictionaries(domain, GAMMAS)
+        assert dct.gammas == GAMMAS and dct.scales.shape == (len(GAMMAS), size)
+        for g, scales in zip(dct.gammas, dct.scales):
+            vals = np.concatenate(list(dct.blocks(xs))) / scales[:, None]
+            assert vals.shape == (size, len(xs))
             assert np.max(np.abs(vals)) <= 1.0 + 1e-6
             (norms,) = _holder_norms_1d(xs, vals, (g,))
-            assert np.all(norms <= 1.0 + 1e-6), (g, dct.names[int(np.argmax(norms))])
+            assert np.all(norms <= 1.0 + 1e-6), (g, int(np.argmax(norms)))
 
 
 def test_dictionary_monotone_in_gamma():
-    dicts = build_dictionaries(INTERVAL, GAMMAS)
     mu = EmpiricalMeasure(INTERVAL, np.array([0.3]))
-    vals = [dist_gamma_dict(mu, NU_I, g, dicts[g]) for g in sorted(dicts)]
+    dists = dist_gamma_dict(mu, NU_I, build_dictionaries(INTERVAL, GAMMAS))
+    assert list(dists) == list(GAMMAS)
+    vals = list(dists.values())
     assert all(a >= b - 1e-15 for a, b in zip(vals, vals[1:]))
 
 
 def test_dictionary_duality_against_w1():
-    dicts = build_dictionaries(INTERVAL, GAMMAS)
+    dct = build_dictionaries(INTERVAL, GAMMAS)
     rng = np.random.default_rng(6)
     for _ in range(5):
         mu = EmpiricalMeasure(INTERVAL, np.sort(rng.uniform(-1, 1, 7)))
-        lower = dist_gamma_dict(mu, NU_I, 1.0, dicts[1.0])
+        lower = dist_gamma_dict(mu, NU_I, dct)[1.0]
         assert lower <= dist1_interval(mu, NU_I) + 1e-9
 
 
 def test_dictionary_zero_for_equal_measures():
-    dct = build_dictionaries(INTERVAL, (0.5, 1.0))[1.0]
+    dct = build_dictionaries(INTERVAL, (0.5, 1.0))
     mu = EmpiricalMeasure(INTERVAL, np.array([-0.2, 0.5]))
-    assert dct.pair_gap(mu, mu) == 0.0
+    assert dist_gamma_dict(mu, mu, dct) == {0.5: 0.0, 1.0: 0.0}
 
 
 def test_empty_dictionary_rejected():
     from feketelab.equilibrium import TestDictionary
 
-    empty = TestDictionary(domain=INTERVAL, gamma=1.0, names=[], blocks=lambda nodes: iter(()), scales=np.array([]))
+    empty = TestDictionary(gammas=(1.0,), blocks=lambda nodes: iter(()), scales=np.empty((1, 0)))
     with pytest.raises(InputError):
-        empty.pair_gap(EmpiricalMeasure(INTERVAL, np.array([0.0])), NU_I)
+        dist_gamma_dict(EmpiricalMeasure(INTERVAL, np.array([0.0])), NU_I, empty)
 
 
 def test_sphere_dictionary_members_certified():
-    dct = build_dictionaries(Sphere(), (0.5, 1.0))[1.0]
-    assert len(dct) == 200 + 49
+    dct = build_dictionaries(Sphere(), (0.5, 1.0))
+    assert dct.scales.shape == (2, 200 + 49)
     mesh = Sphere().mesh(5000)
     vals = np.concatenate(list(dct.blocks(mesh)))
-    assert vals.shape == (len(dct), len(mesh))
-    assert np.all(np.max(np.abs(vals), axis=1) <= dct.scales * (1.0 + 1e-6))
+    assert vals.shape == (200 + 49, len(mesh))
+    assert np.all(np.max(np.abs(vals), axis=1) <= dct.scales[1] * (1.0 + 1e-6))
 
 
 
@@ -280,10 +282,7 @@ def _loop_holder_norm_1d(xs, vals, gamma):
                 break
         return out
 
-    if gamma <= 1.0:
-        return sup + semi(vals, gamma)
-    dv = np.gradient(vals, h)
-    return sup + float(np.max(np.abs(dv))) + semi(dv, gamma - 1.0)
+    return sup + semi(vals, gamma)
 
 
 @pytest.mark.parametrize("half_width", [1.0, 3.5])
@@ -294,12 +293,12 @@ def test_batched_holder_norms_equal_lag_loop(half_width):
     xs = np.linspace(-half_width, half_width, 301)
     rng = np.random.default_rng(8)
     vals = np.vstack([np.cos(3.0 * xs), np.abs(xs - 0.2), rng.standard_normal(len(xs))])
-    gammas = (0.3, 0.5, 1.0, 1.5, 1.7, 2.0)
+    gammas = (0.3, 0.5, 0.7, 1.0)
     for g, norms in zip(gammas, _holder_norms_1d(xs, vals, gammas)):
         assert norms.tolist() == [_loop_holder_norm_1d(xs, v, g) for v in vals]
 
 
-def _assert_scan_equals_lag_loop(xs, vals, gammas=(0.5, 1.0, 1.5, 2.0)):
+def _assert_scan_equals_lag_loop(xs, vals, gammas=(0.25, 0.5, 1.0)):
     from feketelab.equilibrium import _holder_norms_1d
 
     for g, norms in zip(gammas, _holder_norms_1d(xs, vals, gammas)):
@@ -309,19 +308,17 @@ def _assert_scan_equals_lag_loop(xs, vals, gammas=(0.5, 1.0, 1.5, 2.0)):
 
 @pytest.mark.parametrize("domain", ["interval", "circle"])
 def test_collapsed_scan_equals_lag_loop_on_the_dictionary_grids(domain):
-    """The dictionary members on the grids their scales are built on; gamma
-    1.5 and 2 scan their np.gradient.  All lags at distance >= 1 share one
-    table row."""
+    """The dictionary members on the grids their scales are built on.  All
+    lags at distance >= 1 share one table row."""
     from feketelab.equilibrium import _circle_members, _interval_members, _lag_maxima
 
     if domain == "interval":
-        xs, (_, blocks) = np.linspace(-1.0, 1.0, 2001), _interval_members()
+        xs, blocks = np.linspace(-1.0, 1.0, 2001), _interval_members()
     else:
-        xs, (_, blocks) = np.linspace(-math.pi, math.pi, 4001), _circle_members()
+        xs, blocks = np.linspace(-math.pi, math.pi, 4001), _circle_members()
     (vals,) = blocks(xs)
     _assert_scan_equals_lag_loop(xs, vals)
-    h = xs[1] - xs[0]
-    table, dists = _lag_maxima(np.gradient(vals, h, axis=1), h)
+    table, dists = _lag_maxima(vals, xs[1] - xs[0])
     assert dists.count(1.0) == 1 and dists[-1] == 1.0 and len(table) == len(dists)
 
 
@@ -354,13 +351,12 @@ def test_collapsed_scan_equals_lag_loop_on_edge_grids(xs):
 
 
 def test_collapsed_scan_keeps_the_quotients_at_distance_one():
-    """x and x^2/2 on [-1, 1] reach their largest quotient (2, for the values
-    and for the derivative) only between nodes more than 1 apart."""
+    """x on [-1, 1] reaches its largest quotient (2) only between nodes
+    more than 1 apart."""
     xs = np.linspace(-1.0, 1.0, 201)
     vals = np.vstack([xs, xs**2 / 2.0])
     _assert_scan_equals_lag_loop(xs, vals)
     assert _loop_holder_norm_1d(xs, vals[0], 0.5) == 3.0
-    assert _loop_holder_norm_1d(xs, vals[1], 1.5) > 3.0
 
 
 def test_collapsed_scan_adds_no_rows_by_nodes_array():
@@ -371,7 +367,7 @@ def test_collapsed_scan_adds_no_rows_by_nodes_array():
     from feketelab.equilibrium import _circle_members, _lag_maxima
 
     xs = np.linspace(-math.pi, math.pi, 4001)
-    (vals,) = _circle_members()[1](xs)
+    (vals,) = _circle_members()(xs)
     tracemalloc.start()
     try:
         _lag_maxima(vals, xs[1] - xs[0])
@@ -389,6 +385,15 @@ def test_sphere_dictionary_rejects_gamma_above_one():
         build_dictionaries(Sphere(), (0.5, 1.0, 1.5))
 
 
+@pytest.mark.parametrize("domain", [Interval(), Circle(), CircleArc(-1.0, 1.0)], ids=["interval", "circle", "arc"])
+@pytest.mark.parametrize("gamma", [1.5, 2.0])
+def test_line_dictionaries_reject_gamma_above_one(domain, gamma):
+    """The hats are only Lipschitz, so no C^{1, gamma - 1} norm certifies
+    them: every domain takes gamma <= 1 only."""
+    with pytest.raises(InputError, match="gamma <= 1"):
+        build_dictionaries(domain, (0.5, 1.0, gamma))
+
+
 def test_sphere_dictionary_evaluates_basis_once_per_node_set(monkeypatch):
     """The 49 harmonics come from one basis evaluation per node set: the
     norm mesh at build time, then the quadrature nodes and the atoms at the
@@ -403,15 +408,15 @@ def test_sphere_dictionary_evaluates_basis_once_per_node_set(monkeypatch):
         return real(spec, pts)
 
     monkeypatch.setattr(fk, "basis_matrix", counting)
-    dct = build_dictionaries(Sphere(), (1.0,))[1.0]
+    dct = build_dictionaries(Sphere(), (1.0,))
     assert len(calls) <= 1
     nu = equilibrium_reference(Sphere())
     mu = EmpiricalMeasure(Sphere(), Sphere().mesh(30))
     calls.clear()
-    dist_gamma_dict(mu, nu, 1.0, dct)
+    dist_gamma_dict(mu, nu, dct)
     assert len(calls) <= 2
     calls.clear()
-    dist_gamma_dict(mu, nu, 1.0, dct)
+    dist_gamma_dict(mu, nu, dct)
     assert len(calls) <= 1
 
 
@@ -502,8 +507,8 @@ def test_build_dictionaries_scans_a_repeated_gamma_once(monkeypatch):
     repeated = build_dictionaries(Sphere(), (1.0, 1.0))
     single = build_dictionaries(Sphere(), (1.0,))
     assert scanned == [(1.0,), (1.0,)]
-    assert list(repeated) == list(single) == [1.0]
-    assert repeated[1.0].scales.tobytes() == single[1.0].scales.tobytes()
+    assert repeated.gammas == single.gammas == (1.0,)
+    assert repeated.scales.tobytes() == single.scales.tobytes()
 
 
 @pytest.mark.parametrize(
@@ -513,5 +518,5 @@ def test_gamma_one_scales_do_not_depend_on_the_lower_grid(domain):
     """Distances are capped at 1, so the gamma = 0.5 norm of a member never
     exceeds its gamma = 1 norm and the running maximum at gamma = 1 is that
     norm: `fekete` builds (1.0,) alone when no gammas are configured."""
-    alone = build_dictionaries(domain, (1.0,))[1.0].scales
-    assert alone.tobytes() == build_dictionaries(domain, (0.5, 1.0))[1.0].scales.tobytes()
+    alone = build_dictionaries(domain, (1.0,)).scales[0]
+    assert alone.tobytes() == build_dictionaries(domain, (0.5, 1.0)).scales[1].tobytes()

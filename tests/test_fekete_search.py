@@ -119,9 +119,10 @@ def test_benchmark_tracer_sees_the_search_layers(tmp_path):
     """The benchmark's per-layer metrics and its set-up/solve split wrap
     feketelab functions by name; a rename would silently zero them, and a
     solve that called the other public solve would be counted twice.  Runs
-    tiny circle and sphere `fekete` and `bishop` commands in a fresh
-    interpreter, because the tracer patches modules for the life of the
-    process, and prints each command's counter increments."""
+    tiny circle and sphere `fekete`, `bishop` and `disc` commands in a
+    fresh interpreter, because the tracer patches modules for the life of
+    the process, and prints each command's counter increments.  Each
+    command's set-up function (perfbench/run.py) must be called."""
     script = textwrap.dedent(
         f"""
         import sys
@@ -130,7 +131,7 @@ def test_benchmark_tracer_sees_the_search_layers(tmp_path):
         tr = tracer.Tracer()
         tracer.install(tr)
         from feketelab import bishop
-        from feketelab.cli import cmd_bishop, cmd_fekete
+        from feketelab.cli import cmd_bishop, cmd_disc, cmd_fekete
         from feketelab.config import ExperimentConfig
 
         contract = bishop._contract
@@ -142,7 +143,8 @@ def test_benchmark_tracer_sees_the_search_layers(tmp_path):
         bishop._contract = counted_contract
         keys = ("fekete.leja_greedy.calls", "fekete.exchange_refine.calls",
                 "fekete.exchange_refine.points_base", "equilibrium.build_dictionaries.calls",
-                "bishop.calibrate_t_threshold.calls", "bishop.solve.calls", "contract.runs")
+                "bishop.calibrate_t_threshold.calls", "bishop.solve.calls", "contract.runs",
+                "discs.calibrate.calls", "discs.capture.calls")
 
         def run(label, cmd, cfg):
             before = dict(tr.counts)
@@ -153,6 +155,7 @@ def test_benchmark_tracer_sees_the_search_layers(tmp_path):
         run("circle", cmd_fekete, ExperimentConfig(domain_text="circle", k_min=2, k_max=3, mesh=256, sweeps=2))
         run("sphere", cmd_fekete, ExperimentConfig(domain_text="sphere", k_min=2, k_max=3, mesh=400, sweeps=1))
         run("bishop", cmd_bishop, ExperimentConfig(grid_m=128, t_list=(0.05,), samples=2))
+        run("disc", cmd_disc, ExperimentConfig(grid_m=128, disc_n=1, t_list=(0.05,), samples=1))
         """
     )
     proc = subprocess.run(
@@ -170,3 +173,5 @@ def test_benchmark_tracer_sees_the_search_layers(tmp_path):
     bishop = counts["bishop"]
     assert bishop["bishop.calibrate_t_threshold.calls"] >= 1, bishop
     assert bishop["bishop.solve.calls"] == bishop["contract.runs"] > 0, bishop
+    disc = counts["disc"]
+    assert disc["discs.calibrate.calls"] >= 1 and disc["discs.capture.calls"] > 0, disc
