@@ -2,7 +2,9 @@
 """Full Fekete rate study on the three model domains.
 
 Writes one CSV per domain plus log-log plot data under out/rate_study/.
-Roughly five minutes end to end; the sphere dominates.
+About 9 s end to end on a 2-core Xeon (numpy with OpenBLAS), nearly all
+of it the sphere's mesh search: the circle and interval are solved
+exactly.
 """
 
 import dataclasses

@@ -103,31 +103,36 @@ def _run_cells(rec: RunRecord, cells):
         rec.timings.append((label, time.perf_counter() - t0))
 
 
-def _weight_of(cfg: ExperimentConfig) -> fk.Weight:
+def _weight_slope(cfg: ExperimentConfig) -> float:
+    """The slope a of the configured weight phi(x) = a x, 0 for `zero`;
+    a linear weight is defined on the interval only."""
     if cfg.weight == "zero":
-        return fk.zero_weight()
-    if cfg.weight.startswith("linear:"):
-        a = float(cfg.weight.split(":")[1])
-        return fk.Weight(
-            phi=lambda pts: a * np.atleast_1d(np.asarray(pts, float)).reshape(len(np.atleast_1d(pts)), -1)[:, 0],
-        )
-    raise ConfigError(f"unknown weight {cfg.weight!r}")
+        return 0.0
+    if not cfg.weight.startswith("linear:"):
+        raise ConfigError(f"unknown weight {cfg.weight!r}")
+    if not isinstance(cfg.domain, fk.Interval):
+        raise ConfigError(f"weight {cfg.weight} is defined on the interval only, not on {cfg.domain_text}")
+    try:
+        return float(cfg.weight.split(":", 1)[1])
+    except ValueError as exc:
+        raise ConfigError(f"bad weight {cfg.weight!r}") from exc
 
 
-def _fekete_config(spec, weight, mesh, sweeps: int) -> fk.PointConfiguration:
-    """Greedy then exchange; the search state is freed when this returns."""
+def _mesh_search(mesh, sweeps: int, spec) -> tuple[fk.PointConfiguration, float]:
+    """Greedy then exchange, with 0.0 in the place of `fk.fekete_1d`'s KKT
+    residual; the search state is freed when this returns."""
+    weight = fk.zero_weight()
     config, state = fk.leja_greedy(spec, weight, mesh)
-    return fk.exchange_refine(config, spec, weight, mesh, sweeps, state)
+    return fk.exchange_refine(config, spec, weight, mesh, sweeps, state), 0.0
 
 
-def _reference_for(cfg: ExperimentConfig, weight, mesh):
-    domain = cfg.domain
+def _reference_for(domain, search, k_max: int):
     try:
         return eq.equilibrium_reference(domain), "closed-form"
     except FeketelabError:
         # arcs/caps: self-consistency against the largest-degree measure
-        config = _fekete_config(fk.BasisSpec(domain, cfg.k_max), weight, mesh, cfg.sweeps)
-        return fk.fekete_measure(config), f"fekete-self-consistency(k={cfg.k_max})"
+        config, _ = search(fk.BasisSpec(domain, k_max))
+        return fk.fekete_measure(config), f"fekete-self-consistency(k={k_max})"
 
 
 def _dist_to_reference(domain, mu, reference, dictionary):
@@ -150,22 +155,36 @@ def _dist_to_reference(domain, mu, reference, dictionary):
 
 
 def cmd_fekete(cfg: ExperimentConfig) -> RunRecord:
+    """One row per degree.  The interval, circle and arcs get their exact
+    Fekete configuration (`fk.fekete_1d`), with its KKT residual as a
+    column that `pass` bounds; the sphere and caps get the mesh search."""
     domain = cfg.domain
-    weight = _weight_of(cfg)
-    mesh = domain.mesh(cfg.mesh) if cfg.mesh else domain.mesh()
-    reference, ref_name = _reference_for(cfg, weight, mesh)
+    slope = _weight_slope(cfg)
+    one_d = not isinstance(fk.ambient_of(domain), fk.Sphere)
+    if one_d:
+        search = partial(fk.fekete_1d, slope=slope)
+        calibration = {"search": "exact-newton", "kkt_tol": fk.KKT_TOL}
+    else:
+        mesh = domain.mesh(cfg.mesh) if cfg.mesh else domain.mesh()
+        search = partial(_mesh_search, mesh, cfg.sweeps)
+        calibration = {"mesh": len(mesh), "sweeps": cfg.sweeps}
+    reference, ref_name = _reference_for(domain, search, cfg.k_max)
     dictionary = eq.build_dictionaries(domain, cfg.gammas + (1.0,))
     rec = RunRecord(
         name=cfg.name,
         config_hash=cfg.config_hash(),
-        columns=["status", "k", "n_k", "logdet", "dist1", *(f"dist_g{g:g}" for g in dictionary.gammas), "pass", "note"],
-        calibration={"reference": ref_name, "mesh": len(mesh), "sweeps": cfg.sweeps},
+        columns=[
+            "status", "k", "n_k", "logdet", *(["kkt_residual"] if one_d else []), "dist1",
+            *(f"dist_g{g:g}" for g in dictionary.gammas), "pass", "note",
+        ],
+        calibration={"reference": ref_name, **calibration},
     )
 
     def run_cell(k: int):
-        config = _fekete_config(fk.BasisSpec(domain, k), weight, mesh, cfg.sweeps)
+        config, residual = search(fk.BasisSpec(domain, k))
         dists = _dist_to_reference(domain, fk.fekete_measure(config), reference, dictionary)
-        return {"k": k, "n_k": config.size, "logdet": config.logdet, **dists, "pass": np.isfinite(config.logdet)}
+        ok = np.isfinite(config.logdet) and residual <= fk.KKT_TOL
+        return {"k": k, "n_k": config.size, "logdet": config.logdet, "kkt_residual": residual, **dists, "pass": ok}
 
     _run_cells(rec, [(f"k={k}", {"k": k}, partial(run_cell, k)) for k in cfg.ks])
     return rec

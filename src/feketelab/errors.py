@@ -30,6 +30,11 @@ class ContractionFailure(FeketelabError, RuntimeError):
     e.g. t too large) or used up its 500-step budget."""
 
 
+class NewtonFailure(FeketelabError, RuntimeError):
+    """Newton on a 1-D Fekete configuration did not settle within its
+    iteration cap."""
+
+
 class ControlFailure(FeketelabError, RuntimeError):
     """Newton control of the boundary derivative stagnated."""
 

@@ -4,7 +4,10 @@ Domains are the model compacts with explicit polynomial/harmonic section
 spaces: the interval with Chebyshev polynomials, the circle with the
 trigonometric basis, the 2-sphere with real spherical harmonics, plus arcs
 and caps inheriting the ambient basis.  The weighted log-Vandermonde value
-of a configuration is evaluated by pivoted factorization in log space, and
+of a configuration is evaluated by pivoted factorization in log space.
+On the 1-D domains the Fekete configuration is computed exactly: in closed
+form on the circle, and by Newton on the concave pairwise form of the
+log-Vandermonde on the interval and on arcs.  On the sphere and caps
 configurations are searched in index space on one weighted mesh-by-basis
 matrix: greedy Leja extraction followed by single-point exchange
 refinement over a candidate shortlist.
@@ -18,13 +21,16 @@ from functools import lru_cache
 
 import numpy as np
 
-from .errors import DomainError, InputError, InsufficientMeshError
+from .errors import DomainError, InputError, InsufficientMeshError, NewtonFailure
 
 NEG_INF = float("-inf")
 
 _GOLDEN_ANGLE = math.pi * (3.0 - math.sqrt(5.0))
 _SHORTLIST = 64
 _GREEDY_BLOCK = 32  # rank-1 deflations applied to the mesh matrix per GEMM
+_NEWTON_MAX_ITERS = 60  # Newton steps of one exact 1-D solve, active-set changes included
+_NEWTON_STEP_TOL = 1e-13  # a Newton step this short (on [-1, 1] or in radians) is rounding
+KKT_TOL = 1e-6  # largest |gradient| over the free points of a passing 1-D row
 
 
 # ------------------------------------------------------------------ domains
@@ -82,8 +88,8 @@ class CircleArc:
     kind: str = field(default="arc", init=False)
 
     def __post_init__(self):
-        if not self.theta_a < self.theta_b:
-            raise InputError("arc needs theta_a < theta_b (positive measure)")
+        if not self.theta_a < self.theta_b < self.theta_a + 2.0 * math.pi:
+            raise InputError("arc needs theta_a < theta_b < theta_a + 2 pi (positive measure, not the circle)")
 
     def mesh(self, size: int = 4096) -> np.ndarray:
         full = Circle().mesh(size)
@@ -144,6 +150,11 @@ class Weight:
 
 def zero_weight() -> Weight:
     return Weight(phi=lambda pts: np.zeros(len(np.atleast_1d(pts))))
+
+
+def linear_weight(a: float) -> Weight:
+    """phi(x) = a x on the interval."""
+    return Weight(phi=lambda pts: a * np.atleast_1d(np.asarray(pts, dtype=float)))
 
 
 # -------------------------------------------------------------------- basis
@@ -225,11 +236,15 @@ def _ambient_matrix(domain, pts: np.ndarray, k: int) -> np.ndarray:
 
 
 def basis_dim(spec: BasisSpec) -> int:
-    """N_k: closed-form on full model domains, numerical rank on arcs/caps."""
+    """N_k: closed form on the model domains and arcs, numerical rank on caps.
+
+    The trig basis stays linearly independent on any arc, since a nonzero
+    trig polynomial of degree k has at most 2k zeros on the circle.
+    """
     domain, k = spec.domain, spec.k
     if isinstance(domain, Interval):
         return k + 1
-    if isinstance(domain, Circle):
+    if isinstance(domain, (Circle, CircleArc)):
         return 2 * k + 1
     if isinstance(domain, Sphere):
         return (k + 1) ** 2
@@ -238,7 +253,7 @@ def basis_dim(spec: BasisSpec) -> int:
 
 @lru_cache(maxsize=128)
 def _numerical_rank(spec: BasisSpec) -> int:
-    """Rank of the ambient basis on the domain's default mesh."""
+    """Rank of the ambient basis on a cap's default mesh."""
     mat = _ambient_matrix(spec.domain, spec.domain.mesh(), spec.k)
     sv = np.linalg.svd(mat, compute_uv=False)
     return int(np.sum(sv > 1e-10 * sv[0]))
@@ -313,8 +328,8 @@ def log_vandermonde(config, spec: BasisSpec, weight: Weight | None = None) -> fl
     """log |det[s_i(p_j)]| - k sum phi(p_j), or -inf if numerically singular.
 
     Computed by row-pivoted LU in log space (sign discarded), never by a
-    dense determinant.  On an arc or cap whose basis has lost numerical
-    rank the matrix is not square, and InsufficientMeshError is raised.
+    dense determinant.  On a cap whose basis has lost numerical rank the
+    matrix is not square, and InsufficientMeshError is raised.
     """
     weight = zero_weight() if weight is None else weight
     pts = config.points if isinstance(config, PointConfiguration) else np.asarray(config)
@@ -503,3 +518,102 @@ def exchange_refine(
         logdet=log_vandermonde(pts, spec, weight),
         weight=weight,
     )
+
+
+# ------------------------------------------------------- exact 1-D Fekete
+def _pair_derivatives(x: np.ndarray, arc: bool):
+    """Gradient and Hessian of sum_{i<j} h(x_j - x_i) at ordered points,
+    with h(u) = log|u| (interval) or log|sin(u/2)| (arcs)."""
+    u = x[:, None] - x[None, :]
+    np.fill_diagonal(u, 1.0)
+    if arc:
+        h1 = 0.5 / np.tan(0.5 * u)
+        h2 = -0.25 / np.sin(0.5 * u) ** 2
+    else:
+        h1 = 1.0 / u
+        h2 = -h1 * h1
+    np.fill_diagonal(h1, 0.0)
+    np.fill_diagonal(h2, 0.0)
+    hess = -h2
+    np.fill_diagonal(hess, h2.sum(axis=1))
+    return h1.sum(axis=1), hess
+
+
+def _newton_1d(n: int, lo: float, hi: float, pull: float, arc: bool):
+    """Maximiser of sum_{i<j} h(x_j - x_i) - pull * sum x_i over ordered
+    points in [lo, hi], and its KKT residual.
+
+    The objective is strictly concave once one endpoint is held, so damped
+    Newton on the free points finds the unique maximiser.  The endpoints
+    start held at lo and hi (the start is the Chebyshev-Lobatto nodes, or
+    the arc-equilibrium quantiles); once Newton settles, an endpoint whose
+    gradient points into the interval is freed, one at a time, and never
+    the last held one.  A step is halved until it keeps the order and the
+    box.  Raises NewtonFailure rather than return an unsettled solve.
+    """
+    if n == 1:
+        return np.array([lo]), 0.0
+    half = 0.5 * (hi - lo)
+    s = np.sin(math.pi * (np.arange(n) / (n - 1) - 0.5))
+    x = lo + half + (2.0 * np.arcsin(math.sin(0.5 * half) * s) if arc else half * s)
+    x[0], x[-1] = lo, hi
+    held = np.zeros(n, dtype=bool)
+    held[[0, -1]] = True
+    for _ in range(_NEWTON_MAX_ITERS):
+        grad, hess = _pair_derivatives(x, arc)
+        grad -= pull
+        free = ~held
+        step = np.zeros(n)
+        step[free] = np.linalg.solve(hess[np.ix_(free, free)], -grad[free])
+        t = 1.0
+        while t > 0.0:
+            trial = x + t * step
+            if np.all(np.diff(trial) > 0.0) and trial[0] >= lo and trial[-1] <= hi:
+                break
+            t *= 0.5
+        x = trial
+        if np.max(np.abs(step)) > _NEWTON_STEP_TOL:
+            continue
+        # settled on this active set: a held endpoint must push outwards
+        push_in = np.array([grad[0] if held[0] else 0.0, -grad[-1] if held[-1] else 0.0])
+        if np.max(push_in) <= 0.0 or held.sum() == 1:
+            grad, _ = _pair_derivatives(x, arc)
+            return x, float(np.max(np.abs(grad - pull)[~held], initial=0.0))
+        held[[0, -1][int(np.argmax(push_in))]] = False
+    raise NewtonFailure(
+        f"Newton on {n} points did not settle within {_NEWTON_MAX_ITERS} steps"
+    )
+
+
+def fekete_1d(spec: BasisSpec, slope: float = 0.0) -> tuple[PointConfiguration, float]:
+    """Exact Fekete configuration on the interval, circle or an arc, and its
+    KKT residual (the largest |gradient| over the free points).
+
+    The Chebyshev (trig) log-determinant is k(k-1)/2 log 2 (2 k^2 log 2)
+    plus the pairwise sum sum_{i<j} log|x_j - x_i| (log|sin((t_j - t_i)/2)|),
+    and the weight phi(x) = slope x (interval only) subtracts
+    k slope sum x_i.  So logdet comes from this product formula, with no
+    matrix and no conditioning limit on the degree.  On the circle the
+    optimum is N equispaced angles from -pi, with logdet
+    1/2 log N + k log(N/2).
+    """
+    domain, k = spec.domain, spec.k
+    n = basis_dim(spec)
+    if slope and not isinstance(domain, Interval):
+        raise InputError(f"a linear weight is defined on the interval only, not on the {domain.kind}")
+    if isinstance(domain, Circle):
+        pts = 2.0 * math.pi * np.arange(n) / n - math.pi
+        logdet, residual = 0.5 * math.log(n) + k * math.log(n / 2.0), 0.0
+    elif isinstance(domain, (Interval, CircleArc)):
+        arc = isinstance(domain, CircleArc)
+        lo, hi = (domain.theta_a, domain.theta_b) if arc else (-1.0, 1.0)
+        pts, residual = _newton_1d(n, lo, hi, k * slope, arc)
+        u = (pts[None, :] - pts[:, None])[np.triu_indices(n, 1)]
+        if arc:
+            logdet = 2 * k * k * math.log(2.0) + float(np.sum(np.log(np.sin(0.5 * u))))
+        else:
+            logdet = k * (k - 1) / 2 * math.log(2.0) + float(np.sum(np.log(u))) - k * slope * float(np.sum(pts))
+    else:
+        raise InputError(f"no exact Fekete solver on the {domain.kind}")
+    config = PointConfiguration(domain=domain, points=pts, logdet=logdet, weight=linear_weight(slope))
+    return config, residual

@@ -1,14 +1,17 @@
 """Experiment CLI: config parsing, determinism, crash isolation, exit codes."""
 
+import dataclasses
 import glob
 import math
 import os
+import re
 from itertools import combinations
 
 import numpy as np
 import pytest
 
 from feketelab import bishop as bsh
+from feketelab import fekete as fk
 from feketelab.cli import (
     RunRecord,
     _fmt,
@@ -142,6 +145,41 @@ def test_cmd_fekete_contains_bruteforce_optimum(tmp_path):
     ld_idx = rec.columns.index("logdet")
     row = next(r for r in rec.rows if r[k_idx] == 2)
     assert row[ld_idx] >= best - 1e-9
+
+
+@pytest.mark.parametrize(
+    "domain,weight,message",
+    [
+        *((d, "linear:0.3", f"not on {d}") for d in ("circle", "sphere", "arc:-1.0,1.0", "cap:0,0,1,1.0")),
+        ("interval", "linear:x", "bad weight 'linear:x'"),
+    ],
+)
+def test_cmd_fekete_rejects_a_weight_it_cannot_apply(tmp_path, domain, weight, message):
+    """A linear weight is defined on the interval only; on any other domain
+    it is a ConfigError naming the domain, as is an unparsable slope."""
+    cfg = ExperimentConfig(domain_text=domain, k_min=2, k_max=2, weight=weight, out_dir=str(tmp_path))
+    with pytest.raises(ConfigError, match=re.escape(message)):
+        cmd_fekete(cfg)
+
+
+def test_one_d_rows_carry_their_kkt_residual(tmp_path, monkeypatch):
+    """1-D records name the exact search in the header, not mesh or sweeps,
+    and a row passes only with its KKT residual within the declared
+    tolerance; sphere records keep the mesh-search header and columns."""
+    cfg = ExperimentConfig(domain_text="interval", k_min=2, k_max=4, weight="linear:0.9")
+    rec = cmd_fekete(cfg)
+    assert rec.calibration == {"reference": "closed-form", "search": "exact-newton", "kkt_tol": fk.KKT_TOL}
+    assert rec.columns[3:6] == ["logdet", "kkt_residual", "dist1"]
+    res = rec.columns.index("kkt_residual")
+    assert rec.all_pass() and all(0.0 <= row[res] <= fk.KKT_TOL for row in rec.rows)
+    circle = cmd_fekete(dataclasses.replace(cfg, domain_text="circle", weight="zero"))
+    assert [row[res] for row in circle.rows] == [0.0] * 3
+    sphere = cmd_fekete(ExperimentConfig(domain_text="sphere", k_min=2, k_max=2, mesh=400, sweeps=1))
+    assert "kkt_residual" not in sphere.columns
+    assert sphere.calibration == {"reference": "closed-form", "mesh": 400, "sweeps": 1}
+    monkeypatch.setattr(fk, "KKT_TOL", -1.0)
+    strict = cmd_fekete(cfg)
+    assert not any(row[strict.columns.index("pass")] for row in strict.rows)
 
 
 def test_cmd_fekete_deterministic_bytes(tmp_path):
@@ -500,19 +538,23 @@ def test_main_fekete_single_self_consistent_degree_exits_0(tmp_path):
     assert not (out / "arc4_rate.svg").exists()
 
 
-def test_main_fekete_on_an_arc_past_its_numerical_rank_exits_1(tmp_path, capsys):
-    """On arc:-1.0,1.5 the trig basis of degree 12 has numerical rank 23 <
-    25 on the arc's mesh: the k_max reference search stops with a named
-    error, not a numpy traceback."""
+def test_main_fekete_on_an_arc_past_the_old_rank_limit_exits_0(tmp_path):
+    """On arc:-1.0,1.5 the trig basis of degree 11 and up loses numerical
+    rank on the arc's mesh, which stopped the mesh search; the exact solver
+    takes its logdet from the product formula, so every degree to 20 has a
+    finite logdet and a passing row."""
     cfg = write_cfg(
         tmp_path,
-        "[experiment]\nname = arc12\n\n[fekete]\ndomain = arc:-1.0,1.5\n"
-        f"k_min = 2\nk_max = 12\nmesh = 2048\nsweeps = 1\n\n[output]\ndir = {tmp_path}\n",
+        "[experiment]\nname = arc20\n\n[fekete]\ndomain = arc:-1.0,1.5\n"
+        f"k_min = 2\nk_max = 20\nmesh = 2048\nsweeps = 1\n\n[output]\ndir = {tmp_path}\n",
     )
-    assert main(["fekete", "--config", cfg]) == 1
-    err = capsys.readouterr().err
-    assert err.startswith("error: k = 12:") and "rank 23" in err and "dimension 25" in err
-    assert not (tmp_path / "arc12_fekete.csv").exists()
+    assert main(["fekete", "--config", cfg]) == 0
+    rec = _record_from_csv(str(tmp_path / "arc20_fekete.csv"))
+    rows = [dict(zip(rec.columns, row)) for row in rec.rows]
+    assert [int(r["k"]) for r in rows] == list(range(2, 21))
+    assert all(r["status"] == "ok" and r["pass"] == "1" for r in rows)
+    assert all(math.isfinite(float(r["logdet"])) for r in rows)
+    assert [int(r["n_k"]) for r in rows] == [2 * k + 1 for k in range(2, 21)]
 
 
 def test_main_plot_without_status_column(tmp_path):

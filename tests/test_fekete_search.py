@@ -1,5 +1,5 @@
 """Index-space Fekete search: closed-form optimum on S^1, the exchange
-contract, the cached arc/cap rank, and the benchmark tracer's hooks."""
+contract, the cached cap rank, and the benchmark tracer's hooks."""
 
 import math
 import subprocess
@@ -104,13 +104,20 @@ def test_greedy_state_indexes_the_weighted_mesh_matrix():
     "domain,k", [(CircleArc(-1.0, 1.0), 3), (SphericalCap((0, 0, 1), 1.0), 3)]
 )
 def test_arc_and_cap_rank_is_cached(domain, k):
+    """A cap's dimension is its numerical rank, computed once per spec; an
+    arc's is the exact 2k + 1 and never computes a rank."""
     from feketelab.fekete import _numerical_rank
 
     spec = BasisSpec(domain, k)
+    before = _numerical_rank.cache_info()
     first = basis_dim(spec)
-    hits = _numerical_rank.cache_info().hits
+    mid = _numerical_rank.cache_info()
     assert basis_dim(BasisSpec(domain, k)) == first
-    assert _numerical_rank.cache_info().hits == hits + 1
+    after = _numerical_rank.cache_info()
+    if isinstance(domain, CircleArc):
+        assert first == 2 * k + 1 and before == mid == after
+    else:
+        assert after.hits == mid.hits + 1
     sv = np.linalg.svd(basis_matrix(spec, domain.mesh()), compute_uv=False)
     assert first == int(np.sum(sv > 1e-10 * sv[0]))
 
@@ -122,7 +129,9 @@ def test_benchmark_tracer_sees_the_search_layers(tmp_path):
     tiny circle and sphere `fekete`, `bishop` and `disc` commands in a
     fresh interpreter, because the tracer patches modules for the life of
     the process, and prints each command's counter increments.  Each
-    command's set-up function (perfbench/run.py) must be called."""
+    command's set-up function (perfbench/run.py) must be called.  The
+    sphere runs the mesh search; the circle must not, since its Fekete
+    configuration is exact."""
     script = textwrap.dedent(
         f"""
         import sys
@@ -166,10 +175,13 @@ def test_benchmark_tracer_sees_the_search_layers(tmp_path):
     for line in proc.stdout.splitlines():
         label, key, value = line.split()
         counts.setdefault(label, {})[key] = int(value)
+    search = ("fekete.leja_greedy.calls", "fekete.exchange_refine.calls", "fekete.exchange_refine.points_base")
+    for key in search:
+        assert counts["sphere"][key] > 0, counts["sphere"]
+    # the circle takes its exact configuration, not the mesh search
+    assert all(counts["circle"][key] == 0 for key in search), counts["circle"]
     for label in ("circle", "sphere"):
-        for key in ("fekete.leja_greedy.calls", "fekete.exchange_refine.calls", "fekete.exchange_refine.points_base"):
-            assert counts[label][key] > 0, (label, counts[label])
-    assert counts["sphere"]["equilibrium.build_dictionaries.calls"] >= 1, counts["sphere"]
+        assert counts[label]["equilibrium.build_dictionaries.calls"] >= 1, (label, counts[label])
     bishop = counts["bishop"]
     assert bishop["bishop.calibrate_t_threshold.calls"] >= 1, bishop
     assert bishop["bishop.solve.calls"] == bishop["contract.runs"] > 0, bishop

@@ -1,12 +1,19 @@
 """Golden `fekete` CSVs: the Fekete search must keep choosing the same
 configurations, so each small `cmd_fekete` run is compared byte for byte
-with a CSV committed under tests/data/."""
+with a CSV committed under tests/data/.  The 1-D goldens written by the
+mesh search, before the exact 1-D solver, are kept unedited under
+tests/data/mesh-search/ as lower bounds on the exact logdets.
 
+Regenerate goldens with `python tests/test_golden.py NAME...` (src on the
+path)."""
+
+import sys
+import tempfile
 from pathlib import Path
 
 import pytest
 
-from feketelab.cli import cmd_fekete
+from feketelab.cli import _record_from_csv, cmd_fekete
 from feketelab.config import load_config
 
 DATA = Path(__file__).parent / "data"
@@ -37,3 +44,24 @@ def golden_csv(name: str, tmp_path: Path) -> bytes:
 @pytest.mark.parametrize("name", sorted(GOLDEN))
 def test_fekete_csv_matches_golden(name, tmp_path):
     assert golden_csv(name, tmp_path) == (DATA / f"{name}_fekete.csv").read_bytes()
+
+
+def _logdets(path: Path) -> dict:
+    rec = _record_from_csv(str(path))
+    k, logdet = rec.columns.index("k"), rec.columns.index("logdet")
+    return {int(row[k]): float(row[logdet]) for row in rec.rows}
+
+
+@pytest.mark.parametrize("name", ["arc", "circle", "interval", "interval-linear"])
+def test_exact_logdets_bound_the_mesh_search_goldens(name):
+    """The exact 1-D optimum is at least what the mesh search found."""
+    exact = _logdets(DATA / f"{name}_fekete.csv")
+    mesh = _logdets(DATA / "mesh-search" / f"{name}_fekete.csv")
+    assert exact.keys() == mesh.keys()
+    assert all(exact[k] >= mesh[k] for k in mesh), (exact, mesh)
+
+
+if __name__ == "__main__":
+    for name in sys.argv[1:]:
+        with tempfile.TemporaryDirectory() as tmp:
+            (DATA / f"{name}_fekete.csv").write_bytes(golden_csv(name, Path(tmp)))
