@@ -137,8 +137,13 @@ def h_zero(n: int) -> GraphManifold:
     return GraphManifold(n=n, h=h, c1=1e-12, radius=1e6, name="zero")
 
 
+@lru_cache(maxsize=None)
 def manifold_from_key(key: tuple) -> GraphManifold:
-    """The built-in manifold of a key ("quad", n, q), ("mix", n, q) or ("zero", n)."""
+    """The built-in manifold of a key ("quad", n, q), ("mix", n, q) or ("zero", n).
+
+    Cached, so each key's bounds are spot-checked once per process however
+    many configurations name it; a key that fails the check raises on
+    every call, since a raise is not cached."""
     kind, n, *rest = key
     if kind == "quad":
         return h_quad(n, rest[0])

@@ -50,6 +50,7 @@ class RunRecord:
     rows: list = field(default_factory=list)
     calibration: dict = field(default_factory=dict)
     timings: list = field(default_factory=list)
+    phases: dict = field(default_factory=dict)  # phase seconds of the running cell
 
     def add(self, **kw):
         self.rows.append([kw.get(c, "") for c in self.columns])
@@ -79,11 +80,15 @@ class RunRecord:
                 fh.write(",".join(_fmt(v) for v in row) + "\n")
 
     def write_timings(self, path: str):
+        """Each cell's wall time, then a column per phase any cell timed
+        (blank where a cell did not reach it)."""
+        names = list(dict.fromkeys(name for _, _, phases in self.timings for name in phases))
         with open(path, "w", encoding="utf-8", newline="\n") as fh:
             fh.write(f"# config_hash={self.config_hash} (timings, not covered by the determinism contract)\n")
-            fh.write("cell,seconds\n")
-            for cell, sec in self.timings:
-                fh.write(f"{cell},{sec:.6f}\n")
+            fh.write(",".join(["cell", "seconds", *names]) + "\n")
+            for cell, sec, phases in self.timings:
+                split = (f"{phases[n]:.6f}" if n in phases else "" for n in names)
+                fh.write(",".join([cell, f"{sec:.6f}", *split]) + "\n")
 
 
 def _run_cells(rec: RunRecord, cells):
@@ -92,15 +97,16 @@ def _run_cells(rec: RunRecord, cells):
     A cell adds an `ok` row from the columns `fn()` returns, or, when fn
     raises a FeketelabError, an `error` row of its key columns plus the
     error as note; either way its wall time goes to the timings under
-    `label`.
+    `label`, with the phase seconds fn put in `rec.phases`.
     """
     for label, key, fn in cells:
+        rec.phases = {}
         t0 = time.perf_counter()
         try:
             rec.add(status="ok", **fn(), note="")
         except FeketelabError as exc:
             rec.add(status="error", **key, note=f"{type(exc).__name__}: {exc}")
-        rec.timings.append((label, time.perf_counter() - t0))
+        rec.timings.append((label, time.perf_counter() - t0, rec.phases))
 
 
 def _weight_slope(cfg: ExperimentConfig) -> float:
@@ -118,12 +124,22 @@ def _weight_slope(cfg: ExperimentConfig) -> float:
         raise ConfigError(f"bad weight {cfg.weight!r}") from exc
 
 
-def _mesh_search(mesh, sweeps: int, spec) -> tuple[fk.PointConfiguration, float]:
-    """Greedy then exchange, with 0.0 in the place of `fk.fekete_1d`'s KKT
-    residual; the search state is freed when this returns."""
-    weight = fk.zero_weight()
-    config, state = fk.leja_greedy(spec, weight, mesh)
-    return fk.exchange_refine(config, spec, weight, mesh, sweeps, state), 0.0
+def _mesh_search(mesh, k_max: int, sweeps: int):
+    """The sphere and cap search: greedy then exchange, with 0.0 in the
+    place of `fk.fekete_1d`'s KKT residual.  Every degree reads the leading
+    columns of one mesh-by-basis matrix at k_max, built by the first
+    search; each search state is freed when its search returns."""
+    mesh_matrix = None
+
+    def search(spec):
+        nonlocal mesh_matrix
+        if mesh_matrix is None:
+            mesh_matrix = np.ascontiguousarray(fk.basis_matrix(fk.BasisSpec(spec.domain, k_max), mesh).T)
+        weight = fk.zero_weight()
+        config, state = fk.leja_greedy(spec, weight, mesh, mesh_matrix)
+        return fk.exchange_refine(config, spec, weight, mesh, sweeps, state), 0.0
+
+    return search
 
 
 def _reference_for(domain, search, k_max: int):
@@ -166,7 +182,7 @@ def cmd_fekete(cfg: ExperimentConfig) -> RunRecord:
         calibration = {"search": "exact-newton", "kkt_tol": fk.KKT_TOL}
     else:
         mesh = domain.mesh(cfg.mesh) if cfg.mesh else domain.mesh()
-        search = partial(_mesh_search, mesh, cfg.sweeps)
+        search = _mesh_search(mesh, cfg.k_max, cfg.sweeps)
         calibration = {"mesh": len(mesh), "sweeps": cfg.sweeps}
     reference, ref_name = _reference_for(domain, search, cfg.k_max)
     dictionary = eq.build_dictionaries(domain, cfg.gammas + (1.0,))
@@ -181,8 +197,12 @@ def cmd_fekete(cfg: ExperimentConfig) -> RunRecord:
     )
 
     def run_cell(k: int):
+        t0 = time.perf_counter()
         config, residual = search(fk.BasisSpec(domain, k))
+        rec.phases["search_s"] = time.perf_counter() - t0
+        t0 = time.perf_counter()
         dists = _dist_to_reference(domain, fk.fekete_measure(config), reference, dictionary)
+        rec.phases["dist_s"] = time.perf_counter() - t0
         ok = np.isfinite(config.logdet) and residual <= fk.KKT_TOL
         return {"k": k, "n_k": config.size, "logdet": config.logdet, "kkt_residual": residual, **dists, "pass": ok}
 

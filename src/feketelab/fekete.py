@@ -348,13 +348,22 @@ def log_vandermonde(config, spec: BasisSpec, weight: Weight | None = None) -> fl
 
 
 # -------------------------------------------------------------------- greedy
+_FLUSH_ROWS = 2048  # mesh rows per block of a deflation flush
+
+
 def _greedy_core(w_mat: np.ndarray, n: int):
     """Row-residual greedy on the mesh-by-basis matrix; returns indices and
     per-step top-shortlist candidates.
 
-    Residual norms are tracked incrementally and the rank-1 deflations are
-    applied to the big matrix in blocks (compact-WY style), so the cost is
-    one matvec per step plus occasional GEMMs.
+    The residual is a C-order copy of `w_mat`, which may be a column slice
+    of a wider matrix.  Residual norms are tracked incrementally and the
+    rank-1 deflations are applied to the residual in blocks of
+    _GREEDY_BLOCK (compact-WY style), so the cost is one matvec per step
+    plus one GEMM per block.  A flush subtracts C @ V in place, _FLUSH_ROWS
+    mesh rows at a time through one scratch block, and the per-step
+    vectors reuse scratch buffers, so no step allocates a mesh-sized
+    matrix.  A node picked twice, which happens only once rounding decides
+    the picks, raises InsufficientMeshError.
     """
     r = w_mat.copy()
     mesh_sz, nb = r.shape
@@ -364,13 +373,18 @@ def _greedy_core(w_mat: np.ndarray, n: int):
     scale0 = math.sqrt(float(np.max(scores2)))
     v_pend = np.empty((_GREEDY_BLOCK, nb))
     c_pend = np.empty((mesh_sz, _GREEDY_BLOCK))
+    block = np.empty((min(_FLUSH_ROWS, mesh_sz), nb))
+    neg_scores = np.empty(mesh_sz)
+    c_sq = np.empty(mesh_sz)
     pending = 0
 
     def flush():
         nonlocal pending
         if pending:
-            r_local = r
-            r_local -= c_pend[:, :pending] @ v_pend[:pending]
+            for lo in range(0, mesh_sz, _FLUSH_ROWS):
+                rows = r[lo : lo + _FLUSH_ROWS]
+                c_rows = c_pend[lo : lo + _FLUSH_ROWS, :pending]
+                rows -= np.matmul(c_rows, v_pend[:pending], out=block[: len(rows)])
             pending = 0
 
     for _ in range(n):
@@ -383,7 +397,12 @@ def _greedy_core(w_mat: np.ndarray, n: int):
                 raise InsufficientMeshError(
                     "mesh cannot resolve the basis (rank < N_k)"
                 )
-        top = np.argpartition(-scores2, min(_SHORTLIST, mesh_sz - 1))[:_SHORTLIST]
+        if pick in chosen:
+            raise InsufficientMeshError(
+                f"mesh cannot resolve the basis (node {pick} picked twice)"
+            )
+        np.negative(scores2, out=neg_scores)
+        top = np.argpartition(neg_scores, min(_SHORTLIST, mesh_sz - 1))[:_SHORTLIST]
         top = top[np.lexsort((top, -scores2[top]))]
         shortlists.append(top)
         chosen.append(pick)
@@ -394,7 +413,7 @@ def _greedy_core(w_mat: np.ndarray, n: int):
         v_pend[pending] = v
         c_pend[:, pending] = c
         pending += 1
-        scores2 -= c * c
+        scores2 -= np.multiply(c, c, out=c_sq)
         np.maximum(scores2, 0.0, out=scores2)
         if pending == _GREEDY_BLOCK:
             flush()
@@ -405,10 +424,12 @@ def _greedy_core(w_mat: np.ndarray, n: int):
 class GreedyState:
     """Index-space search state of one greedy run, handed to exchange.
 
-    `w` is the weighted mesh-by-basis matrix, `chosen` the mesh indices of
-    the greedy configuration and `shortlists[i]` the mesh indices of the
-    best residual nodes at greedy step i.  It holds a mesh-sized matrix,
-    so it is kept for one search only and never cached.
+    `w` is the weighted mesh-by-basis matrix of the degree searched: a
+    view of the leading columns of the run's matrix when `leja_greedy` was
+    given one, else a matrix built for this degree.  `chosen` holds the
+    mesh indices of the greedy configuration and `shortlists[i]` the mesh
+    indices of the best residual nodes at greedy step i.  It refers to a
+    mesh-sized matrix, so it is kept for one search only and never cached.
     """
 
     w: np.ndarray
@@ -417,15 +438,36 @@ class GreedyState:
 
 
 def leja_greedy(
-    spec: BasisSpec, weight: Weight, mesh: np.ndarray
+    spec: BasisSpec, weight: Weight, mesh: np.ndarray, mesh_matrix: np.ndarray | None = None
 ) -> tuple[PointConfiguration, GreedyState]:
     """Greedy Leja extraction of N_k mesh points; also returns the search
-    state (weighted mesh matrix, chosen indices, per-step shortlists)."""
+    state (weighted mesh matrix, chosen indices, per-step shortlists).
+
+    `mesh_matrix`, when given, is the unweighted basis matrix of `mesh` at
+    a degree >= spec.k, laid out mesh by basis (`basis_matrix(...).T` in C
+    order).  The ambient basis of degree k is its leading columns, so one
+    matrix serves every degree of a run; it carries no weight, so `weight`
+    must vanish on the mesh.  Without it the weighted matrix of this degree
+    is built.
+    """
     n = basis_dim(spec)
     if len(mesh) < 5 * n:
         raise InsufficientMeshError(f"mesh must have at least 5 N_k = {5 * n} nodes")
-    w_mat = _weighted_matrix(spec, weight, mesh).T  # mesh x basis
-    chosen, shortlists = _greedy_core(w_mat, n)
+    if mesh_matrix is None:
+        w_mat = _weighted_matrix(spec, weight, mesh).T  # mesh x basis
+    else:
+        cols = basis_dim(BasisSpec(ambient_of(spec.domain), spec.k))
+        if mesh_matrix.shape[0] != len(mesh) or mesh_matrix.shape[1] < cols:
+            raise InputError(
+                f"mesh matrix {mesh_matrix.shape} does not hold the degree {spec.k} basis on {len(mesh)} nodes"
+            )
+        if np.any(weight.values(mesh)):
+            raise InputError("a mesh matrix carries no weight, but the weight is nonzero on the mesh")
+        w_mat = mesh_matrix[:, :cols]
+    try:
+        chosen, shortlists = _greedy_core(w_mat, n)
+    except InsufficientMeshError as exc:
+        raise InsufficientMeshError(f"k = {spec.k}: {exc}") from None
     state = GreedyState(w=w_mat, chosen=np.asarray(chosen), shortlists=shortlists)
     pts = mesh[state.chosen]
     cfg = PointConfiguration(
@@ -453,14 +495,48 @@ def _mesh_indices(mesh: np.ndarray, pts: np.ndarray, hint: np.ndarray) -> np.nda
 
 
 _LOCAL_WINDOW = 32
+_BAND_MARGIN = 1e-12  # far above the rounding of a 3-term dot product or of cos(theta_i - theta_j)
 
 
-def _local_candidates(domain, mesh: np.ndarray, i: int) -> np.ndarray:
-    """Indices of the mesh nodes around node i, for fine positional moves
-    (1-D meshes are sorted, so neighbours are neighbouring indices)."""
+def _banded_angles(domain, mesh: np.ndarray):
+    """Polar angles of a sphere or cap mesh when they do not decrease with
+    the index, as on `Sphere.mesh` and its cap subsets (ordered by
+    decreasing z); None on any other mesh, whose neighbourhoods are then
+    scanned over the whole mesh."""
+    if not isinstance(ambient_of(domain), Sphere):
+        return None
+    theta = np.arctan2(np.hypot(mesh[:, 0], mesh[:, 1]), mesh[:, 2])
+    return theta if np.all(np.diff(theta) >= 0.0) else None
+
+
+def _local_candidates(domain, mesh: np.ndarray, theta, i: int) -> np.ndarray:
+    """Indices of the mesh nodes around node i, for fine positional moves.
+
+    1-D meshes are sorted, so neighbours are neighbouring indices.  On the
+    sphere they are the 2 _LOCAL_WINDOW + 1 nodes of largest dot product
+    with node i.  Given the polar angles `theta` of `_banded_angles`, they
+    are first taken from an index band around i, twice as wide as the
+    nearest nodes spread on a Fibonacci mesh.  The band's choice is kept
+    when its last kept dot exceeds by _BAND_MARGIN both the band's next dot
+    and cos(theta_i - theta_j) at the first node j past each band edge,
+    which bounds the dot of every node beyond that edge: it is then the
+    whole mesh's choice.  Otherwise the whole mesh is scanned.
+    """
     if isinstance(ambient_of(domain), Sphere):
-        dots = mesh @ mesh[i]
         take = min(2 * _LOCAL_WINDOW + 1, len(mesh))
+        half = 2 * math.isqrt(take * len(mesh))
+        lo, hi = max(0, i - half), min(len(mesh), i + half + 1)
+        if theta is not None and hi - lo > take:
+            dots = mesh[lo:hi] @ mesh[i]
+            part = np.argpartition(-dots, take)
+            bound = dots[part[take]]
+            if lo > 0:
+                bound = max(bound, math.cos(theta[i] - theta[lo - 1]))
+            if hi < len(mesh):
+                bound = max(bound, math.cos(theta[hi] - theta[i]))
+            if np.min(dots[part[:take]]) > bound + _BAND_MARGIN:
+                return np.sort(part[:take]) + lo
+        dots = mesh @ mesh[i]
         return np.sort(np.argpartition(-dots, take - 1)[:take])
     if isinstance(domain, Circle):
         return np.arange(i - _LOCAL_WINDOW, i + _LOCAL_WINDOW + 1) % len(mesh)
@@ -490,12 +566,13 @@ def exchange_refine(
     """
     w_mat = state.w
     idx = _mesh_indices(mesh, config.points, state.chosen)
+    theta = _banded_angles(config.domain, mesh)
     for _ in range(sweeps):
         inv_a = np.linalg.inv(w_mat[idx].T)
         improved = False
         for i in range(config.size):
             cands = np.concatenate(
-                [state.shortlists[i], _local_candidates(config.domain, mesh, idx[i])]
+                [state.shortlists[i], _local_candidates(config.domain, mesh, theta, idx[i])]
             )
             gains = np.abs(inv_a[i] @ w_mat[cands].T)
             j = int(np.argmax(gains))

@@ -67,6 +67,34 @@ def test_spot_check_passes_the_builtin_manifolds_and_catches_a_false_bound():
         GraphManifold(n=2, h=lambda x: np.asarray(x) ** 2, c1=0.5)  # |h(x)| >= |x|^2 / sqrt(2)
 
 
+def test_config_validation_spot_checks_each_manifold_key_once(monkeypatch):
+    """A config resolves its h spec at construction, and the CLI rebuilds
+    the config twice (seed and output overrides); the 64-sample bound
+    check runs once per key per process, and a key failing it raises on
+    every construction."""
+    import dataclasses
+
+    from feketelab.config import ExperimentConfig
+
+    checked = []
+    check = GraphManifold.spot_check_bounds
+
+    def counted(self):
+        checked.append(self.name)
+        return check(self)
+
+    monkeypatch.setattr(GraphManifold, "spot_check_bounds", counted)
+    manifold_from_key.cache_clear()
+    cfg = ExperimentConfig(disc_n=2, h_spec="quad:0.375")
+    cfg = dataclasses.replace(dataclasses.replace(cfg, seed=7), out_dir="elsewhere")
+    assert cfg.manifold() is manifold_from_key(("quad", 2, 0.375))
+    assert checked == ["quad(q=0.375)"]
+    for attempt in (1, 2):
+        with pytest.raises(DomainError, match="declared bound"):
+            ExperimentConfig(h_spec="quad:-0.5")
+        assert checked[1:] == ["quad(q=-0.5)"] * attempt
+
+
 def test_ball_takes_its_direction_from_sphere():
     """Rng.ball draws a sphere direction, then one uniform for the radius:
     the stream advances as normals-with-rejection plus one uniform, and

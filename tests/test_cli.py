@@ -195,6 +195,28 @@ def test_cmd_fekete_deterministic_bytes(tmp_path):
 
 
 # --------------------------------------------------------------------- rate
+def test_fekete_timings_split_each_cell_into_search_and_distances(tmp_path):
+    cfg_path = write_cfg(tmp_path, FEKETE_CFG.format(out=tmp_path))
+    assert main(["fekete", "--config", cfg_path]) == 0
+    lines = (tmp_path / "t-interval_fekete_timings.csv").read_text().splitlines()
+    assert lines[1] == "cell,seconds,search_s,dist_s"
+    assert [line.split(",")[0] for line in lines[2:]] == [f"k={k}" for k in range(2, 7)]
+    for line in lines[2:]:
+        total, search, dist = map(float, line.split(",")[1:])
+        assert 0.0 <= search + dist <= total
+
+
+def test_timings_leave_a_phase_blank_where_a_cell_did_not_reach_it(tmp_path):
+    rec = RunRecord(name="x", config_hash="h", columns=["status"])
+    rec.timings = [("k=2", 1.0, {"search_s": 0.5}), ("k=3", 2.0, {"search_s": 0.5, "dist_s": 1.0})]
+    rec.write_timings(str(tmp_path / "t.csv"))
+    lines = (tmp_path / "t.csv").read_text().splitlines()[1:]
+    assert lines == ["cell,seconds,search_s,dist_s", "k=2,1.000000,0.500000,", "k=3,2.000000,0.500000,1.000000"]
+    rec.timings = [("t=0.05", 0.25, {})]
+    rec.write_timings(str(tmp_path / "t.csv"))
+    assert (tmp_path / "t.csv").read_text().splitlines()[1:] == ["cell,seconds", "t=0.05,0.250000"]
+
+
 def test_cmd_rate_from_synthetic_csv(tmp_path):
     csv = tmp_path / "fk.csv"
     lines = ["# config_hash=deadbeef", "status,k,dist1"]

@@ -1,5 +1,7 @@
 """Index-space Fekete search: closed-form optimum on S^1, the exchange
-contract, the cached cap rank, and the benchmark tracer's hooks."""
+contract, the cached cap rank, the run's shared mesh matrix, the banded
+sphere neighbourhoods, the blocked greedy flush, and the benchmark
+tracer's hooks."""
 
 import math
 import subprocess
@@ -10,8 +12,13 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from feketelab.errors import InputError
+from feketelab.errors import InputError, InsufficientMeshError
 from feketelab.fekete import (
+    _GREEDY_BLOCK,
+    _SHORTLIST,
+    _banded_angles,
+    _greedy_core,
+    _local_candidates,
     BasisSpec,
     Circle,
     CircleArc,
@@ -120,6 +127,125 @@ def test_arc_and_cap_rank_is_cached(domain, k):
         assert after.hits == mid.hits + 1
     sv = np.linalg.svd(basis_matrix(spec, domain.mesh()), compute_uv=False)
     assert first == int(np.sum(sv > 1e-10 * sv[0]))
+
+
+# ------------------------------------------- one mesh matrix per run
+def test_run_matrix_leading_columns_are_each_degrees_basis():
+    """The Legendre and trig recurrences do not depend on k, so the
+    degree-8 matrix holds every lower degree's basis byte for byte."""
+    mesh = Sphere().mesh(2000)
+    run = np.ascontiguousarray(basis_matrix(BasisSpec(Sphere(), 8), mesh).T)
+    for k in range(1, 9):
+        own = np.ascontiguousarray(basis_matrix(BasisSpec(Sphere(), k), mesh).T)
+        assert run[:, : (k + 1) ** 2].tobytes() == own.tobytes(), k
+
+
+@pytest.mark.parametrize("domain", [Sphere(), SphericalCap((0, 0, 1), 1.0)], ids=["sphere", "cap"])
+def test_search_on_the_run_matrix_matches_the_per_degree_build(domain):
+    mesh = domain.mesh(4000)
+    run = np.ascontiguousarray(basis_matrix(BasisSpec(domain, 5), mesh).T)
+    for k in (2, 5):
+        spec = BasisSpec(domain, k)
+        own, own_state = leja_greedy(spec, W0, mesh)
+        shared, shared_state = leja_greedy(spec, W0, mesh, run)
+        assert np.array_equal(own_state.w, shared_state.w)
+        assert np.array_equal(own_state.chosen, shared_state.chosen)
+        assert all(map(np.array_equal, own_state.shortlists, shared_state.shortlists))
+        a = exchange_refine(own, spec, W0, mesh, sweeps=2, state=own_state)
+        b = exchange_refine(shared, spec, W0, mesh, sweeps=2, state=shared_state)
+        assert np.array_equal(a.points, b.points) and a.logdet == b.logdet
+
+
+def test_run_matrix_needs_a_zero_weight_and_enough_columns():
+    mesh = Interval().mesh(400)
+    run = np.ascontiguousarray(basis_matrix(BasisSpec(Interval(), 6), mesh).T)
+    with pytest.raises(InputError, match="weight"):
+        leja_greedy(BasisSpec(Interval(), 6), LINEAR, mesh, run)
+    with pytest.raises(InputError, match="degree 7"):
+        leja_greedy(BasisSpec(Interval(), 7), W0, mesh, run)
+
+
+# ------------------------------------------------ banded neighbourhoods
+def _whole_mesh_neighbours(mesh, i):
+    dots = mesh @ mesh[i]
+    take = min(65, len(mesh))
+    return np.sort(np.argpartition(-dots, take - 1)[:take])
+
+
+# on this cap the band is too narrow for about 7% of the nodes, which
+# then take the whole-mesh path
+_CAP = SphericalCap((0, 0, 1), 1.0)
+BAND_CASES = [
+    (Sphere(), Sphere().mesh(6000), True),
+    (_CAP, _CAP.mesh(8000), True),
+    (Sphere(), Sphere().mesh(3000)[np.random.default_rng(5).permutation(3000)], False),
+]
+
+
+@pytest.mark.parametrize("domain,mesh,banded", BAND_CASES, ids=["sphere", "cap", "shuffled-sphere"])
+def test_banded_neighbourhoods_match_the_whole_mesh_scan(domain, mesh, banded):
+    """Every node's band result is the whole-mesh scan's; a mesh whose
+    polar angles are not ordered takes the whole-mesh path."""
+    theta = _banded_angles(domain, mesh)
+    assert (theta is not None) == banded
+    for i in range(len(mesh)):
+        assert np.array_equal(_local_candidates(domain, mesh, theta, i), _whole_mesh_neighbours(mesh, i)), i
+
+
+# ----------------------------------------------- greedy flush in row blocks
+def _single_gemm_greedy(w_mat, n):
+    """The greedy as it was before the flush ran in row blocks: one GEMM
+    over the whole residual per flush."""
+    r = w_mat.copy()
+    mesh_sz, nb = r.shape
+    chosen, shortlists = [], []
+    scores2 = np.einsum("ij,ij->i", r, r)
+    scale0 = math.sqrt(float(np.max(scores2)))
+    v_pend = np.empty((_GREEDY_BLOCK, nb))
+    c_pend = np.empty((mesh_sz, _GREEDY_BLOCK))
+    pending = 0
+    for _ in range(n):
+        pick = int(np.argmax(scores2))
+        if scores2[pick] <= (1e-12 * scale0) ** 2 + 1e-14 * scale0**2:
+            r -= c_pend[:, :pending] @ v_pend[:pending]
+            pending = 0
+            scores2 = np.einsum("ij,ij->i", r, r)
+            pick = int(np.argmax(scores2))
+        top = np.argpartition(-scores2, min(_SHORTLIST, mesh_sz - 1))[:_SHORTLIST]
+        shortlists.append(top[np.lexsort((top, -scores2[top]))])
+        chosen.append(pick)
+        row = r[pick] - c_pend[pick, :pending] @ v_pend[:pending]
+        v = row / math.sqrt(max(float(scores2[pick]), 0.0))
+        c = r @ v - c_pend[:, :pending] @ (v_pend[:pending] @ v)
+        v_pend[pending] = v
+        c_pend[:, pending] = c
+        pending += 1
+        scores2 -= c * c
+        np.maximum(scores2, 0.0, out=scores2)
+        if pending == _GREEDY_BLOCK:
+            r -= c_pend[:, :pending] @ v_pend[:pending]
+            pending = 0
+    return chosen, shortlists
+
+
+@pytest.mark.parametrize("k", [5, 8])
+def test_greedy_core_matches_the_single_gemm_flush(k):
+    """N = 36 and 81 > 32, so one and two flushes run, each over three row
+    blocks of the 6000-node mesh."""
+    mesh = Sphere().mesh(6000)
+    w = np.ascontiguousarray(basis_matrix(BasisSpec(Sphere(), 8), mesh).T)[:, : (k + 1) ** 2]
+    chosen, shortlists = _greedy_core(w, (k + 1) ** 2)
+    want_chosen, want_shortlists = _single_gemm_greedy(w, (k + 1) ** 2)
+    assert chosen == want_chosen
+    assert all(map(np.array_equal, shortlists, want_shortlists))
+
+
+def test_greedy_repeated_pick_raises_insufficient_mesh_naming_k():
+    """Past the trig basis's conditioning on this arc the greedy's picks are
+    rounding noise, and at k = 9 one node comes up twice."""
+    arc = CircleArc(-1.0, 1.0)
+    with pytest.raises(InsufficientMeshError, match="k = 9: .* picked twice"):
+        leja_greedy(BasisSpec(arc, 9), W0, arc.mesh(2048))
 
 
 def test_benchmark_tracer_sees_the_search_layers(tmp_path):
