@@ -2,7 +2,7 @@
 """Full Fekete rate study on the three model domains.
 
 Writes one CSV per domain plus log-log plot data under out/rate_study/.
-About 9 s end to end on a 2-core Xeon (numpy with OpenBLAS), nearly all
+About 5 s end to end on a 2-core Xeon (numpy with OpenBLAS), nearly all
 of it the sphere's mesh search: the circle and interval are solved
 exactly.
 """

@@ -3,8 +3,8 @@
 Domains are the model compacts with explicit polynomial/harmonic section
 spaces: the interval with Chebyshev polynomials, the circle with the
 trigonometric basis, the 2-sphere with real spherical harmonics, plus arcs
-and caps inheriting the ambient basis.  The weighted log-Vandermonde value
-of a configuration is evaluated by pivoted factorization in log space.
+and caps inheriting the ambient basis.  Log-Vandermonde values are
+pairwise products in 1-D and pivoted LU on the sphere and caps.
 On the 1-D domains the Fekete configuration is computed exactly: in closed
 form on the circle, and by Newton on the concave pairwise form of the
 log-Vandermonde on the interval and on arcs.  On the sphere and caps
@@ -324,18 +324,32 @@ def _weighted_matrix(spec: BasisSpec, weight: Weight, pts: np.ndarray) -> np.nda
     return mat * w[None, :]
 
 
+def _pairwise_logdet(spec: BasisSpec, pts: np.ndarray) -> float:
+    """Unweighted 1-D log |det[s_i(p_j)]|, free of conditioning limits:
+    k(k-1)/2 log 2 + sum_{i<j} log|x_j - x_i| (Chebyshev) or
+    2 k^2 log 2 + sum_{i<j} log|sin((t_j - t_i)/2)| (trig)."""
+    k = spec.k
+    u = np.abs(pts[None, :] - pts[:, None])[np.triu_indices(len(pts), 1)]
+    with np.errstate(divide="ignore"):
+        if isinstance(spec.domain, Interval):
+            return k * (k - 1) / 2 * math.log(2.0) + float(np.sum(np.log(u)))
+        return 2 * k * k * math.log(2.0) + float(np.sum(np.log(np.abs(np.sin(0.5 * u)))))
+
+
 def log_vandermonde(config, spec: BasisSpec, weight: Weight | None = None) -> float:
     """log |det[s_i(p_j)]| - k sum phi(p_j), or -inf if numerically singular.
 
-    Computed by row-pivoted LU in log space (sign discarded), never by a
-    dense determinant.  On a cap whose basis has lost numerical rank the
-    matrix is not square, and InsufficientMeshError is raised.
+    In 1-D it is `_pairwise_logdet`, else row-pivoted LU in log space.  On
+    a cap whose basis has lost numerical rank the matrix is not square, and
+    InsufficientMeshError is raised.
     """
     weight = zero_weight() if weight is None else weight
     pts = config.points if isinstance(config, PointConfiguration) else np.asarray(config)
     n = basis_dim(spec)
     if len(pts) != n:
         raise InputError(f"need exactly N_k = {n} points, got {len(pts)}")
+    if not isinstance(ambient_of(spec.domain), Sphere):
+        return _pairwise_logdet(spec, pts) - spec.k * float(np.sum(weight.values(pts)))
     a = _weighted_matrix(spec, weight, pts)
     if a.shape[0] != n:
         raise InsufficientMeshError(
@@ -355,24 +369,22 @@ def _greedy_core(w_mat: np.ndarray, n: int):
     """Row-residual greedy on the mesh-by-basis matrix; returns indices and
     per-step top-shortlist candidates.
 
-    The residual is a C-order copy of `w_mat`, which may be a column slice
-    of a wider matrix.  Residual norms are tracked incrementally and the
-    rank-1 deflations are applied to the residual in blocks of
-    _GREEDY_BLOCK (compact-WY style), so the cost is one matvec per step
-    plus one GEMM per block.  A flush subtracts C @ V in place, _FLUSH_ROWS
-    mesh rows at a time through one scratch block, and the per-step
-    vectors reuse scratch buffers, so no step allocates a mesh-sized
-    matrix.  A node picked twice, which happens only once rounding decides
-    the picks, raises InsufficientMeshError.
+    The residual is a C-order copy of `w_mat` (maybe a column slice of a
+    wider matrix).  Residual norms are tracked incrementally; the rank-1
+    deflations wait in blocks of _GREEDY_BLOCK, one contiguous mesh row of
+    `c_pend` each, so a step costs one matvec and a block one GEMM, which
+    subtracts C @ V in place, _FLUSH_ROWS rows at a time.  The pick heads
+    the shortlist (np.argmax's node if a tie fills it).  A node picked
+    twice, which happens only once rounding decides, raises
+    InsufficientMeshError.
     """
     r = w_mat.copy()
     mesh_sz, nb = r.shape
-    chosen = []
-    shortlists = []
+    chosen, shortlists = [], []
     scores2 = np.einsum("ij,ij->i", r, r)
     scale0 = math.sqrt(float(np.max(scores2)))
     v_pend = np.empty((_GREEDY_BLOCK, nb))
-    c_pend = np.empty((mesh_sz, _GREEDY_BLOCK))
+    c_pend = np.empty((_GREEDY_BLOCK, mesh_sz))
     block = np.empty((min(_FLUSH_ROWS, mesh_sz), nb))
     neg_scores = np.empty(mesh_sz)
     c_sq = np.empty(mesh_sz)
@@ -383,35 +395,35 @@ def _greedy_core(w_mat: np.ndarray, n: int):
         if pending:
             for lo in range(0, mesh_sz, _FLUSH_ROWS):
                 rows = r[lo : lo + _FLUSH_ROWS]
-                c_rows = c_pend[lo : lo + _FLUSH_ROWS, :pending]
+                c_rows = c_pend[:pending, lo : lo + _FLUSH_ROWS].T
                 rows -= np.matmul(c_rows, v_pend[:pending], out=block[: len(rows)])
             pending = 0
 
-    for _ in range(n):
-        pick = int(np.argmax(scores2))
-        if scores2[pick] <= (1e-12 * scale0) ** 2 + 1e-14 * scale0**2:
-            flush()
-            scores2 = np.einsum("ij,ij->i", r, r)
-            pick = int(np.argmax(scores2))
-            if scores2[pick] <= (1e-12 * scale0) ** 2:
-                raise InsufficientMeshError(
-                    "mesh cannot resolve the basis (rank < N_k)"
-                )
-        if pick in chosen:
-            raise InsufficientMeshError(
-                f"mesh cannot resolve the basis (node {pick} picked twice)"
-            )
+    def shortlist():
         np.negative(scores2, out=neg_scores)
         top = np.argpartition(neg_scores, min(_SHORTLIST, mesh_sz - 1))[:_SHORTLIST]
         top = top[np.lexsort((top, -scores2[top]))]
+        tie = scores2[top[-1]] == scores2[top[0]]  # it may run past the shortlist
+        return top, int(np.argmax(scores2) if tie else top[0])
+
+    for _ in range(n):
+        top, pick = shortlist()
+        if scores2[pick] <= (1e-12 * scale0) ** 2 + 1e-14 * scale0**2:
+            flush()
+            scores2 = np.einsum("ij,ij->i", r, r)
+            top, pick = shortlist()
+            if scores2[pick] <= (1e-12 * scale0) ** 2:
+                raise InsufficientMeshError("mesh cannot resolve the basis (rank < N_k)")
+        if pick in chosen:
+            raise InsufficientMeshError(f"mesh cannot resolve the basis (node {pick} picked twice)")
         shortlists.append(top)
         chosen.append(pick)
-        row = r[pick] - c_pend[pick, :pending] @ v_pend[:pending]
-        nv = math.sqrt(max(float(scores2[pick]), 0.0))
-        v = row / nv
-        c = r @ v - c_pend[:, :pending] @ (v_pend[:pending] @ v)
-        v_pend[pending] = v
-        c_pend[:, pending] = c
+        p = pending
+        row = r[pick] - c_pend[:p, pick] @ v_pend[:p]
+        v = row / math.sqrt(max(float(scores2[pick]), 0.0))
+        c = np.matmul(r, v, out=c_pend[p])
+        c -= (v_pend[:p] @ v) @ c_pend[:p]
+        v_pend[p] = v
         pending += 1
         scores2 -= np.multiply(c, c, out=c_sq)
         np.maximum(scores2, 0.0, out=scores2)
@@ -440,8 +452,7 @@ class GreedyState:
 def leja_greedy(
     spec: BasisSpec, weight: Weight, mesh: np.ndarray, mesh_matrix: np.ndarray | None = None
 ) -> tuple[PointConfiguration, GreedyState]:
-    """Greedy Leja extraction of N_k mesh points; also returns the search
-    state (weighted mesh matrix, chosen indices, per-step shortlists).
+    """Greedy Leja extraction of N_k mesh points, and its GreedyState.
 
     `mesh_matrix`, when given, is the unweighted basis matrix of `mesh` at
     a degree >= spec.k, laid out mesh by basis (`basis_matrix(...).T` in C
@@ -470,13 +481,7 @@ def leja_greedy(
         raise InsufficientMeshError(f"k = {spec.k}: {exc}") from None
     state = GreedyState(w=w_mat, chosen=np.asarray(chosen), shortlists=shortlists)
     pts = mesh[state.chosen]
-    cfg = PointConfiguration(
-        domain=spec.domain,
-        points=pts,
-        logdet=log_vandermonde(pts, spec, weight),
-        weight=weight,
-    )
-    return cfg, state
+    return PointConfiguration(spec.domain, pts, log_vandermonde(pts, spec, weight), weight), state
 
 
 def _mesh_indices(mesh: np.ndarray, pts: np.ndarray, hint: np.ndarray) -> np.ndarray:
@@ -589,12 +594,7 @@ def exchange_refine(
         if not improved:
             break
     pts = mesh[idx]
-    return PointConfiguration(
-        domain=config.domain,
-        points=pts,
-        logdet=log_vandermonde(pts, spec, weight),
-        weight=weight,
-    )
+    return PointConfiguration(config.domain, pts, log_vandermonde(pts, spec, weight), weight)
 
 
 # ------------------------------------------------------- exact 1-D Fekete
@@ -666,16 +666,13 @@ def fekete_1d(spec: BasisSpec, slope: float = 0.0) -> tuple[PointConfiguration, 
     """Exact Fekete configuration on the interval, circle or an arc, and its
     KKT residual (the largest |gradient| over the free points).
 
-    The Chebyshev (trig) log-determinant is k(k-1)/2 log 2 (2 k^2 log 2)
-    plus the pairwise sum sum_{i<j} log|x_j - x_i| (log|sin((t_j - t_i)/2)|),
-    and the weight phi(x) = slope x (interval only) subtracts
-    k slope sum x_i.  So logdet comes from this product formula, with no
-    matrix and no conditioning limit on the degree.  On the circle the
-    optimum is N equispaced angles from -pi, with logdet
-    1/2 log N + k log(N/2).
+    The weight is phi(x) = slope x (interval only), and logdet comes from
+    the product formula (`_pairwise_logdet`).  On the circle the optimum is
+    N equispaced angles from -pi, with logdet 1/2 log N + k log(N/2).
     """
     domain, k = spec.domain, spec.k
     n = basis_dim(spec)
+    weight = linear_weight(slope)
     if slope and not isinstance(domain, Interval):
         raise InputError(f"a linear weight is defined on the interval only, not on the {domain.kind}")
     if isinstance(domain, Circle):
@@ -685,12 +682,7 @@ def fekete_1d(spec: BasisSpec, slope: float = 0.0) -> tuple[PointConfiguration, 
         arc = isinstance(domain, CircleArc)
         lo, hi = (domain.theta_a, domain.theta_b) if arc else (-1.0, 1.0)
         pts, residual = _newton_1d(n, lo, hi, k * slope, arc)
-        u = (pts[None, :] - pts[:, None])[np.triu_indices(n, 1)]
-        if arc:
-            logdet = 2 * k * k * math.log(2.0) + float(np.sum(np.log(np.sin(0.5 * u))))
-        else:
-            logdet = k * (k - 1) / 2 * math.log(2.0) + float(np.sum(np.log(u))) - k * slope * float(np.sum(pts))
+        logdet = _pairwise_logdet(spec, pts) - k * slope * float(np.sum(pts))
     else:
         raise InputError(f"no exact Fekete solver on the {domain.kind}")
-    config = PointConfiguration(domain=domain, points=pts, logdet=logdet, weight=linear_weight(slope))
-    return config, residual
+    return PointConfiguration(domain, pts, logdet, weight), residual

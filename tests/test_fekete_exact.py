@@ -36,12 +36,19 @@ def test_circle_logdet_is_the_closed_form():
         assert residual == 0.0
 
 
+def _matrix_logdet(config, spec) -> float:
+    """log|det| of the weighted basis matrix at the configuration, by
+    np.linalg.slogdet: independent of the product formula."""
+    w = np.exp(-spec.k * config.weight.values(config.points))
+    return float(np.linalg.slogdet(fk.basis_matrix(spec, config.points) * w[None, :])[1])
+
+
 @pytest.mark.parametrize("domain", [Interval(), Circle()], ids=["interval", "circle"])
 def test_product_formula_matches_the_matrix_logdet(domain):
     for k in range(1, 31):
         spec = BasisSpec(domain, k)
         config, _ = fekete_1d(spec)
-        matrix = log_vandermonde(config.points, spec, config.weight)
+        matrix = _matrix_logdet(config, spec)
         assert abs(config.logdet - matrix) <= 1e-12 * abs(matrix), k
 
 
@@ -53,8 +60,21 @@ def test_arc_and_weighted_logdets_match_the_matrix_while_it_is_well_conditioned(
         (BasisSpec(CircleArc(-3.0, 3.0), 6), 0.0),
     ]:
         config, _ = fekete_1d(spec, slope)
-        matrix = log_vandermonde(config.points, spec, config.weight)
+        matrix = _matrix_logdet(config, spec)
         assert abs(config.logdet - matrix) <= 1e-10 * abs(matrix), (spec, slope)
+
+
+def test_log_vandermonde_keeps_weighted_and_arc_logdets_past_the_matrix_conditioning():
+    """Logdets of an 80-digit mpmath determinant at the exact points, where
+    the float64 matrix logdet is off by 55 and 45."""
+    for spec, slope, want in [
+        (BasisSpec(Interval(), 40), 0.9, 391.35396339961005422),
+        (BasisSpec(CircleArc(-1.0, 1.0), 20), 0.0, -527.21488989675634236),
+    ]:
+        config, _ = fekete_1d(spec, slope)
+        assert abs(log_vandermonde(config.points, spec, config.weight) - want) <= 1e-12 * abs(want)
+        assert abs(config.logdet - want) <= 1e-12 * abs(want)
+        assert abs(_matrix_logdet(config, spec) - want) > 40.0
 
 
 def _brute_force(mesh: np.ndarray, k: int, slope: float) -> float:

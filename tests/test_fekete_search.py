@@ -228,16 +228,41 @@ def _single_gemm_greedy(w_mat, n):
     return chosen, shortlists
 
 
-@pytest.mark.parametrize("k", [5, 8])
-def test_greedy_core_matches_the_single_gemm_flush(k):
+@pytest.mark.parametrize(
+    "domain,size,k",
+    [
+        pytest.param(Sphere(), 6000, 5, id="5"),
+        pytest.param(Sphere(), 6000, 8, id="8"),
+        pytest.param(Sphere(), 40000, 8, id="sphere40000-8"),
+        pytest.param(SphericalCap((0, 0, 1), 1.0), 20000, 4, id="cap20000-4"),
+    ],
+)
+def test_greedy_core_matches_the_single_gemm_flush(domain, size, k):
     """N = 36 and 81 > 32, so one and two flushes run, each over three row
-    blocks of the 6000-node mesh."""
-    mesh = Sphere().mesh(6000)
-    w = np.ascontiguousarray(basis_matrix(BasisSpec(Sphere(), 8), mesh).T)[:, : (k + 1) ** 2]
+    blocks of the 6000-node mesh.  The other cases are the meshes and top
+    degrees of the rate-sphere benchmark and of a cap run, where the picks
+    and shortlists must not move although the block-major store rounds
+    the scores differently from this column-store reference."""
+    mesh = domain.mesh(size)
+    w = np.ascontiguousarray(basis_matrix(BasisSpec(domain, 8), mesh).T)[:, : (k + 1) ** 2]
     chosen, shortlists = _greedy_core(w, (k + 1) ** 2)
     want_chosen, want_shortlists = _single_gemm_greedy(w, (k + 1) ** 2)
     assert chosen == want_chosen
     assert all(map(np.array_equal, shortlists, want_shortlists))
+
+
+def test_greedy_pick_breaks_a_tie_longer_than_the_shortlist_like_argmax():
+    """100 rows share the largest norm bit for bit (sign flips of one row),
+    more than the shortlist holds, so the shortlist's head need not be the
+    lowest tied index; the first pick still is."""
+    rng = np.random.default_rng(7)
+    w = 0.5 * rng.standard_normal((600, 9))
+    w[300:400] = rng.choice([-1.0, 1.0], size=(100, 9)) * rng.uniform(1.0, 2.0, 9)
+    assert 100 > _SHORTLIST
+    chosen, shortlists = _greedy_core(w, 1)
+    want_chosen, want_shortlists = _single_gemm_greedy(w, 1)
+    assert chosen == want_chosen == [300]
+    assert np.array_equal(shortlists[0], want_shortlists[0])
 
 
 def test_greedy_repeated_pick_raises_insufficient_mesh_naming_k():

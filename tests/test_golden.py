@@ -1,12 +1,16 @@
 """Golden `fekete` CSVs: the Fekete search must keep choosing the same
 configurations, so each small `cmd_fekete` run is compared byte for byte
-with a CSV committed under tests/data/.  The 1-D goldens written by the
-mesh search, before the exact 1-D solver, are kept unedited under
-tests/data/mesh-search/ as lower bounds on the exact logdets.
+with a CSV committed under tests/data/, and the sphere golden also from
+fresh interpreters with one and two BLAS threads.  The 1-D goldens
+written by the mesh search, before the exact 1-D solver, are kept
+unedited under tests/data/mesh-search/ as lower bounds on the exact
+logdets.
 
 Regenerate goldens with `python tests/test_golden.py NAME...` (src on the
 path)."""
 
+import os
+import subprocess
 import sys
 import tempfile
 from pathlib import Path
@@ -29,21 +33,40 @@ GOLDEN = {
 }
 
 
-def golden_csv(name: str, tmp_path: Path) -> bytes:
-    """The CSV `cmd_fekete` writes for the golden config `name`."""
+def golden_config(name: str, tmp_path: Path) -> Path:
     cfg_path = tmp_path / f"{name}.ini"
     cfg_path.write_text(
         f"[experiment]\nname = {name}\nkind = fekete\n\n[fekete]\n{GOLDEN[name]}gammas = 1.0\n",
         encoding="utf-8",
     )
+    return cfg_path
+
+
+def golden_csv(name: str, tmp_path: Path) -> bytes:
+    """The CSV `cmd_fekete` writes for the golden config `name`."""
     out = tmp_path / f"{name}_fekete.csv"
-    cmd_fekete(load_config(str(cfg_path))).write_csv(str(out))
+    cmd_fekete(load_config(str(golden_config(name, tmp_path)))).write_csv(str(out))
     return out.read_bytes()
 
 
 @pytest.mark.parametrize("name", sorted(GOLDEN))
 def test_fekete_csv_matches_golden(name, tmp_path):
     assert golden_csv(name, tmp_path) == (DATA / f"{name}_fekete.csv").read_bytes()
+
+
+@pytest.mark.parametrize("threads", ["1", "2"])
+def test_sphere_golden_does_not_depend_on_the_blas_thread_count(threads, tmp_path):
+    """OpenBLAS fixes its thread count when it loads, so each count runs
+    `feketelab fekete` in a fresh interpreter."""
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    env = {**os.environ, "OPENBLAS_NUM_THREADS": threads}
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    argv = ["fekete", "--config", str(golden_config("sphere", tmp_path)), "--out", str(tmp_path)]
+    proc = subprocess.run(
+        [sys.executable, "-m", "feketelab.cli", *argv], env=env, capture_output=True, timeout=300
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert (tmp_path / "sphere_fekete.csv").read_bytes() == (DATA / "sphere_fekete.csv").read_bytes()
 
 
 def _logdets(path: Path) -> dict:
