@@ -337,10 +337,13 @@ def _pairwise_logdet(spec: BasisSpec, pts: np.ndarray) -> float:
 
 
 def log_vandermonde(config, spec: BasisSpec, weight: Weight | None = None) -> float:
-    """log |det[s_i(p_j)]| - k sum phi(p_j), or -inf if numerically singular.
+    """log |det[s_i(p_j)]| - k sum phi(p_j).
 
-    In 1-D it is `_pairwise_logdet`, else row-pivoted LU in log space.  On
-    a cap whose basis has lost numerical rank the matrix is not square, and
+    In 1-D it is `_pairwise_logdet`, with no conditioning limit, and -inf
+    only when two points coincide exactly.  On the sphere and caps it is
+    row-pivoted LU in log space (sign discarded), never a dense
+    determinant, and -inf if the matrix is numerically singular.  On a
+    cap whose basis has lost numerical rank the matrix is not square, and
     InsufficientMeshError is raised.
     """
     weight = zero_weight() if weight is None else weight
@@ -369,18 +372,22 @@ def _greedy_core(w_mat: np.ndarray, n: int):
     """Row-residual greedy on the mesh-by-basis matrix; returns indices and
     per-step top-shortlist candidates.
 
-    The residual is a C-order copy of `w_mat` (maybe a column slice of a
-    wider matrix).  Residual norms are tracked incrementally; the rank-1
-    deflations wait in blocks of _GREEDY_BLOCK, one contiguous mesh row of
-    `c_pend` each, so a step costs one matvec and a block one GEMM, which
-    subtracts C @ V in place, _FLUSH_ROWS rows at a time.  The pick heads
-    the shortlist (np.argmax's node if a tie fills it).  A node picked
-    twice, which happens only once rounding decides, raises
-    InsufficientMeshError.
+    The residual is a C-order copy of `w_mat`, which may be a column slice
+    of a wider matrix.  Residual norms are tracked incrementally and the
+    rank-1 deflations are applied to the residual in blocks of
+    _GREEDY_BLOCK (compact-WY style), so the cost is one matvec per step
+    plus one GEMM per block.  The pending deflations are stored
+    block-major: each one's mesh coefficients are one contiguous row of
+    `c_pend`, written in place by the step's matvec.  A flush subtracts
+    C @ V in place, _FLUSH_ROWS mesh rows at a time through one scratch
+    block, and the per-step vectors reuse scratch buffers, so no step
+    allocates a mesh-sized matrix.  A node picked twice, which happens
+    only once rounding decides the picks, raises InsufficientMeshError.
     """
     r = w_mat.copy()
     mesh_sz, nb = r.shape
-    chosen, shortlists = [], []
+    chosen = []
+    shortlists = []
     scores2 = np.einsum("ij,ij->i", r, r)
     scale0 = math.sqrt(float(np.max(scores2)))
     v_pend = np.empty((_GREEDY_BLOCK, nb))
@@ -399,28 +406,29 @@ def _greedy_core(w_mat: np.ndarray, n: int):
                 rows -= np.matmul(c_rows, v_pend[:pending], out=block[: len(rows)])
             pending = 0
 
-    def shortlist():
-        np.negative(scores2, out=neg_scores)
-        top = np.argpartition(neg_scores, min(_SHORTLIST, mesh_sz - 1))[:_SHORTLIST]
-        top = top[np.lexsort((top, -scores2[top]))]
-        tie = scores2[top[-1]] == scores2[top[0]]  # it may run past the shortlist
-        return top, int(np.argmax(scores2) if tie else top[0])
-
     for _ in range(n):
-        top, pick = shortlist()
+        pick = int(np.argmax(scores2))
         if scores2[pick] <= (1e-12 * scale0) ** 2 + 1e-14 * scale0**2:
             flush()
             scores2 = np.einsum("ij,ij->i", r, r)
-            top, pick = shortlist()
+            pick = int(np.argmax(scores2))
             if scores2[pick] <= (1e-12 * scale0) ** 2:
-                raise InsufficientMeshError("mesh cannot resolve the basis (rank < N_k)")
+                raise InsufficientMeshError(
+                    "mesh cannot resolve the basis (rank < N_k)"
+                )
         if pick in chosen:
-            raise InsufficientMeshError(f"mesh cannot resolve the basis (node {pick} picked twice)")
+            raise InsufficientMeshError(
+                f"mesh cannot resolve the basis (node {pick} picked twice)"
+            )
+        np.negative(scores2, out=neg_scores)
+        top = np.argpartition(neg_scores, min(_SHORTLIST, mesh_sz - 1))[:_SHORTLIST]
+        top = top[np.lexsort((top, -scores2[top]))]
         shortlists.append(top)
         chosen.append(pick)
         p = pending
         row = r[pick] - c_pend[:p, pick] @ v_pend[:p]
-        v = row / math.sqrt(max(float(scores2[pick]), 0.0))
+        nv = math.sqrt(max(float(scores2[pick]), 0.0))
+        v = row / nv
         c = np.matmul(r, v, out=c_pend[p])
         c -= (v_pend[:p] @ v) @ c_pend[:p]
         v_pend[p] = v
@@ -452,7 +460,8 @@ class GreedyState:
 def leja_greedy(
     spec: BasisSpec, weight: Weight, mesh: np.ndarray, mesh_matrix: np.ndarray | None = None
 ) -> tuple[PointConfiguration, GreedyState]:
-    """Greedy Leja extraction of N_k mesh points, and its GreedyState.
+    """Greedy Leja extraction of N_k mesh points; also returns the search
+    state (weighted mesh matrix, chosen indices, per-step shortlists).
 
     `mesh_matrix`, when given, is the unweighted basis matrix of `mesh` at
     a degree >= spec.k, laid out mesh by basis (`basis_matrix(...).T` in C
@@ -481,7 +490,13 @@ def leja_greedy(
         raise InsufficientMeshError(f"k = {spec.k}: {exc}") from None
     state = GreedyState(w=w_mat, chosen=np.asarray(chosen), shortlists=shortlists)
     pts = mesh[state.chosen]
-    return PointConfiguration(spec.domain, pts, log_vandermonde(pts, spec, weight), weight), state
+    cfg = PointConfiguration(
+        domain=spec.domain,
+        points=pts,
+        logdet=log_vandermonde(pts, spec, weight),
+        weight=weight,
+    )
+    return cfg, state
 
 
 def _mesh_indices(mesh: np.ndarray, pts: np.ndarray, hint: np.ndarray) -> np.ndarray:
@@ -594,7 +609,12 @@ def exchange_refine(
         if not improved:
             break
     pts = mesh[idx]
-    return PointConfiguration(config.domain, pts, log_vandermonde(pts, spec, weight), weight)
+    return PointConfiguration(
+        domain=config.domain,
+        points=pts,
+        logdet=log_vandermonde(pts, spec, weight),
+        weight=weight,
+    )
 
 
 # ------------------------------------------------------- exact 1-D Fekete
@@ -666,13 +686,16 @@ def fekete_1d(spec: BasisSpec, slope: float = 0.0) -> tuple[PointConfiguration, 
     """Exact Fekete configuration on the interval, circle or an arc, and its
     KKT residual (the largest |gradient| over the free points).
 
-    The weight is phi(x) = slope x (interval only), and logdet comes from
-    the product formula (`_pairwise_logdet`).  On the circle the optimum is
-    N equispaced angles from -pi, with logdet 1/2 log N + k log(N/2).
+    The Chebyshev (trig) log-determinant is k(k-1)/2 log 2 (2 k^2 log 2)
+    plus the pairwise sum sum_{i<j} log|x_j - x_i| (log|sin((t_j - t_i)/2)|),
+    and the weight phi(x) = slope x (interval only) subtracts
+    k slope sum x_i.  So logdet comes from this product formula, with no
+    matrix and no conditioning limit on the degree.  On the circle the
+    optimum is N equispaced angles from -pi, with logdet
+    1/2 log N + k log(N/2).
     """
     domain, k = spec.domain, spec.k
     n = basis_dim(spec)
-    weight = linear_weight(slope)
     if slope and not isinstance(domain, Interval):
         raise InputError(f"a linear weight is defined on the interval only, not on the {domain.kind}")
     if isinstance(domain, Circle):
@@ -685,4 +708,5 @@ def fekete_1d(spec: BasisSpec, slope: float = 0.0) -> tuple[PointConfiguration, 
         logdet = _pairwise_logdet(spec, pts) - k * slope * float(np.sum(pts))
     else:
         raise InputError(f"no exact Fekete solver on the {domain.kind}")
-    return PointConfiguration(domain, pts, logdet, weight), residual
+    config = PointConfiguration(domain=domain, points=pts, logdet=logdet, weight=linear_weight(slope))
+    return config, residual

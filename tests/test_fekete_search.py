@@ -251,20 +251,6 @@ def test_greedy_core_matches_the_single_gemm_flush(domain, size, k):
     assert all(map(np.array_equal, shortlists, want_shortlists))
 
 
-def test_greedy_pick_breaks_a_tie_longer_than_the_shortlist_like_argmax():
-    """100 rows share the largest norm bit for bit (sign flips of one row),
-    more than the shortlist holds, so the shortlist's head need not be the
-    lowest tied index; the first pick still is."""
-    rng = np.random.default_rng(7)
-    w = 0.5 * rng.standard_normal((600, 9))
-    w[300:400] = rng.choice([-1.0, 1.0], size=(100, 9)) * rng.uniform(1.0, 2.0, 9)
-    assert 100 > _SHORTLIST
-    chosen, shortlists = _greedy_core(w, 1)
-    want_chosen, want_shortlists = _single_gemm_greedy(w, 1)
-    assert chosen == want_chosen == [300]
-    assert np.array_equal(shortlists[0], want_shortlists[0])
-
-
 def test_greedy_repeated_pick_raises_insufficient_mesh_naming_k():
     """Past the trig basis's conditioning on this arc the greedy's picks are
     rounding noise, and at k = 9 one node comes up twice."""
