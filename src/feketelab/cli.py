@@ -135,9 +135,8 @@ def _mesh_search(mesh, k_max: int, sweeps: int):
         nonlocal mesh_matrix
         if mesh_matrix is None:
             mesh_matrix = np.ascontiguousarray(fk.basis_matrix(fk.BasisSpec(spec.domain, k_max), mesh).T)
-        weight = fk.zero_weight()
-        config, state = fk.leja_greedy(spec, weight, mesh, mesh_matrix)
-        return fk.exchange_refine(config, spec, weight, mesh, sweeps, state), 0.0
+        config, state = fk.leja_greedy(spec, mesh, mesh_matrix)
+        return fk.exchange_refine(config, spec, mesh, sweeps, state), 0.0
 
     return search
 

@@ -7,10 +7,10 @@ and caps inheriting the ambient basis.  Log-Vandermonde values are
 pairwise products in 1-D and pivoted LU on the sphere and caps.
 On the 1-D domains the Fekete configuration is computed exactly: in closed
 form on the circle, and by Newton on the concave pairwise form of the
-log-Vandermonde on the interval and on arcs.  On the sphere and caps
-configurations are searched in index space on one weighted mesh-by-basis
-matrix: greedy Leja extraction followed by single-point exchange
-refinement over a candidate shortlist.
+log-Vandermonde on the interval and on arcs.  On the sphere and caps,
+which have no exact solver, configurations are searched in index space on
+one mesh-by-basis matrix per run: greedy Leja extraction followed by
+single-point exchange refinement over a candidate shortlist.
 """
 
 from __future__ import annotations
@@ -132,29 +132,6 @@ def ambient_of(domain):
     if isinstance(domain, SphericalCap):
         return Sphere()
     return domain
-
-
-# ------------------------------------------------------------------- weight
-@dataclass(frozen=True)
-class Weight:
-    """Continuous weight phi on the domain."""
-
-    phi: object
-
-    def values(self, pts: np.ndarray) -> np.ndarray:
-        vals = np.asarray(self.phi(pts), dtype=float)
-        if not np.all(np.isfinite(vals)):
-            raise InputError("weight must be finite on the mesh")
-        return vals
-
-
-def zero_weight() -> Weight:
-    return Weight(phi=lambda pts: np.zeros(len(np.atleast_1d(pts))))
-
-
-def linear_weight(a: float) -> Weight:
-    """phi(x) = a x on the interval."""
-    return Weight(phi=lambda pts: a * np.atleast_1d(np.asarray(pts, dtype=float)))
 
 
 # -------------------------------------------------------------------- basis
@@ -279,12 +256,11 @@ def basis_matrix(spec: BasisSpec, pts: np.ndarray) -> np.ndarray:
 # ------------------------------------------------------------ configurations
 @dataclass(frozen=True)
 class PointConfiguration:
-    """N_k pairwise distinct domain points with their weighted logdet."""
+    """N_k pairwise distinct domain points with their (weighted) logdet."""
 
     domain: object
     points: np.ndarray
     logdet: float
-    weight: Weight
 
     def __post_init__(self):
         pts = np.asarray(self.points, dtype=float)
@@ -318,12 +294,6 @@ def fekete_measure(config: PointConfiguration) -> EmpiricalMeasure:
 
 
 # ----------------------------------------------------------- log determinant
-def _weighted_matrix(spec: BasisSpec, weight: Weight, pts: np.ndarray) -> np.ndarray:
-    mat = basis_matrix(spec, pts)
-    w = np.exp(-spec.k * weight.values(pts))
-    return mat * w[None, :]
-
-
 def _pairwise_logdet(spec: BasisSpec, pts: np.ndarray) -> float:
     """Unweighted 1-D log |det[s_i(p_j)]|, free of conditioning limits:
     k(k-1)/2 log 2 + sum_{i<j} log|x_j - x_i| (Chebyshev) or
@@ -336,24 +306,24 @@ def _pairwise_logdet(spec: BasisSpec, pts: np.ndarray) -> float:
         return 2 * k * k * math.log(2.0) + float(np.sum(np.log(np.abs(np.sin(0.5 * u)))))
 
 
-def log_vandermonde(config, spec: BasisSpec, weight: Weight | None = None) -> float:
-    """log |det[s_i(p_j)]| - k sum phi(p_j).
+def log_vandermonde(config, spec: BasisSpec) -> float:
+    """log |det[s_i(p_j)]|, unweighted.
 
     In 1-D it is `_pairwise_logdet`, with no conditioning limit, and -inf
-    only when two points coincide exactly.  On the sphere and caps it is
-    row-pivoted LU in log space (sign discarded), never a dense
-    determinant, and -inf if the matrix is numerically singular.  On a
-    cap whose basis has lost numerical rank the matrix is not square, and
-    InsufficientMeshError is raised.
+    only when two points coincide exactly; the logdet under a weight
+    phi(x) = a x is this minus k a sum x_j, as `fekete_1d` computes it.
+    On the sphere and caps it is row-pivoted LU in log space (sign
+    discarded), never a dense determinant, and -inf if the matrix is
+    numerically singular.  On a cap whose basis has lost numerical rank
+    the matrix is not square, and InsufficientMeshError is raised.
     """
-    weight = zero_weight() if weight is None else weight
     pts = config.points if isinstance(config, PointConfiguration) else np.asarray(config)
     n = basis_dim(spec)
     if len(pts) != n:
         raise InputError(f"need exactly N_k = {n} points, got {len(pts)}")
     if not isinstance(ambient_of(spec.domain), Sphere):
-        return _pairwise_logdet(spec, pts) - spec.k * float(np.sum(weight.values(pts)))
-    a = _weighted_matrix(spec, weight, pts)
+        return _pairwise_logdet(spec, pts)
+    a = basis_matrix(spec, pts)
     if a.shape[0] != n:
         raise InsufficientMeshError(
             f"k = {spec.k}: the basis has numerical rank {n} below its ambient dimension {a.shape[0]}"
@@ -444,12 +414,12 @@ def _greedy_core(w_mat: np.ndarray, n: int):
 class GreedyState:
     """Index-space search state of one greedy run, handed to exchange.
 
-    `w` is the weighted mesh-by-basis matrix of the degree searched: a
-    view of the leading columns of the run's matrix when `leja_greedy` was
-    given one, else a matrix built for this degree.  `chosen` holds the
-    mesh indices of the greedy configuration and `shortlists[i]` the mesh
-    indices of the best residual nodes at greedy step i.  It refers to a
-    mesh-sized matrix, so it is kept for one search only and never cached.
+    `w` is the mesh-by-basis matrix of the degree searched, a view of the
+    leading columns of the run's matrix that `leja_greedy` was given.
+    `chosen` holds the mesh indices of the greedy configuration and
+    `shortlists[i]` the mesh indices of the best residual nodes at greedy
+    step i.  It refers to a mesh-sized matrix, so it is kept for one search
+    only and never cached.
     """
 
     w: np.ndarray
@@ -458,32 +428,29 @@ class GreedyState:
 
 
 def leja_greedy(
-    spec: BasisSpec, weight: Weight, mesh: np.ndarray, mesh_matrix: np.ndarray | None = None
+    spec: BasisSpec, mesh: np.ndarray, mesh_matrix: np.ndarray
 ) -> tuple[PointConfiguration, GreedyState]:
-    """Greedy Leja extraction of N_k mesh points; also returns the search
-    state (weighted mesh matrix, chosen indices, per-step shortlists).
+    """Greedy Leja extraction of N_k mesh points on the sphere or a cap;
+    also returns the search state (mesh matrix, chosen indices, per-step
+    shortlists).
 
-    `mesh_matrix`, when given, is the unweighted basis matrix of `mesh` at
-    a degree >= spec.k, laid out mesh by basis (`basis_matrix(...).T` in C
+    `mesh_matrix` is the spherical-harmonic basis matrix of `mesh` at a
+    degree >= spec.k, laid out mesh by basis (`basis_matrix(...).T` in C
     order).  The ambient basis of degree k is its leading columns, so one
-    matrix serves every degree of a run; it carries no weight, so `weight`
-    must vanish on the mesh.  Without it the weighted matrix of this degree
-    is built.
+    matrix serves every degree of a run.  The 1-D domains have an exact
+    solver, `fekete_1d`, and no mesh search.
     """
+    if not isinstance(ambient_of(spec.domain), Sphere):
+        raise InputError(f"the mesh search runs on the sphere and caps, not on the {spec.domain.kind}")
     n = basis_dim(spec)
     if len(mesh) < 5 * n:
         raise InsufficientMeshError(f"mesh must have at least 5 N_k = {5 * n} nodes")
-    if mesh_matrix is None:
-        w_mat = _weighted_matrix(spec, weight, mesh).T  # mesh x basis
-    else:
-        cols = basis_dim(BasisSpec(ambient_of(spec.domain), spec.k))
-        if mesh_matrix.shape[0] != len(mesh) or mesh_matrix.shape[1] < cols:
-            raise InputError(
-                f"mesh matrix {mesh_matrix.shape} does not hold the degree {spec.k} basis on {len(mesh)} nodes"
-            )
-        if np.any(weight.values(mesh)):
-            raise InputError("a mesh matrix carries no weight, but the weight is nonzero on the mesh")
-        w_mat = mesh_matrix[:, :cols]
+    cols = (spec.k + 1) ** 2  # the ambient sphere's dimension
+    if mesh_matrix.shape[0] != len(mesh) or mesh_matrix.shape[1] < cols:
+        raise InputError(
+            f"mesh matrix {mesh_matrix.shape} does not hold the degree {spec.k} basis on {len(mesh)} nodes"
+        )
+    w_mat = mesh_matrix[:, :cols]
     try:
         chosen, shortlists = _greedy_core(w_mat, n)
     except InsufficientMeshError as exc:
@@ -493,8 +460,7 @@ def leja_greedy(
     cfg = PointConfiguration(
         domain=spec.domain,
         points=pts,
-        logdet=log_vandermonde(pts, spec, weight),
-        weight=weight,
+        logdet=log_vandermonde(pts, spec),
     )
     return cfg, state
 
@@ -518,64 +484,56 @@ _LOCAL_WINDOW = 32
 _BAND_MARGIN = 1e-12  # far above the rounding of a 3-term dot product or of cos(theta_i - theta_j)
 
 
-def _banded_angles(domain, mesh: np.ndarray):
+def _banded_angles(mesh: np.ndarray):
     """Polar angles of a sphere or cap mesh when they do not decrease with
     the index, as on `Sphere.mesh` and its cap subsets (ordered by
     decreasing z); None on any other mesh, whose neighbourhoods are then
     scanned over the whole mesh."""
-    if not isinstance(ambient_of(domain), Sphere):
-        return None
     theta = np.arctan2(np.hypot(mesh[:, 0], mesh[:, 1]), mesh[:, 2])
     return theta if np.all(np.diff(theta) >= 0.0) else None
 
 
-def _local_candidates(domain, mesh: np.ndarray, theta, i: int) -> np.ndarray:
-    """Indices of the mesh nodes around node i, for fine positional moves.
+def _local_candidates(mesh: np.ndarray, theta, i: int) -> np.ndarray:
+    """Indices of the mesh nodes around node i, for fine positional moves:
+    the 2 _LOCAL_WINDOW + 1 nodes of largest dot product with node i.
 
-    1-D meshes are sorted, so neighbours are neighbouring indices.  On the
-    sphere they are the 2 _LOCAL_WINDOW + 1 nodes of largest dot product
-    with node i.  Given the polar angles `theta` of `_banded_angles`, they
-    are first taken from an index band around i, twice as wide as the
-    nearest nodes spread on a Fibonacci mesh.  The band's choice is kept
-    when its last kept dot exceeds by _BAND_MARGIN both the band's next dot
-    and cos(theta_i - theta_j) at the first node j past each band edge,
-    which bounds the dot of every node beyond that edge: it is then the
-    whole mesh's choice.  Otherwise the whole mesh is scanned.
+    Given the polar angles `theta` of `_banded_angles`, they are first
+    taken from an index band around i, twice as wide as the nearest nodes
+    spread on a Fibonacci mesh.  The band's choice is kept when its last
+    kept dot exceeds by _BAND_MARGIN both the band's next dot and
+    cos(theta_i - theta_j) at the first node j past each band edge, which
+    bounds the dot of every node beyond that edge: it is then the whole
+    mesh's choice.  Otherwise the whole mesh is scanned.
     """
-    if isinstance(ambient_of(domain), Sphere):
-        take = min(2 * _LOCAL_WINDOW + 1, len(mesh))
-        half = 2 * math.isqrt(take * len(mesh))
-        lo, hi = max(0, i - half), min(len(mesh), i + half + 1)
-        if theta is not None and hi - lo > take:
-            dots = mesh[lo:hi] @ mesh[i]
-            part = np.argpartition(-dots, take)
-            bound = dots[part[take]]
-            if lo > 0:
-                bound = max(bound, math.cos(theta[i] - theta[lo - 1]))
-            if hi < len(mesh):
-                bound = max(bound, math.cos(theta[hi] - theta[i]))
-            if np.min(dots[part[:take]]) > bound + _BAND_MARGIN:
-                return np.sort(part[:take]) + lo
-        dots = mesh @ mesh[i]
-        return np.sort(np.argpartition(-dots, take - 1)[:take])
-    if isinstance(domain, Circle):
-        return np.arange(i - _LOCAL_WINDOW, i + _LOCAL_WINDOW + 1) % len(mesh)
-    return np.arange(max(0, i - _LOCAL_WINDOW), min(len(mesh), i + _LOCAL_WINDOW + 1))
+    take = min(2 * _LOCAL_WINDOW + 1, len(mesh))
+    half = 2 * math.isqrt(take * len(mesh))
+    lo, hi = max(0, i - half), min(len(mesh), i + half + 1)
+    if theta is not None and hi - lo > take:
+        dots = mesh[lo:hi] @ mesh[i]
+        part = np.argpartition(-dots, take)
+        bound = dots[part[take]]
+        if lo > 0:
+            bound = max(bound, math.cos(theta[i] - theta[lo - 1]))
+        if hi < len(mesh):
+            bound = max(bound, math.cos(theta[hi] - theta[i]))
+        if np.min(dots[part[:take]]) > bound + _BAND_MARGIN:
+            return np.sort(part[:take]) + lo
+    dots = mesh @ mesh[i]
+    return np.sort(np.argpartition(-dots, take - 1)[:take])
 
 
 def exchange_refine(
     config: PointConfiguration,
     spec: BasisSpec,
-    weight: Weight,
     mesh: np.ndarray,
     sweeps: int,
     state: GreedyState,
 ) -> PointConfiguration:
-    """Single-point exchange; accepts a move only when the weighted logdet
-    strictly increases, so logdet is monotone.
+    """Single-point exchange on the sphere or a cap; accepts a move only
+    when the logdet strictly increases, so logdet is monotone.
 
-    Works on mesh indices into the weighted mesh matrix W of `state` (the
-    search state `leja_greedy` returns for `spec`, `weight` and `mesh`).
+    Works on mesh indices into the mesh matrix W of `state` (the search
+    state `leja_greedy` returns for `spec` and `mesh`).
     Every point of `config` must be a mesh node.  Candidates per point: its
     greedy-residual shortlist plus a window of mesh nodes around its
     current position (the shortlist alone cannot settle configurations to
@@ -586,13 +544,13 @@ def exchange_refine(
     """
     w_mat = state.w
     idx = _mesh_indices(mesh, config.points, state.chosen)
-    theta = _banded_angles(config.domain, mesh)
+    theta = _banded_angles(mesh)
     for _ in range(sweeps):
         inv_a = np.linalg.inv(w_mat[idx].T)
         improved = False
         for i in range(config.size):
             cands = np.concatenate(
-                [state.shortlists[i], _local_candidates(config.domain, mesh, theta, idx[i])]
+                [state.shortlists[i], _local_candidates(mesh, theta, idx[i])]
             )
             gains = np.abs(inv_a[i] @ w_mat[cands].T)
             j = int(np.argmax(gains))
@@ -612,8 +570,7 @@ def exchange_refine(
     return PointConfiguration(
         domain=config.domain,
         points=pts,
-        logdet=log_vandermonde(pts, spec, weight),
-        weight=weight,
+        logdet=log_vandermonde(pts, spec),
     )
 
 
@@ -708,5 +665,5 @@ def fekete_1d(spec: BasisSpec, slope: float = 0.0) -> tuple[PointConfiguration, 
         logdet = _pairwise_logdet(spec, pts) - k * slope * float(np.sum(pts))
     else:
         raise InputError(f"no exact Fekete solver on the {domain.kind}")
-    config = PointConfiguration(domain=domain, points=pts, logdet=logdet, weight=linear_weight(slope))
+    config = PointConfiguration(domain=domain, points=pts, logdet=logdet)
     return config, residual

@@ -12,6 +12,7 @@ import numpy as np
 import pytest
 
 from feketelab import bishop as bsh
+from feketelab import cli
 from feketelab import discs
 from feketelab import equilibrium as eq
 from feketelab import fekete as fk
@@ -244,71 +245,74 @@ def test_criterion_07_singular_control():
 
 
 def test_criterion_08_fekete_small_cases():
-    w0 = fk.zero_weight()
-    # interval k=2: greedy + exchange vs brute force over all mesh triples
+    # interval k=2: the exact configuration vs brute force over all mesh triples
     dom = fk.Interval()
     mesh = dom.mesh(41)
     spec = fk.BasisSpec(dom, 2)
     best_val = max(
         fk.log_vandermonde(mesh[list(tri)], spec) for tri in combinations(range(41), 3)
     )
-    cfg, sl = fk.leja_greedy(spec, w0, mesh)
-    cfg = fk.exchange_refine(cfg, spec, w0, mesh, sweeps=4, state=sl)
+    cfg, _ = fk.fekete_1d(spec)
     interval_ok = abs(cfg.logdet - best_val) <= 1e-12
     step = float(np.max(np.diff(mesh)))
     target = np.array([-1.0, 0.0, 1.0])
     interval_ok &= bool(np.max(np.abs(np.sort(cfg.points) - target)) <= step)
 
-    # circle k in {1, 2}: equispaced up to rotation / mesh step
+    # circle k in {1, 2}: equispaced up to rotation
     circ = fk.Circle()
-    cmesh = circ.mesh(512)
     circle_ok = True
     for k in (1, 2):
-        cspec = fk.BasisSpec(circ, k)
-        ccfg, csl = fk.leja_greedy(cspec, w0, cmesh)
-        ccfg = fk.exchange_refine(ccfg, cspec, w0, cmesh, sweeps=6, state=csl)
+        ccfg, _ = fk.fekete_1d(fk.BasisSpec(circ, k))
         th = np.sort(ccfg.points)
         gaps = np.diff(np.concatenate([th, [th[0] + 2 * math.pi]]))
         dev = float(np.max(np.abs(gaps - 2 * math.pi / (2 * k + 1))))
-        circle_ok &= dev <= 2 * math.pi / 512 + 1e-12
+        circle_ok &= dev <= 1e-12
+
+    # sphere k=1: the CLI's mesh search vs brute force over all C(40, 4)
+    # four-subsets of a 40-node mesh, and vs the regular tetrahedron
+    sph = fk.Sphere()
+    sspec = fk.BasisSpec(sph, 1)
+    tetra = math.log(16.0 / (3.0 * math.sqrt(3.0))) + 1.5 * math.log(3.0) - 2.0 * math.log(4.0 * math.pi)
+    small = sph.mesh(40)
+    subsets = np.array(list(combinations(range(40), 4)))
+    mats = fk.basis_matrix(sspec, small).T[subsets]
+    brute = float(np.max(np.linalg.slogdet(mats)[1]))
+    small_cfg, _ = cli._mesh_search(small, 1, 4)(sspec)
+    fine_cfg, _ = cli._mesh_search(sph.mesh(40000), 1, 2)(sspec)
+    sphere_ok = small_cfg.logdet <= brute + 1e-12 and brute <= tetra + 1e-12
+    sphere_ok &= 0.0 <= tetra - fine_cfg.logdet <= 1e-4
     report(
         8,
         "Fekete small-case oracles",
-        interval_ok and circle_ok,
-        f"interval triple matches brute force: {interval_ok}, circle equispaced: {circle_ok}",
+        interval_ok and circle_ok and sphere_ok,
+        f"interval triple matches brute force: {interval_ok}, circle equispaced: {circle_ok}, "
+        f"sphere k=1 search {small_cfg.logdet:.4f} <= brute force {brute:.4f} <= tetrahedron "
+        f"{tetra:.7f}, fine mesh {tetra - fine_cfg.logdet:.1e} below (<=1e-4): {sphere_ok}",
     )
 
 
 def test_criterion_09_rate_study():
     t0 = time.perf_counter()
-    w0 = fk.zero_weight()
 
-    # circle: k = 2..40
+    # circle: k = 2..40, the exact configurations
     circ = fk.Circle()
     nu_c = eq.equilibrium_reference(circ)
-    cmesh = circ.mesh(4096)
-    cstep = 2 * math.pi / 4096
     circle_ok = True
     cdists = []
     for k in range(2, 41):
-        spec = fk.BasisSpec(circ, k)
-        cfg, sl = fk.leja_greedy(spec, w0, cmesh)
-        cfg = fk.exchange_refine(cfg, spec, w0, cmesh, sweeps=5, state=sl)
+        cfg, _ = fk.fekete_1d(fk.BasisSpec(circ, k))
         d = eq.dist1_circle(fk.fekete_measure(cfg), nu_c)
         cdists.append(d)
-        circle_ok &= d <= math.pi / (2 * k + 1) + cstep
+        circle_ok &= d <= math.pi / (2 * k + 1)
     cslope = eq.rate_fit(range(2, 41), cdists).slope
     circle_ok &= cslope <= -0.9
 
-    # interval: k = 2..40
+    # interval: k = 2..40, the exact configurations
     dom = fk.Interval()
     nu_i = eq.equilibrium_reference(dom)
-    imesh = dom.mesh(4000)
     idists = []
     for k in range(2, 41):
-        spec = fk.BasisSpec(dom, k)
-        cfg, sl = fk.leja_greedy(spec, w0, imesh)
-        cfg = fk.exchange_refine(cfg, spec, w0, imesh, sweeps=5, state=sl)
+        cfg, _ = fk.fekete_1d(fk.BasisSpec(dom, k))
         idists.append(eq.dist1_interval(fk.fekete_measure(cfg), nu_i))
     ma = np.convolve(idists, np.ones(5) / 5, mode="valid")
     interval_ok = bool(np.all(np.diff(ma) < 0))
@@ -318,13 +322,11 @@ def test_criterion_09_rate_study():
     # sphere: k = 2..15 with the dictionary distance
     sph = fk.Sphere()
     nu_s = eq.equilibrium_reference(sph)
-    smesh = sph.mesh(40000)
+    search = cli._mesh_search(sph.mesh(40000), 15, 2)
     sdict = eq.build_dictionaries(sph, (0.5, 1.0))
     sdists = []
     for k in range(2, 16):
-        spec = fk.BasisSpec(sph, k)
-        cfg, sl = fk.leja_greedy(spec, w0, smesh)
-        cfg = fk.exchange_refine(cfg, spec, w0, smesh, sweeps=2, state=sl)
+        cfg, _ = search(fk.BasisSpec(sph, k))
         sdists.append(eq.dist_gamma_dict(fk.fekete_measure(cfg), nu_s, sdict)[1.0])
     sma = np.convolve(sdists, np.ones(5) / 5, mode="valid")
     sphere_ok = bool(np.all(np.diff(sma) < 0))

@@ -5,7 +5,11 @@ import glob
 import math
 import os
 import re
+import subprocess
+import sys
+import textwrap
 from itertools import combinations
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -755,3 +759,27 @@ def test_main_seed_override_changes_hash(tmp_path):
     h1 = (tmp_path / "s1" / "t-disc_disc.csv").read_text().splitlines()[0]
     h2 = (tmp_path / "s2" / "t-disc_disc.csv").read_text().splitlines()[0]
     assert h1 != h2
+
+
+def test_commands_import_no_scipy(tmp_path):
+    """numpy is the only runtime dependency: a sphere `fekete` and a
+    `bishop` command, in a fresh interpreter, leave no scipy module loaded
+    (scipy may be installed, as test-only tooling)."""
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    script = textwrap.dedent(
+        f"""
+        import sys
+        sys.path.insert(0, {src!r})
+        from feketelab.cli import cmd_bishop, cmd_fekete
+        from feketelab.config import ExperimentConfig
+
+        cmd_fekete(ExperimentConfig(domain_text="sphere", k_min=2, k_max=2, mesh=400, sweeps=1))
+        cmd_bishop(ExperimentConfig(grid_m=128, t_list=(0.05,), samples=1))
+        print(sorted(m for m in sys.modules if m == "scipy" or m.startswith("scipy.")))
+        """
+    )
+    proc = subprocess.run(
+        [sys.executable, "-c", script], capture_output=True, text=True, timeout=300, cwd=tmp_path
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[]"

@@ -5,8 +5,6 @@ from itertools import combinations
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
 from feketelab.errors import DomainError, InputError, InsufficientMeshError
 from feketelab.fekete import (
@@ -17,18 +15,26 @@ from feketelab.fekete import (
     PointConfiguration,
     Sphere,
     SphericalCap,
-    Weight,
     basis_dim,
     basis_matrix,
     eval_basis,
     exchange_refine,
+    fekete_1d,
     fekete_measure,
     leja_greedy,
     log_vandermonde,
-    zero_weight,
 )
 
-W0 = zero_weight()
+
+def _run_matrix(mesh, k):
+    """The search's mesh-by-basis matrix at degree k, as `cli` builds it."""
+    return np.ascontiguousarray(basis_matrix(BasisSpec(Sphere(), k), mesh).T)
+
+
+def _sphere_logdets(mesh, k, subsets):
+    """log|det| of the degree-k sphere basis at each row of mesh indices,
+    as one batched slogdet."""
+    return np.linalg.slogdet(_run_matrix(mesh, k)[subsets])[1]
 
 
 def _cofactor_logdet(mat):
@@ -121,16 +127,6 @@ def test_logdet_singular_marker():
     assert log_vandermonde(pts, spec) == float("-inf")
 
 
-def test_logdet_weight_shift():
-    """phi -> phi + c shifts logdet by -k N_k c and changes no comparison."""
-    spec = BasisSpec(Interval(), 3)
-    pts = np.array([-1.0, -0.4, 0.3, 1.0])
-    base = log_vandermonde(pts, spec, W0)
-    shifted = Weight(phi=lambda p: np.full(len(np.atleast_1d(p)), 0.7))
-    got = log_vandermonde(pts, spec, shifted)
-    assert abs(got - (base - 3 * 4 * 0.7)) < 1e-9
-
-
 def test_logdet_basis_change_invariance():
     """Two bases of one span shift logdet by a config-independent constant."""
     spec = BasisSpec(Interval(), 2)
@@ -153,98 +149,63 @@ def test_wrong_point_count_rejected():
 
 
 # ------------------------------------------------------------------- greedy
-def test_greedy_interval_k1_picks_endpoints():
-    spec = BasisSpec(Interval(), 1)
-    mesh = Interval().mesh(101)
-    cfg, _ = leja_greedy(spec, W0, mesh)
-    assert set(np.round(np.sort(cfg.points), 12)) == {-1.0, 1.0}
-    # brute force over all mesh pairs agrees
-    best = max(
-        (log_vandermonde(mesh[list(pair)], spec), pair)
-        for pair in combinations(range(0, 101, 5), 2)
-    )
-    assert cfg.logdet >= best[0] - 1e-12
-
-
-def test_greedy_circle_k1_near_equilateral():
-    spec = BasisSpec(Circle(), 1)
-    mesh = Circle().mesh(240)
-    cfg, sl = leja_greedy(spec, W0, mesh)
-    cfg = exchange_refine(cfg, spec, W0, mesh, sweeps=4, state=sl)
-    th = np.sort(cfg.points)
-    gaps = np.diff(np.concatenate([th, [th[0] + 2 * math.pi]]))
-    assert np.max(np.abs(gaps - 2 * math.pi / 3)) <= 2 * math.pi / 240 + 1e-12
-
-
 def test_greedy_beats_random_configs():
-    spec = BasisSpec(Circle(), 2)
-    mesh = Circle().mesh(512)
-    cfg, _ = leja_greedy(spec, W0, mesh)
+    spec = BasisSpec(Sphere(), 2)
+    mesh = Sphere().mesh(2000)
+    cfg, _ = leja_greedy(spec, mesh, _run_matrix(mesh, 2))
     rng = np.random.default_rng(1)
-    wins = 0
-    for _ in range(100):
-        pick = rng.choice(len(mesh), size=cfg.size, replace=False)
-        if cfg.logdet >= log_vandermonde(mesh[np.sort(pick)], spec):
-            wins += 1
+    picks = np.array([rng.choice(len(mesh), size=cfg.size, replace=False) for _ in range(100)])
+    wins = int(np.sum(cfg.logdet >= _sphere_logdets(mesh, 2, picks)))
     assert wins >= 99
 
 
 def test_greedy_rejects_small_mesh():
-    with pytest.raises(InsufficientMeshError):
-        leja_greedy(BasisSpec(Interval(), 10), W0, Interval().mesh(20))
+    mesh = Sphere().mesh(60)
+    with pytest.raises(InsufficientMeshError, match="at least 5 N_k = 80"):
+        leja_greedy(BasisSpec(Sphere(), 3), mesh, _run_matrix(mesh, 3))
 
 
 def test_greedy_rank_deficient_mesh():
-    spec = BasisSpec(Interval(), 3)
-    mesh = np.full(40, 0.5) + np.arange(40) * 1e-17  # effectively one point
-    with pytest.raises(InsufficientMeshError):
-        leja_greedy(spec, W0, mesh)
+    mesh = np.repeat(Sphere().mesh(7)[3:4], 40, axis=0)  # one node, 40 times
+    with pytest.raises(InsufficientMeshError, match=r"k = 1: .*rank < N_k"):
+        leja_greedy(BasisSpec(Sphere(), 1), mesh, _run_matrix(mesh, 1))
 
 
 # ----------------------------------------------------------------- exchange
 def test_exchange_keeps_bruteforce_optimum():
-    spec = BasisSpec(Interval(), 2)
-    mesh = Interval().mesh(41)
-    best = max(
-        (log_vandermonde(mesh[list(tri)], spec), tri)
-        for tri in combinations(range(41), 3)
-    )
+    """k = 1 on a 40-node sphere mesh: the best of all C(40, 4) = 91 390
+    four-subsets is exchange-optimal, so exchange keeps it."""
+    spec = BasisSpec(Sphere(), 1)
+    mesh = Sphere().mesh(40)
+    subsets = np.array(list(combinations(range(40), 4)))
+    logdets = _sphere_logdets(mesh, 1, subsets)
+    best = subsets[int(np.argmax(logdets))]
     start = PointConfiguration(
-        domain=Interval(),
-        points=mesh[list(best[1])],
-        logdet=best[0],
-        weight=W0,
+        domain=Sphere(),
+        points=mesh[best],
+        logdet=log_vandermonde(mesh[best], spec),
     )
-    _, state = leja_greedy(spec, W0, mesh)
-    out = exchange_refine(start, spec, W0, mesh, sweeps=2, state=state)
-    assert np.array_equal(np.sort(out.points), np.sort(start.points))
-    assert abs(out.logdet - best[0]) < 1e-12
+    assert abs(start.logdet - np.max(logdets)) < 1e-12
+    _, state = leja_greedy(spec, mesh, _run_matrix(mesh, 1))
+    out = exchange_refine(start, spec, mesh, sweeps=2, state=state)
+    assert np.array_equal(out.points, start.points)
+    assert out.logdet == start.logdet
 
 
 def test_exchange_monotone_logdet():
-    spec = BasisSpec(Circle(), 3)
-    mesh = Circle().mesh(512)
+    spec = BasisSpec(Sphere(), 3)
+    mesh = Sphere().mesh(2000)
     rng = np.random.default_rng(2)
-    pick = np.sort(rng.choice(len(mesh), size=7, replace=False))
+    pick = np.sort(rng.choice(len(mesh), size=16, replace=False))
     start = PointConfiguration(
-        domain=Circle(),
+        domain=Sphere(),
         points=mesh[pick],
         logdet=log_vandermonde(mesh[pick], spec),
-        weight=W0,
     )
-    _, state = leja_greedy(spec, W0, mesh)
-    out = exchange_refine(start, spec, W0, mesh, sweeps=3, state=state)
-    assert out.logdet >= start.logdet - 1e-12
-
-
-def test_exchange_circle_k2_reaches_equispaced():
-    spec = BasisSpec(Circle(), 2)
-    mesh = Circle().mesh(512)
-    cfg, sl = leja_greedy(spec, W0, mesh)
-    cfg = exchange_refine(cfg, spec, W0, mesh, sweeps=5, state=sl)
-    th = np.sort(cfg.points)
-    gaps = np.diff(np.concatenate([th, [th[0] + 2 * math.pi]]))
-    assert np.max(np.abs(gaps - 2 * math.pi / 5)) <= 2 * math.pi / 512 + 1e-12
+    _, state = leja_greedy(spec, mesh, _run_matrix(mesh, 3))
+    out = exchange_refine(start, spec, mesh, sweeps=3, state=state)
+    assert out.logdet > start.logdet
+    assert out.logdet == log_vandermonde(out.points, spec)
 
 
 def test_argmax_invariance_under_basis_change():
@@ -269,7 +230,6 @@ def test_fekete_measure_is_uniform_probability():
         domain=Interval(),
         points=np.array([-0.5, 0.0, 0.5]),
         logdet=0.0,
-        weight=W0,
     )
     mu = fekete_measure(cfg)
     np.testing.assert_allclose(mu.weights, [1 / 3] * 3)
@@ -277,46 +237,18 @@ def test_fekete_measure_is_uniform_probability():
     assert abs(np.mean(mu.atoms)) < 1e-15  # symmetric configuration
 
 
-def test_symmetric_interval_config_from_search():
-    spec = BasisSpec(Interval(), 4)
-    mesh = Interval().mesh(801)
-    cfg, sl = leja_greedy(spec, W0, mesh)
-    cfg = exchange_refine(cfg, spec, W0, mesh, sweeps=3, state=sl)
-    mu = fekete_measure(cfg)
-    assert abs(np.mean(mu.atoms)) <= 2.0 / 800  # mesh-step symmetry
-
-
 def test_duplicate_points_rejected():
     with pytest.raises(InputError):
         PointConfiguration(
-            domain=Interval(), points=np.array([0.1, 0.1, 0.5]), logdet=0.0, weight=W0
+            domain=Interval(), points=np.array([0.1, 0.1, 0.5]), logdet=0.0
         )
 
 
-def test_degenerate_weight_rejected():
-    bad = Weight(phi=lambda p: np.full(len(np.atleast_1d(p)), -np.inf))
-    with pytest.raises(InputError):
-        bad.values(np.array([0.0, 0.5]))
-
-
-@settings(max_examples=20, deadline=None)
-@given(st.floats(-2.0, 2.0))
-def test_weight_shift_never_changes_argmax(c):
-    spec = BasisSpec(Interval(), 2)
-    mesh = Interval().mesh(41)
-    shifted = Weight(phi=lambda p, c=c: np.full(len(np.atleast_1d(p)), c))
-    a, _ = leja_greedy(spec, W0, mesh)
-    b, _ = leja_greedy(spec, shifted, mesh)
-    assert np.array_equal(a.points, b.points)
-
-
 def test_rotation_shift_of_circle_optimum():
-    """On the circle a local optimum's rotation by the mesh step scores the
-    same logdet (rotation invariance of the determinant)."""
+    """On the circle the optimum's rotation by a mesh step scores the same
+    logdet (rotation invariance of the determinant)."""
     spec = BasisSpec(Circle(), 2)
-    mesh = Circle().mesh(512)
-    cfg, sl = leja_greedy(spec, W0, mesh)
-    cfg = exchange_refine(cfg, spec, W0, mesh, sweeps=4, state=sl)
+    cfg, _ = fekete_1d(spec)
     step = 2 * math.pi / 512
     rotated = np.mod(cfg.points + step + math.pi, 2 * math.pi) - math.pi
     assert abs(log_vandermonde(rotated, spec) - cfg.logdet) <= 1e-9

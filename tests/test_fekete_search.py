@@ -1,4 +1,4 @@
-"""Index-space Fekete search: closed-form optimum on S^1, the exchange
+"""Index-space Fekete search on the sphere and caps: the exchange
 contract, the cached cap rank, the run's shared mesh matrix, the banded
 sphere neighbourhoods, the blocked greedy flush, and the benchmark
 tracer's hooks."""
@@ -26,66 +26,44 @@ from feketelab.fekete import (
     PointConfiguration,
     Sphere,
     SphericalCap,
-    Weight,
     basis_dim,
     basis_matrix,
     exchange_refine,
     leja_greedy,
     log_vandermonde,
-    zero_weight,
 )
 
 ROOT = Path(__file__).resolve().parent.parent
-W0 = zero_weight()
-LINEAR = Weight(phi=lambda p: 0.3 * np.atleast_1d(np.asarray(p, float)))
 
 
-def _search(spec, weight, mesh, sweeps):
-    cfg, state = leja_greedy(spec, weight, mesh)
-    return exchange_refine(cfg, spec, weight, mesh, sweeps=sweeps, state=state)
-
-
-@pytest.mark.parametrize("k", range(1, 9))
-def test_circle_search_reaches_closed_form_optimum(k):
-    """N = 2k+1 equispaced points are mesh nodes when the mesh has 64 N
-    nodes; their logdet is 1/2 log N + k log(N/2) by discrete Fourier
-    orthogonality, and nothing on S^1 beats it."""
-    n = 2 * k + 1
-    mesh = Circle().mesh(64 * n)
-    out = _search(BasisSpec(Circle(), k), W0, mesh, sweeps=5)
-    exact = 0.5 * math.log(n) + k * math.log(n / 2.0)
-    assert abs(out.logdet - exact) <= 1e-12
+def _run_matrix(domain, mesh, k):
+    """The search's mesh-by-basis matrix at degree k, as `cli` builds it."""
+    return np.ascontiguousarray(basis_matrix(BasisSpec(domain, k), mesh).T)
 
 
 def test_exchange_rejects_off_mesh_start():
-    spec = BasisSpec(Interval(), 2)
-    mesh = Interval().mesh(41)
-    pts = np.array([-1.0, 0.01234, 1.0])
-    start = PointConfiguration(
-        domain=Interval(), points=pts, logdet=log_vandermonde(pts, spec), weight=W0
-    )
-    _, state = leja_greedy(spec, W0, mesh)
-    with pytest.raises(InputError):
-        exchange_refine(start, spec, W0, mesh, sweeps=2, state=state)
+    spec = BasisSpec(Sphere(), 1)
+    mesh = Sphere().mesh(400)
+    pts = np.vstack([mesh[[0, 150, 300]], [[0.6, 0.0, 0.8]]])
+    start = PointConfiguration(domain=Sphere(), points=pts, logdet=log_vandermonde(pts, spec))
+    _, state = leja_greedy(spec, mesh, _run_matrix(Sphere(), mesh, 1))
+    with pytest.raises(InputError, match="not a mesh node"):
+        exchange_refine(start, spec, mesh, sweeps=2, state=state)
 
 
 CASES = [
-    (BasisSpec(Interval(), 6), W0, Interval().mesh(400)),
-    (BasisSpec(Interval(), 6), LINEAR, Interval().mesh(400)),
-    (BasisSpec(Circle(), 5), W0, Circle().mesh(512)),
-    (BasisSpec(CircleArc(-1.0, 1.0), 4), W0, CircleArc(-1.0, 1.0).mesh(2048)),
-    (BasisSpec(Sphere(), 3), W0, Sphere().mesh(2000)),
-    (BasisSpec(SphericalCap((0, 0, 1), 1.0), 2), W0, SphericalCap((0, 0, 1), 1.0).mesh(8000)),
+    (BasisSpec(Sphere(), 3), Sphere().mesh(2000)),
+    (BasisSpec(SphericalCap((0, 0, 1), 1.0), 2), SphericalCap((0, 0, 1), 1.0).mesh(8000)),
 ]
-CASE_IDS = ["interval", "interval-linear", "circle", "arc", "sphere", "cap"]
+CASE_IDS = ["sphere", "cap"]
 
 
-@pytest.mark.parametrize("spec,weight,mesh", CASES, ids=CASE_IDS)
-def test_exchange_result_contract(spec, weight, mesh):
+@pytest.mark.parametrize("spec,mesh", CASES, ids=CASE_IDS)
+def test_exchange_result_contract(spec, mesh):
     """Distinct mesh nodes, monotone logdet, and a logdet that is exactly
     the log-Vandermonde of the returned points."""
-    cfg, state = leja_greedy(spec, weight, mesh)
-    out = exchange_refine(cfg, spec, weight, mesh, sweeps=3, state=state)
+    cfg, state = leja_greedy(spec, mesh, _run_matrix(spec.domain, mesh, spec.k))
+    out = exchange_refine(cfg, spec, mesh, sweeps=3, state=state)
     flat = mesh.reshape(len(mesh), -1)
     idx = [
         int(np.flatnonzero(np.all(flat == p, axis=1))[0])
@@ -93,18 +71,20 @@ def test_exchange_result_contract(spec, weight, mesh):
     ]
     assert len(set(idx)) == out.size == basis_dim(spec)
     assert out.logdet >= cfg.logdet
-    assert out.logdet == log_vandermonde(out.points, spec, weight)
+    assert out.logdet == log_vandermonde(out.points, spec)
 
 
-def test_greedy_state_indexes_the_weighted_mesh_matrix():
-    spec = BasisSpec(Interval(), 4)
-    mesh = Interval().mesh(200)
-    cfg, state = leja_greedy(spec, LINEAR, mesh)
+def test_greedy_state_indexes_the_run_matrix():
+    """`GreedyState.w` is a view of the leading (k+1)^2 columns of the
+    run's matrix, with no copy."""
+    spec = BasisSpec(Sphere(), 2)
+    mesh = Sphere().mesh(600)
+    run = _run_matrix(Sphere(), mesh, 4)
+    cfg, state = leja_greedy(spec, mesh, run)
     assert state.w.shape == (len(mesh), basis_dim(spec))
+    assert np.shares_memory(state.w, run) and np.array_equal(state.w, run[:, :9])
     assert np.array_equal(mesh[state.chosen], cfg.points)
     assert len(state.shortlists) == cfg.size
-    want = basis_matrix(spec, mesh) * np.exp(-spec.k * LINEAR.values(mesh))
-    assert np.array_equal(state.w, want.T)
 
 
 @pytest.mark.parametrize(
@@ -140,29 +120,23 @@ def test_run_matrix_leading_columns_are_each_degrees_basis():
         assert run[:, : (k + 1) ** 2].tobytes() == own.tobytes(), k
 
 
-@pytest.mark.parametrize("domain", [Sphere(), SphericalCap((0, 0, 1), 1.0)], ids=["sphere", "cap"])
-def test_search_on_the_run_matrix_matches_the_per_degree_build(domain):
-    mesh = domain.mesh(4000)
-    run = np.ascontiguousarray(basis_matrix(BasisSpec(domain, 5), mesh).T)
-    for k in (2, 5):
-        spec = BasisSpec(domain, k)
-        own, own_state = leja_greedy(spec, W0, mesh)
-        shared, shared_state = leja_greedy(spec, W0, mesh, run)
-        assert np.array_equal(own_state.w, shared_state.w)
-        assert np.array_equal(own_state.chosen, shared_state.chosen)
-        assert all(map(np.array_equal, own_state.shortlists, shared_state.shortlists))
-        a = exchange_refine(own, spec, W0, mesh, sweeps=2, state=own_state)
-        b = exchange_refine(shared, spec, W0, mesh, sweeps=2, state=shared_state)
-        assert np.array_equal(a.points, b.points) and a.logdet == b.logdet
+def test_run_matrix_needs_enough_columns_and_rows():
+    mesh = Sphere().mesh(400)
+    run = _run_matrix(Sphere(), mesh, 3)
+    with pytest.raises(InputError, match="degree 4"):
+        leja_greedy(BasisSpec(Sphere(), 4), mesh, run)
+    with pytest.raises(InputError, match="on 399 nodes"):
+        leja_greedy(BasisSpec(Sphere(), 2), mesh[1:], run)
 
 
-def test_run_matrix_needs_a_zero_weight_and_enough_columns():
-    mesh = Interval().mesh(400)
-    run = np.ascontiguousarray(basis_matrix(BasisSpec(Interval(), 6), mesh).T)
-    with pytest.raises(InputError, match="weight"):
-        leja_greedy(BasisSpec(Interval(), 6), LINEAR, mesh, run)
-    with pytest.raises(InputError, match="degree 7"):
-        leja_greedy(BasisSpec(Interval(), 7), W0, mesh, run)
+@pytest.mark.parametrize("domain", [Interval(), Circle(), CircleArc(-1.0, 1.0)], ids=["interval", "circle", "arc"])
+def test_mesh_search_rejects_the_one_d_domains(domain):
+    """The 1-D domains have an exact solver, `fekete_1d`; the mesh search
+    takes the sphere and caps only."""
+    mesh = domain.mesh(400)
+    run = np.ascontiguousarray(basis_matrix(BasisSpec(domain, 3), mesh).T)
+    with pytest.raises(InputError, match=f"not on the {domain.kind}"):
+        leja_greedy(BasisSpec(domain, 3), mesh, run)
 
 
 # ------------------------------------------------ banded neighbourhoods
@@ -186,10 +160,10 @@ BAND_CASES = [
 def test_banded_neighbourhoods_match_the_whole_mesh_scan(domain, mesh, banded):
     """Every node's band result is the whole-mesh scan's; a mesh whose
     polar angles are not ordered takes the whole-mesh path."""
-    theta = _banded_angles(domain, mesh)
+    theta = _banded_angles(mesh)
     assert (theta is not None) == banded
     for i in range(len(mesh)):
-        assert np.array_equal(_local_candidates(domain, mesh, theta, i), _whole_mesh_neighbours(mesh, i)), i
+        assert np.array_equal(_local_candidates(mesh, theta, i), _whole_mesh_neighbours(mesh, i)), i
 
 
 # ----------------------------------------------- greedy flush in row blocks
@@ -251,12 +225,14 @@ def test_greedy_core_matches_the_single_gemm_flush(domain, size, k):
     assert all(map(np.array_equal, shortlists, want_shortlists))
 
 
-def test_greedy_repeated_pick_raises_insufficient_mesh_naming_k():
-    """Past the trig basis's conditioning on this arc the greedy's picks are
-    rounding noise, and at k = 9 one node comes up twice."""
+def test_greedy_repeated_pick_raises_insufficient_mesh():
+    """`_greedy_core` takes any mesh-by-basis matrix.  Past the trig basis's
+    conditioning on this arc its picks are rounding noise, and at k = 9
+    one node comes up twice."""
     arc = CircleArc(-1.0, 1.0)
-    with pytest.raises(InsufficientMeshError, match="k = 9: .* picked twice"):
-        leja_greedy(BasisSpec(arc, 9), W0, arc.mesh(2048))
+    w = basis_matrix(BasisSpec(arc, 9), arc.mesh(2048)).T
+    with pytest.raises(InsufficientMeshError, match="node 8 picked twice"):
+        _greedy_core(w, 19)
 
 
 def test_benchmark_tracer_sees_the_search_layers(tmp_path):
