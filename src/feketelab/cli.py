@@ -150,31 +150,39 @@ def _reference_for(domain, search, k_max: int):
         return fk.fekete_measure(config), f"fekete-self-consistency(k={k_max})"
 
 
-def _dist_to_reference(domain, mu, reference, dictionary):
-    """dist_1 plus the configured dictionary distances; returns dict.
+def _dist_to_reference(domain, mu, reference, gammas, dictionary):
+    """dist_1 plus the configured dist_gamma columns; returns dict.
 
-    Where dist_1 has no exact formula (sphere, caps) it is the gamma = 1
-    dictionary distance, computed once for both columns.
+    On the interval, circle and arcs (`dictionary` is None) dist_1 is exact
+    and every gamma gets the certified pair `dist_g{gamma}_lo` /
+    `dist_g{gamma}_hi`.  On the sphere and caps every gamma gets the
+    dictionary lower bound `dist_g{gamma}`, and dist1, which has no exact
+    formula there, is the gamma = 1 one, computed once for both columns.
     """
-    out = {f"dist_g{g:g}": d for g, d in eq.dist_gamma_dict(mu, reference, dictionary).items()}
-    exact = isinstance(reference, eq.ReferenceMeasure)
-    if exact and isinstance(domain, fk.Interval):
-        out["dist1"] = eq.dist1_interval(mu, reference)
-    elif exact and isinstance(domain, fk.Circle):
-        out["dist1"] = eq.dist1_circle(mu, reference)
-    elif not exact and isinstance(fk.ambient_of(domain), (fk.Interval, fk.Circle)):
-        out["dist1"] = eq.w1_atomic_line(mu.atoms, reference.atoms)
-    else:
+    if dictionary is not None:
+        out = {f"dist_g{g:g}": d for g, d in eq.dist_gamma_dict(mu, reference, dictionary).items()}
         out["dist1"] = out["dist_g1"]
+        return out
+    out = {}
+    for g, (lo, hi) in eq.dist_gamma_bounds(mu, reference, gammas).items():
+        out[f"dist_g{g:g}_lo"], out[f"dist_g{g:g}_hi"] = lo, hi
+    if isinstance(reference, fk.EmpiricalMeasure):
+        out["dist1"] = eq.w1_atomic_line(mu.atoms, reference.atoms)
+    elif isinstance(domain, fk.Interval):
+        out["dist1"] = eq.dist1_interval(mu, reference)
+    else:
+        out["dist1"] = eq.dist1_circle(mu, reference)
     return out
 
 
 def cmd_fekete(cfg: ExperimentConfig) -> RunRecord:
     """One row per degree.  The interval, circle and arcs get their exact
     Fekete configuration (`fk.fekete_1d`), with its KKT residual as a
-    column that `pass` bounds; the sphere and caps get the mesh search."""
+    column that `pass` bounds, and two-sided dist_gamma bounds; the sphere
+    and caps get the mesh search and test-dictionary lower bounds."""
     domain = cfg.domain
     slope = _weight_slope(cfg)
+    gammas = eq.check_gammas(cfg.gammas + (1.0,))
     one_d = not isinstance(fk.ambient_of(domain), fk.Sphere)
     if one_d:
         search = partial(fk.fekete_1d, slope=slope)
@@ -184,13 +192,18 @@ def cmd_fekete(cfg: ExperimentConfig) -> RunRecord:
         search = _mesh_search(mesh, cfg.k_max, cfg.sweeps)
         calibration = {"mesh": len(mesh), "sweeps": cfg.sweeps}
     reference, ref_name = _reference_for(domain, search, cfg.k_max)
-    dictionary = eq.build_dictionaries(domain, cfg.gammas + (1.0,))
+    if one_d:
+        dictionary = None
+        dist_columns = [f"dist_g{g:g}_{side}" for g in gammas for side in ("lo", "hi")]
+    else:
+        dictionary = eq.build_dictionaries(domain, gammas)
+        dist_columns = [f"dist_g{g:g}" for g in gammas]
     rec = RunRecord(
         name=cfg.name,
         config_hash=cfg.config_hash(),
         columns=[
             "status", "k", "n_k", "logdet", *(["kkt_residual"] if one_d else []), "dist1",
-            *(f"dist_g{g:g}" for g in dictionary.gammas), "pass", "note",
+            *dist_columns, "pass", "note",
         ],
         calibration={"reference": ref_name, **calibration},
     )
@@ -200,7 +213,7 @@ def cmd_fekete(cfg: ExperimentConfig) -> RunRecord:
         config, residual = search(fk.BasisSpec(domain, k))
         rec.phases["search_s"] = time.perf_counter() - t0
         t0 = time.perf_counter()
-        dists = _dist_to_reference(domain, fk.fekete_measure(config), reference, dictionary)
+        dists = _dist_to_reference(domain, fk.fekete_measure(config), reference, gammas, dictionary)
         rec.phases["dist_s"] = time.perf_counter() - t0
         ok = np.isfinite(config.logdet) and residual <= fk.KKT_TOL
         return {"k": k, "n_k": config.size, "logdet": config.logdet, "kkt_residual": residual, **dists, "pass": ok}

@@ -1,11 +1,14 @@
 """Reference equilibrium measures, distances between measures, and rates.
 
 Closed-form references: arcsine on the interval, uniform on circle and
-sphere.  dist_1 on the interval and circle is computed exactly from CDFs;
-on the sphere, and for every gamma in (0, 1], a certified test dictionary
-gives a documented lower bound.  The subharmonic comparison check builds
-the explicit harmonic majorant with smooth-cutoff boundary data and
-verifies the maximum principle on an interior grid.
+sphere.  dist_1 on the interval and circle is computed exactly from CDFs.
+On the interval, circle and arcs every gamma in (0, 1] gets a certified
+pair lo <= dist_gamma <= hi: the nearest-atom test function below and the
+quantile coupling above (`dist_gamma_bounds`).  On the sphere and caps a
+certified test dictionary gives a documented lower bound.  The
+subharmonic comparison check builds the explicit harmonic majorant with
+smooth-cutoff boundary data and verifies the maximum principle on an
+interior grid.
 """
 
 from __future__ import annotations
@@ -21,6 +24,7 @@ from .discs import AnalyticDisc
 from .errors import HypothesisError, InputError, NoClosedFormError
 from .fekete import (
     Circle,
+    CircleArc,
     EmpiricalMeasure,
     Interval,
     Sphere,
@@ -68,15 +72,11 @@ class ReferenceMeasure:
         raise NoClosedFormError("antiderivative implemented for the interval")
 
     def quad_nodes(self) -> np.ndarray:
-        if isinstance(self.domain, Interval):
-            # Gauss-Chebyshev: equal weights against the arcsine density
-            j = np.arange(2000)
-            return np.cos((2.0 * j + 1.0) * math.pi / 4000.0)
-        if isinstance(self.domain, Circle):
-            return Circle().mesh(4096)
+        """Equal-weight nodes of the uniform measure on the sphere, on which
+        the dictionary pairings average."""
         if isinstance(self.domain, Sphere):
             return Sphere().mesh(60000)
-        raise NoClosedFormError("no quadrature rule")
+        raise NoClosedFormError("quadrature nodes on the sphere only")
 
     def total_mass(self) -> float:
         """Mass by quadrature; the quantile substitution absorbs the
@@ -126,7 +126,13 @@ def extremal_interval(z) -> float:
 
 # ------------------------------------------------------------------- dist_1
 def dist1_interval(mu: EmpiricalMeasure, nu: ReferenceMeasure) -> float:
-    """Exact integral of |F_mu - F_nu| on [-1, 1] between the breakpoints."""
+    """Exact integral of |F_mu - F_nu| on [-1, 1] between the breakpoints.
+
+    Between consecutive cuts (-1, the sorted atoms, 1) F_mu is a constant
+    c, and the increasing F_nu crosses it at most once, at Q(c), so each
+    segment integral is closed form through the antiderivative of the
+    cdf.  All segments are evaluated at once and summed in order.
+    """
     if not isinstance(nu.domain, Interval):
         raise InputError("reference must live on the interval")
     atoms = np.sort(np.asarray(mu.atoms, dtype=float))
@@ -134,32 +140,17 @@ def dist1_interval(mu: EmpiricalMeasure, nu: ReferenceMeasure) -> float:
         raise InputError("empirical measure must be supported on [-1, 1]")
     n = len(atoms)
     cuts = np.concatenate([[-1.0], atoms, [1.0]])
+    keep = cuts[1:] > cuts[:-1]
+    a, b, c = cuts[:-1][keep], cuts[1:][keep], (np.arange(n + 1) / n)[keep]
+    xs = np.minimum(np.maximum(nu.quantile(c), a), b)
+    phi_a, phi_b, phi_x = (nu.cdf_antiderivative(v) for v in (a, b, xs))
+    above = (phi_b - phi_a) - c * (b - a)  # for F_nu >= c on the whole segment
+    crossing = (c * (xs - a) - (phi_x - phi_a)) + ((phi_b - phi_x) - c * (b - xs))
+    terms = np.where(c <= nu.cdf(a), above, np.where(c >= nu.cdf(b), -above, crossing))
     total = 0.0
-    for i in range(n + 1):
-        a, b = float(cuts[i]), float(cuts[i + 1])
-        if b <= a:
-            continue
-        c = i / n  # F_mu on (a, b)
-        total += _segment_abs_integral(nu, a, b, c)
-    return float(total)
-
-
-def _segment_abs_integral(nu: ReferenceMeasure, a: float, b: float, c: float) -> float:
-    # integral of |c - F(x)| with F increasing; split at the quantile
-    fa, fb = float(nu.cdf(a)), float(nu.cdf(b))
-    if c <= fa:
-        return _int_f(nu, a, b) - c * (b - a)
-    if c >= fb:
-        return c * (b - a) - _int_f(nu, a, b)
-    xs = float(nu.quantile(c))
-    xs = min(max(xs, a), b)
-    left = c * (xs - a) - _int_f(nu, a, xs)
-    right = _int_f(nu, xs, b) - c * (b - xs)
-    return left + right
-
-
-def _int_f(nu: ReferenceMeasure, a: float, b: float) -> float:
-    return float(nu.cdf_antiderivative(b) - nu.cdf_antiderivative(a))
+    for term in terms.tolist():
+        total += term
+    return total
 
 
 def dist1_circle(mu: EmpiricalMeasure, nu: ReferenceMeasure) -> float:
@@ -171,22 +162,8 @@ def dist1_circle(mu: EmpiricalMeasure, nu: ReferenceMeasure) -> float:
     """
     if not isinstance(nu.domain, Circle):
         raise InputError("reference must be the uniform measure on the circle")
-    atoms = np.sort(np.mod(np.asarray(mu.atoms, dtype=float) + math.pi, TWO_PI) - math.pi)
-    n = len(atoms)
-    if n == 0:
-        raise InputError("empty empirical measure")
+    _, segs, c_star = _circle_shift(mu.atoms)
     slope = 1.0 / TWO_PI
-    # segments between consecutive atoms (wrapping), G linear decreasing
-    segs = []  # (length, v_hi, v_lo): G goes v_hi -> v_lo
-    for i in range(n):
-        theta_a = atoms[i]
-        theta_b = atoms[i + 1] if i + 1 < n else atoms[0] + TWO_PI
-        length = theta_b - theta_a
-        if length <= 0.0:
-            continue
-        g_start = (i + 1) / n - slope * (theta_a + math.pi)
-        segs.append((length, g_start, g_start - slope * length))
-    c_star = _lebesgue_median(segs)
     total = 0.0
     for length, v_hi, v_lo in segs:
         if c_star >= v_hi:
@@ -196,6 +173,28 @@ def dist1_circle(mu: EmpiricalMeasure, nu: ReferenceMeasure) -> float:
         else:
             total += ((v_hi - c_star) ** 2 + (c_star - v_lo) ** 2) / (2.0 * slope)
     return float(total)
+
+
+def _circle_shift(atoms):
+    """The atoms sorted in [-pi, pi), the segments of G = F_mu - F_nu
+    between them as (length, v_hi, v_lo), G going v_hi -> v_lo, and the
+    shift c* = median of G that makes the coupling of F_mu with F_nu + c*
+    optimal for W1 on the circle."""
+    atoms = np.sort(np.mod(np.asarray(atoms, dtype=float) + math.pi, TWO_PI) - math.pi)
+    n = len(atoms)
+    if n == 0:
+        raise InputError("empty empirical measure")
+    slope = 1.0 / TWO_PI
+    segs = []
+    for i in range(n):
+        theta_a = atoms[i]
+        theta_b = atoms[i + 1] if i + 1 < n else atoms[0] + TWO_PI
+        length = theta_b - theta_a
+        if length <= 0.0:
+            continue
+        g_start = (i + 1) / n - slope * (theta_a + math.pi)
+        segs.append((length, g_start, g_start - slope * length))
+    return atoms, segs, _lebesgue_median(segs)
 
 
 def _lebesgue_median(segs) -> float:
@@ -241,11 +240,197 @@ def w1_atomic_line(xs: np.ndarray, ys: np.ndarray) -> float:
     return float(total)
 
 
+# ----------------------------------------------- two-sided dist_gamma in 1-D
+_QUAD_NODES = 24  # Gauss-Jacobi nodes per piece of a ray integral
+_GRADING = 11.0  # graded pieces grow by this factor away from a reflected zero
+
+
+def check_gammas(gammas) -> tuple:
+    """The distinct gammas, sorted; each must lie in (0, 1], where min(d, 1)^gamma
+    is a metric and the capped Hoelder bounds hold."""
+    gammas = tuple(sorted(set(gammas)))
+    if not all(g > 0.0 for g in gammas):
+        raise InputError(f"dist_gamma needs gamma > 0, got gammas {gammas}")
+    if any(g > 1.0 for g in gammas):
+        raise InputError(f"dist_gamma is certified for gamma <= 1 only, got gammas {gammas}")
+    return gammas
+
+
+def dist_gamma_bounds(mu: EmpiricalMeasure, nu, gammas) -> dict:
+    """{gamma: (lo, hi)} with lo <= dist_gamma(mu, nu) <= hi, for mu on the
+    interval, the circle or an arc, and nu its closed-form reference
+    (arcsine, uniform) or an empirical measure on the same domain.
+
+    lo: f = min_i min(d(., x_i), 1)^gamma vanishes on the atoms of mu and
+    has capped gamma-Hoelder seminorm <= 1, and with R = sup_K f the norm
+    of f - R/2 is at most 1 + R/2, so dist_gamma >= int f dnu / (1 + R/2).
+    hi: the cost int min(d, 1)^gamma dpi of the quantile coupling pi; on
+    the circle nu is shifted by the median c* that `dist1_circle` uses, so
+    at gamma = 1, with no distance capped, hi is the exact W1 there as on
+    the interval.  A closed-form nu is integrated in its quantile variable
+    p, split at each atom's cdf, the cell midpoints, the slot ends and the
+    cap points: in closed form on the circle and at gamma = 1, by graded
+    Gauss-Jacobi otherwise.  An empirical nu gives finite sums.
+    """
+    gammas = check_gammas(gammas)
+    g = np.array(gammas)[:, None]
+    domain = mu.domain
+    circle = isinstance(ambient_of(domain), Circle)
+    x = np.sort(np.asarray(mu.atoms, dtype=float))
+    n = len(x)
+    if n == 0:
+        raise InputError("empty empirical measure")
+    slots = np.arange(n + 1) / n
+    ref = nu.domain if isinstance(nu, ReferenceMeasure) else None
+    if isinstance(nu, EmpiricalMeasure):
+        y = np.sort(np.asarray(nu.atoms, dtype=float))
+        near = np.min(_distance(y[:, None], x, circle), axis=1)
+        edges = np.union1d(slots, np.arange(len(y) + 1) / len(y))
+        mid = 0.5 * (edges[1:] + edges[:-1])
+        coupled = _distance(x[(mid * n).astype(int)], y[(mid * len(y)).astype(int)], circle)
+        near_mass = np.mean(np.minimum(near, 1.0) ** g, axis=1)
+        plan = np.minimum(coupled, 1.0) ** g @ np.diff(edges)
+    elif isinstance(domain, Interval) and isinstance(ref, Interval):
+        u = nu.cdf(x)
+        cells = nu.cdf(np.concatenate(([-1.0], 0.5 * (x[1:] + x[:-1]), [1.0])))
+        ends = np.concatenate((cells[1:], cells[:-1], slots[1:], slots[:-1])) - np.tile(u, 4)
+        near_mass, plan = _cell_sums(_line_rays(nu, gammas, np.tile(u, 4), np.tile(x, 4), ends), n)
+    elif isinstance(domain, Circle) and isinstance(ref, Circle):
+        x, _, c_star = _circle_shift(x)
+        u = nu.cdf(x)
+        half = 0.5 * np.diff(np.append(u, u[0] + 1.0))
+        ends = np.concatenate((half, -np.roll(half, 1), slots[1:] - u - c_star, slots[:-1] - u - c_star))
+        near_mass, plan = _cell_sums(_circle_rays(g, ends), n)
+    else:
+        raise InputError(f"no two-sided dist_gamma between {domain!r} atoms and {nu!r}")
+    lo = near_mass / (1.0 + 0.5 * min(_reach(domain, x, circle), 1.0) ** g[:, 0])
+    return {gamma: (float(a), float(b)) for gamma, a, b in zip(gammas, lo, plan)}
+
+
+def _cell_sums(rays: np.ndarray, n: int):
+    """Per gamma, the nearest-atom mass and the coupling cost from the
+    signed ray integrals from each atom's anchor to its cell end, cell
+    start, slot end and slot start (four blocks of n)."""
+    r = rays.reshape(len(rays), 4, n).sum(axis=2)
+    return r[:, 0] - r[:, 1], r[:, 2] - r[:, 3]
+
+
+def _distance(a, b, circle: bool):
+    """|a - b| on the line, the geodesic distance of angles on the circle."""
+    d = np.abs(a - b)
+    if circle:
+        d = np.mod(d, TWO_PI)
+        d = np.minimum(d, TWO_PI - d)
+    return d
+
+
+def _reach(domain, x, circle: bool) -> float:
+    """sup over the domain of the distance to the nearest of the sorted atoms
+    x: the largest value at the domain's ends and at the points halfway
+    between neighbouring atoms (round the circle too)."""
+    if isinstance(domain, Interval):
+        ends = [-1.0, 1.0]
+    elif isinstance(domain, CircleArc):
+        ends = [domain.theta_a, domain.theta_b]
+    else:
+        ends = []
+    cand = np.concatenate((ends, 0.5 * (x[1:] + x[:-1])))
+    if circle:
+        wrap = 0.5 * (x[-1] + x[0]) + math.pi
+        cand = np.append(cand, [wrap, wrap - TWO_PI])
+        if isinstance(domain, CircleArc):
+            cand = cand[(cand >= domain.theta_a) & (cand <= domain.theta_b)]
+    return float(np.max(np.min(_distance(cand[:, None], x, circle), axis=1)))
+
+
+def _circle_rays(g: np.ndarray, length: np.ndarray) -> np.ndarray:
+    """int_0^length min(2 pi |s|, 1)^g ds, odd in length, for each gamma of
+    the column g: the cost along a ray of the uniform reference's quantile
+    variable, which moves 2 pi radians per unit."""
+    ell = np.abs(length)
+    free = np.minimum(ell, 1.0 / TWO_PI)
+    return np.sign(length) * (TWO_PI**g * free ** (1.0 + g) / (1.0 + g) + (ell - free))
+
+
+def _line_rays(nu, gammas, u, x, length) -> np.ndarray:
+    """int min(|Q(p) - x|, 1)^g dp between u = F(x) and u + length, odd in
+    length, one row per gamma, with Q, F the reference's quantile and cdf;
+    |Q - x| reaches the cap 1 at F(x + 1) on the right and F(x - 1) on the
+    left."""
+    ell = np.abs(length)
+    cap = np.maximum(np.where(length > 0, nu.cdf(x + 1.0) - u, u - nu.cdf(x - 1.0)), 0.0)
+    free = np.minimum(ell, cap)
+    side = np.sign(length)
+    powers = np.array([_line_power(nu, g, u, x, side * free) for g in gammas])
+    return side * (powers + (ell - free))
+
+
+def _line_power(nu, g: float, u, x, length) -> np.ndarray:
+    """int |Q(p) - x|^g dp between u = F(x) and u + length (>= 0).
+
+    At g = 1 this is closed form, int_0^p Q = p Q(p) - Phi(Q(p)) + Phi(-1)
+    with Phi the antiderivative of the cdf.  Otherwise Q(p) - x vanishes
+    like p - u, and, for a reference whose density has square-root
+    endpoints, also at the reflection of u in the nearer end (-u, or 2 - u),
+    a distance delta behind the ray: near p = 0, Q(p) - Q(u) ~ (p - u)(p + u).
+    A Gauss-Jacobi rule for the weight (p - u)^g on the first piece, of
+    length (_GRADING - 1) delta, and Gauss-Legendre on pieces that grow
+    by _GRADING keep every piece at least a tenth of its length away from
+    the other zero; when delta = 0 (an atom at an end) one piece takes
+    the weight (p - u)^(2g).
+    """
+    if g == 1.0:
+        def antiderivative(p):
+            q = nu.quantile(p)
+            return p * q - nu.cdf_antiderivative(q)
+
+        return np.abs(antiderivative(u + length) - antiderivative(u) - x * length)
+    ell = np.abs(length)
+    out = np.zeros(len(ell))
+    rays = np.flatnonzero(ell > 0.0)
+    ell, side, u, x = ell[rays], np.sign(length[rays]), u[rays], x[rays]
+    delta = np.where(side > 0, 2.0 * u, 2.0 * (1.0 - u))
+    delta[delta <= 1e-15 * ell] = 0.0
+    with np.errstate(divide="ignore"):
+        extra = np.ceil(np.log1p(ell / delta) / math.log(_GRADING)) - 1.0
+    count = np.where(delta > 0.0, np.maximum(extra, 0.0), 0.0).astype(int) + 1
+    ray = np.repeat(np.arange(len(ell)), count)
+    j = np.arange(len(ray)) - np.repeat(np.cumsum(count) - count, count)
+    d = delta[ray]
+    s0 = d * (_GRADING**j - 1.0)
+    s1 = np.where(j == count[ray] - 1, ell[ray], d * (_GRADING ** (j + 1) - 1.0))
+    expo = np.where(j > 0, 0.0, np.where(d > 0.0, g, 2.0 * g))
+    piece = np.empty(len(ray))
+    for e in (0.0, g, 2.0 * g):
+        sel = expo == e
+        t, w = _jacobi_rule(e)
+        width = (s1 - s0)[sel, None]
+        p = u[ray[sel], None] + side[ray[sel], None] * (s0[sel, None] + width * t)
+        vals = np.abs(nu.quantile(p) - x[ray[sel], None]) ** g / t**e
+        piece[sel] = width[:, 0] * (vals @ w)
+    out[rays] = np.bincount(ray, piece, minlength=len(rays))
+    return out
+
+
+@lru_cache(maxsize=16)
+def _jacobi_rule(e: float):
+    """Nodes and weights of the Gauss rule for int_0^1 t^e h(t) dt, by
+    Golub-Welsch on the Jacobi matrix of the weight (1 + s)^e on [-1, 1]."""
+    n = np.arange(1, _QUAD_NODES)
+    s = 2.0 * n + e
+    diag = np.concatenate(([e / (e + 2.0)], e * e / (s * (s + 2.0))))
+    off = 2.0 * n * (n + e) / (s * np.sqrt((s + 1.0) * (s - 1.0)))
+    nodes, vecs = np.linalg.eigh(np.diag(diag) + np.diag(off, 1) + np.diag(off, -1))
+    return 0.5 * (nodes + 1.0), vecs[0] ** 2 / (e + 1.0)
+
+
 # ------------------------------------------------------------- dictionaries
 @dataclass
 class TestDictionary:
-    """Family of test functions with certified C^gamma norms <= 1 for every
-    gamma of `gammas`.
+    """Family of test functions on the sphere (and caps) with certified
+    C^gamma norms <= 1 for every gamma of `gammas`; its pairing gap is a
+    lower bound on dist_gamma.  The 1-D domains have none: their bounds
+    come from `dist_gamma_bounds`.
 
     Each member is stored unnormalized; row g of `scales` holds every
     member's certified norm at gammas[g], and a pairing divides by it.
@@ -287,139 +472,17 @@ def dist_gamma_dict(mu: EmpiricalMeasure, nu, dictionary: TestDictionary) -> dic
     return dict(zip(dictionary.gammas, gaps.tolist()))
 
 
-def _window_extrema(op, seg: np.ndarray, width: int, out: np.ndarray) -> None:
-    """out[j] = op-extremum of seg[j : j + width], windows cut at the end.
-
-    Doubling: after each pass out[j] covers twice as many entries, and one
-    offset pass tops the last width up to `width`.  The passes run on 1-D
-    views in place, reading ahead of what they write, which numpy does
-    without a temporary copy.
-    """
-    n = len(seg)
-    np.copyto(out, seg)
-    k = 1
-    while 2 * k <= width:
-        op(out[: n - k], out[k:], out=out[: n - k])
-        k *= 2
-    if k < width:
-        s = width - k
-        op(out[: n - s], out[s:], out=out[: n - s])
-
-
-def _lag_maxima(vals: np.ndarray, h: float):
-    """max_j |v[j+lag] - v[j]| of every row of `vals`, one table row per
-    distinct distance.
-
-    Returns the (distances, rows) table and the capped distances
-    min(lag h, 1) as scalars.  Lags stop once lag h > 2.5, beyond which the
-    capped distance is constant.  Each lag with lag h < 1 has its own row,
-    max(max_j d, -min_j d) of its differences d, which go into one reused
-    buffer.  The lags with lag h >= 1 all sit at distance 1 and share one
-    row, max_j max(Wmax[j] - v[j], v[j] - Wmin[j]), where Wmax and Wmin
-    are the extrema of v over the window of nodes those lags reach from
-    j.  Rounding is monotone, so fl(max_i v[i] - v[j]) = max_i fl(v[i] -
-    v[j]), and fl(a - b) = -fl(b - a): every gamma's max of table / dist
-    is the per-lag loop's, bit for bit (a zero entry may carry a minus
-    sign, which adding the sup norm clears).
-    """
-    rows, m = vals.shape
-    near, far = [], []
-    for lag in range(1, m):
-        (near if lag * h < 1.0 else far).append(lag)
-        if lag * h > 2.5:
-            break
-    dists = [lag * h for lag in near] + ([1.0] if far else [])
-    table = np.empty((len(dists), rows))
-    buf = np.empty((rows, m - 1))
-    for row, lag in zip(table, near):
-        diff = buf[:, : m - lag]
-        np.subtract(vals[:, lag:], vals[:, :-lag], out=diff)
-        np.max(diff, axis=1, out=row)
-        np.maximum(row, -np.min(diff, axis=1), out=row)
-    if far:
-        lo, width = far[0], len(far)
-        n = m - lo
-        for r, v in enumerate(vals):
-            win = buf[r, :n]
-            _window_extrema(np.maximum, v[lo:], width, win)
-            up = np.max(np.subtract(win, v[:n], out=win))
-            _window_extrema(np.minimum, v[lo:], width, win)
-            table[-1, r] = max(up, np.max(np.subtract(v[:n], win, out=win)))
-    return table, dists
-
-
-def _semi_from_lags(table: np.ndarray, dists, expo: float) -> np.ndarray:
-    dpow = np.array([d**expo for d in dists])
-    return np.max(table / dpow[:, None], axis=0)
-
-
-def _holder_norms_1d(xs: np.ndarray, vals: np.ndarray, gammas) -> np.ndarray:
-    """sup + Hoelder seminorm with distances capped at 1, on a uniform grid,
-    of every row of `vals`; one row per gamma in (0, 1].
-
-    The `_lag_maxima` table does not depend on gamma, so one scan of the
-    values serves every gamma: one row per lag below distance 1 and one
-    shared row for all lags at the capped distance 1.
-    """
-    table, dists = _lag_maxima(vals, xs[1] - xs[0])
-    sup = np.max(np.abs(vals), axis=1)
-    return np.array([sup + _semi_from_lags(table, dists, g) for g in gammas])
-
-
 def build_dictionaries(domain, gammas) -> TestDictionary:
-    """One dictionary for every distinct gamma: the members are shared, and
-    the scales are running maxima across the (sorted) gamma grid so that
-    dist is monotone in gamma."""
-    gammas = tuple(sorted(set(gammas)))
-    if not all(g > 0.0 for g in gammas):
-        raise InputError(f"dictionaries need gamma > 0, got gammas {gammas}")
-    if any(g > 1.0 for g in gammas):
-        raise InputError(f"dictionaries are certified for gamma <= 1 only, got gammas {gammas}")
-    amb = ambient_of(domain)
-    if isinstance(amb, (Interval, Circle)):
-        if isinstance(amb, Interval):
-            blocks, xs = _interval_members(), np.linspace(-1.0, 1.0, 2001)
-        else:
-            blocks, xs = _circle_members(), np.linspace(-math.pi, math.pi, 4001)
-        (vals,) = blocks(xs)
-        norms = _holder_norms_1d(xs, vals, gammas)
-    elif isinstance(amb, Sphere):
-        blocks = _sphere_members()
-        norms = _sphere_norms(blocks, gammas)
-    else:
-        raise InputError(f"no dictionary for domain {domain!r}")
+    """One dictionary for every distinct gamma on the sphere or a cap: the
+    members are shared, and the scales are running maxima across the
+    (sorted) gamma grid so that dist is monotone in gamma.  The 1-D domains
+    get two-sided bounds from `dist_gamma_bounds` instead."""
+    gammas = check_gammas(gammas)
+    if not isinstance(ambient_of(domain), Sphere):
+        raise InputError(f"no dictionary for domain {domain!r}: the 1-D domains use dist_gamma_bounds")
+    blocks = _sphere_members()
+    norms = _sphere_norms(blocks, gammas)
     return TestDictionary(gammas, blocks, np.maximum.accumulate(norms, axis=0) * (1.0 + 1e-9))
-
-
-def _interval_members():
-    """x, cos(m pi (x+1)/2) for m = 1..12 and nine hats of half-width 0.4,
-    evaluated as one (22, nodes) block."""
-    modes = np.arange(1, 13)
-    centers = np.linspace(-0.8, 0.8, 9)
-
-    def blocks(x):
-        x = np.asarray(x, float)
-        cosines = np.cos(modes[:, None] * math.pi * (x + 1.0) / 2.0)
-        hats = np.maximum(0.0, 1.0 - np.abs(x - centers[:, None]) / 0.4)
-        yield np.concatenate((x[None], cosines, hats))
-
-    return blocks
-
-
-def _circle_members():
-    """cos(m t), sin(m t) for m = 1..12 and eight periodic hats of
-    half-width 0.5, evaluated as one (32, nodes) block."""
-    modes = np.arange(1, 13)
-    centers = np.linspace(-math.pi, math.pi, 8, endpoint=False)
-
-    def blocks(t):
-        t = np.asarray(t, float)
-        arg = modes[:, None] * t
-        trig = np.stack((np.cos(arg), np.sin(arg)), axis=1).reshape(-1, len(t))
-        hats = np.maximum(0.0, 1.0 - np.abs(np.mod(t - centers[:, None] + math.pi, TWO_PI) - math.pi) / 0.5)
-        yield np.concatenate((trig, hats))
-
-    return blocks
 
 
 def _sphere_pair_lags():

@@ -471,29 +471,25 @@ def test_cmd_fekete_pairs_sphere_cells_once_with_gamma_one(tmp_path, monkeypatch
     assert all(r[d1] == r[g1] for r in rec.rows)
 
 
-@pytest.mark.parametrize("domain", ["interval", "circle"])
-def test_cmd_fekete_evaluates_the_members_at_each_cells_atoms_once(tmp_path, monkeypatch, domain):
-    """Every gamma divides the same member means: a cell with gammas
-    (0.5, 1.0) evaluates the dictionary at its atoms once, and the
-    reference means are computed once for the whole run."""
+@pytest.mark.parametrize("domain", ["interval", "circle", "arc:-1.0,1.0"], ids=["interval", "circle", "arc"])
+def test_cmd_fekete_writes_two_sided_bounds_on_the_1d_domains(tmp_path, monkeypatch, domain):
+    """The 1-D domains build no dictionary: every gamma gets a lo / hi pair
+    from one `dist_gamma_bounds` call per cell, with lo <= hi."""
     from feketelab import equilibrium
 
-    sizes = []
-    means = equilibrium.TestDictionary.means
-
-    def counted(self, nodes):
-        sizes.append(len(nodes))
-        return means(self, nodes)
-
-    monkeypatch.setattr(equilibrium.TestDictionary, "means", counted)
+    calls = []
+    bounds = equilibrium.dist_gamma_bounds
+    monkeypatch.setattr(equilibrium, "build_dictionaries", lambda *args: pytest.fail("dictionary built"))
+    monkeypatch.setattr(equilibrium, "dist_gamma_bounds", lambda *args: calls.append(args[2]) or bounds(*args))
     cfg = ExperimentConfig(
         domain_text=domain, k_min=2, k_max=4, mesh=1000, sweeps=1, gammas=(0.5, 1.0), out_dir=str(tmp_path)
     )
     rec = cmd_fekete(cfg)
-    n_k = rec.columns.index("n_k")
-    assert rec.all_pass() and "dist_g0.5" in rec.columns
-    reference = len(equilibrium.equilibrium_reference(cfg.domain).quad_nodes())
-    assert sorted(sizes) == sorted([reference] + [int(r[n_k]) for r in rec.rows])
+    assert rec.all_pass() and calls == [(0.5, 1.0)] * len(rec.rows)
+    for g in ("0.5", "1"):
+        lo, hi = rec.columns.index(f"dist_g{g}_lo"), rec.columns.index(f"dist_g{g}_hi")
+        assert all(0.0 <= r[lo] <= r[hi] for r in rec.rows)
+    assert "dist_g1" not in rec.columns
 
 
 # --------------------------------------------------------------- plot files

@@ -1,6 +1,8 @@
-"""Golden test dictionaries: the certified scales of every gamma and the
-pairing gaps of one fixed empirical measure per domain must stay bit for
-bit what tests/data/dictionary_golden.json records.
+"""Golden test dictionary: the certified scales of every gamma and the
+pairing gaps of one fixed empirical measure on the sphere must stay bit
+for bit what tests/data/dictionary_golden.json records.  The 1-D domains
+have no dictionary; their distances are the two-sided bounds of
+`dist_gamma_bounds`.
 
 The golden CSVs only exercise gamma = 1, so this file is what guards the
 other gammas of the norms.
@@ -11,17 +13,14 @@ only when a change to the dictionaries is intended.
 import json
 from pathlib import Path
 
-import numpy as np
 import pytest
 
 from feketelab.equilibrium import build_dictionaries, dist_gamma_dict, equilibrium_reference
-from feketelab.fekete import Circle, EmpiricalMeasure, Interval, Sphere
+from feketelab.fekete import EmpiricalMeasure, Sphere
 
 DATA = Path(__file__).parent / "data" / "dictionary_golden.json"
 
 CASES = {
-    "interval": (Interval(), (0.5, 1.0), lambda: np.sin(np.linspace(-1.4, 1.3, 9))),
-    "circle": (Circle(), (0.5, 1.0), lambda: np.linspace(-3.0, 2.9, 11) ** 3 / 9.0),
     "sphere": (Sphere(), (0.5, 1.0), lambda: Sphere().mesh(25)),
 }
 

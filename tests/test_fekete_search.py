@@ -242,8 +242,9 @@ def test_benchmark_tracer_sees_the_search_layers(tmp_path):
     tiny circle and sphere `fekete`, `bishop` and `disc` commands in a
     fresh interpreter, because the tracer patches modules for the life of
     the process, and prints each command's counter increments.  Each
-    command's set-up function (perfbench/run.py) must be called.  The
-    sphere runs the mesh search; the circle must not, since its Fekete
+    command's set-up function (perfbench/run.py) must be called, except
+    the circle's dictionary build, which the 1-D domains no longer make.
+    The sphere runs the mesh search; the circle must not, since its Fekete
     configuration is exact."""
     script = textwrap.dedent(
         f"""
@@ -293,8 +294,10 @@ def test_benchmark_tracer_sees_the_search_layers(tmp_path):
         assert counts["sphere"][key] > 0, counts["sphere"]
     # the circle takes its exact configuration, not the mesh search
     assert all(counts["circle"][key] == 0 for key in search), counts["circle"]
-    for label in ("circle", "sphere"):
-        assert counts[label]["equilibrium.build_dictionaries.calls"] >= 1, (label, counts[label])
+    # only the sphere builds a test dictionary; the circle's distances are
+    # the two-sided bounds, so its set-up marker is never called
+    assert counts["sphere"]["equilibrium.build_dictionaries.calls"] >= 1, counts["sphere"]
+    assert counts["circle"]["equilibrium.build_dictionaries.calls"] == 0, counts["circle"]
     bishop = counts["bishop"]
     assert bishop["bishop.calibrate_t_threshold.calls"] >= 1, bishop
     assert bishop["bishop.solve.calls"] == bishop["contract.runs"] > 0, bishop
