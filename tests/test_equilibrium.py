@@ -4,7 +4,8 @@ the sphere dictionaries, comparison checks.
 Oracles: brute quadrature of |F_mu - F_nu| for dist_1, an analytic value
 for the single-atom case, cell-transport bounds for equispaced atoms, and
 brute midpoint quadrature in the quantile variable for the dist_gamma
-bounds on the interval and circle.
+bounds on the interval and circle, and a certified 1-D test dictionary
+kept here, whose pairing gap is a lower bound the bounds must clear.
 """
 
 import math
@@ -21,6 +22,7 @@ from feketelab.equilibrium import (
     _circle_shift,
     _reach,
     build_dictionaries,
+    check_gammas,
     dist1_circle,
     dist1_interval,
     dist_gamma_bounds,
@@ -40,6 +42,7 @@ from feketelab.fekete import (
     EmpiricalMeasure,
     Interval,
     Sphere,
+    ambient_of,
     fekete_1d,
     fekete_measure,
 )
@@ -405,6 +408,265 @@ def test_sphere_dictionary_members_certified():
     assert np.all(np.max(np.abs(vals), axis=1) <= dct.scales[1] * (1.0 + 1e-6))
 
 
+# ------------------------------------------- 1-D test-dictionary oracle
+# The package builds no dictionary on the 1-D domains.  The one below, with
+# certified scales from a collapsed lag scan of the members on a uniform
+# grid, is kept here as an independent lower bound on dist_gamma: the
+# upper bound of `dist_gamma_bounds` must stay above its pairing gap.
+def _window_extrema(op, seg: np.ndarray, width: int, out: np.ndarray) -> None:
+    """out[j] = op-extremum of seg[j : j + width], windows cut at the end.
+
+    Doubling: after each pass out[j] covers twice as many entries, and one
+    offset pass tops the last width up to `width`.  The passes run on 1-D
+    views in place, reading ahead of what they write, which numpy does
+    without a temporary copy.
+    """
+    n = len(seg)
+    np.copyto(out, seg)
+    k = 1
+    while 2 * k <= width:
+        op(out[: n - k], out[k:], out=out[: n - k])
+        k *= 2
+    if k < width:
+        s = width - k
+        op(out[: n - s], out[s:], out=out[: n - s])
+
+
+def _lag_maxima(vals: np.ndarray, h: float):
+    """max_j |v[j+lag] - v[j]| of every row of `vals`, one table row per
+    distinct distance.
+
+    Returns the (distances, rows) table and the capped distances
+    min(lag h, 1) as scalars.  Lags stop once lag h > 2.5, beyond which the
+    capped distance is constant.  Each lag with lag h < 1 has its own row,
+    max(max_j d, -min_j d) of its differences d, which go into one reused
+    buffer.  The lags with lag h >= 1 all sit at distance 1 and share one
+    row, max_j max(Wmax[j] - v[j], v[j] - Wmin[j]), where Wmax and Wmin
+    are the extrema of v over the window of nodes those lags reach from
+    j.  Rounding is monotone, so fl(max_i v[i] - v[j]) = max_i fl(v[i] -
+    v[j]), and fl(a - b) = -fl(b - a): every gamma's max of table / dist
+    is the per-lag loop's, bit for bit (a zero entry may carry a minus
+    sign, which adding the sup norm clears).
+    """
+    rows, m = vals.shape
+    near, far = [], []
+    for lag in range(1, m):
+        (near if lag * h < 1.0 else far).append(lag)
+        if lag * h > 2.5:
+            break
+    dists = [lag * h for lag in near] + ([1.0] if far else [])
+    table = np.empty((len(dists), rows))
+    buf = np.empty((rows, m - 1))
+    for row, lag in zip(table, near):
+        diff = buf[:, : m - lag]
+        np.subtract(vals[:, lag:], vals[:, :-lag], out=diff)
+        np.max(diff, axis=1, out=row)
+        np.maximum(row, -np.min(diff, axis=1), out=row)
+    if far:
+        lo, width = far[0], len(far)
+        n = m - lo
+        for r, v in enumerate(vals):
+            win = buf[r, :n]
+            _window_extrema(np.maximum, v[lo:], width, win)
+            up = np.max(np.subtract(win, v[:n], out=win))
+            _window_extrema(np.minimum, v[lo:], width, win)
+            table[-1, r] = max(up, np.max(np.subtract(v[:n], win, out=win)))
+    return table, dists
+
+
+def _holder_norms_1d(xs: np.ndarray, vals: np.ndarray, gammas) -> np.ndarray:
+    """sup + Hoelder seminorm with distances capped at 1, on a uniform grid,
+    of every row of `vals`; one row per gamma in (0, 1].  One lag scan
+    serves every gamma."""
+    table, dists = _lag_maxima(vals, xs[1] - xs[0])
+    sup = np.max(np.abs(vals), axis=1)
+    return np.array([sup + np.max(table / np.array([d**g for d in dists])[:, None], axis=0) for g in gammas])
+
+
+def _interval_members():
+    """x, cos(m pi (x+1)/2) for m = 1..12 and nine hats of half-width 0.4,
+    evaluated as one (22, nodes) block."""
+    modes = np.arange(1, 13)
+    centers = np.linspace(-0.8, 0.8, 9)
+
+    def blocks(x):
+        x = np.asarray(x, float)
+        cosines = np.cos(modes[:, None] * math.pi * (x + 1.0) / 2.0)
+        hats = np.maximum(0.0, 1.0 - np.abs(x - centers[:, None]) / 0.4)
+        yield np.concatenate((x[None], cosines, hats))
+
+    return blocks
+
+
+def _circle_members():
+    """cos(m t), sin(m t) for m = 1..12 and eight periodic hats of
+    half-width 0.5, evaluated as one (32, nodes) block."""
+    modes = np.arange(1, 13)
+    centers = np.linspace(-math.pi, math.pi, 8, endpoint=False)
+
+    def blocks(t):
+        t = np.asarray(t, float)
+        arg = modes[:, None] * t
+        trig = np.stack((np.cos(arg), np.sin(arg)), axis=1).reshape(-1, len(t))
+        hats = np.maximum(0.0, 1.0 - np.abs(np.mod(t - centers[:, None] + math.pi, 2 * math.pi) - math.pi) / 0.5)
+        yield np.concatenate((trig, hats))
+
+    return blocks
+
+
+def dictionary(domain, gammas):
+    """The package's dictionary on the sphere; the oracle on the interval,
+    circle and arcs, with scales as running maxima over the sorted gammas."""
+    from feketelab.equilibrium import TestDictionary
+
+    if isinstance(ambient_of(domain), Sphere):
+        return build_dictionaries(domain, gammas)
+    gammas = check_gammas(gammas)
+    if isinstance(ambient_of(domain), Interval):
+        blocks, xs = _interval_members(), np.linspace(-1.0, 1.0, 2001)
+    else:
+        blocks, xs = _circle_members(), np.linspace(-math.pi, math.pi, 4001)
+    (vals,) = blocks(xs)
+    norms = _holder_norms_1d(xs, vals, gammas)
+    return TestDictionary(gammas, blocks, np.maximum.accumulate(norms, axis=0) * (1.0 + 1e-9))
+
+
+@pytest.mark.parametrize("domain", [INTERVAL, CIRCLE], ids=["interval", "circle"])
+def test_oracle_dictionary_stays_below_the_upper_bound(domain):
+    """On Fekete points, every gamma's pairing gap of the oracle dictionary
+    (a lower bound on dist_gamma) is at most hi, and here at most lo too.
+    The reference means are taken over 4096 mid-quantiles of nu, whose
+    error is far below the 0.01 by which lo clears the gap."""
+    nu = equilibrium_reference(domain)
+    nodes = EmpiricalMeasure(domain, nu.quantile((np.arange(4096) + 0.5) / 4096))
+    dct = dictionary(domain, GAMMAS)
+    for k in range(2, 41):
+        mu = fekete_measure(fekete_1d(BasisSpec(domain, k))[0])
+        bounds = dist_gamma_bounds(mu, nu, GAMMAS)
+        for g, gap in dist_gamma_dict(mu, nodes, dct).items():
+            lo, hi = bounds[g]
+            assert gap <= lo <= hi, (k, g, gap, lo, hi)
+
+
+def test_dictionary_certified_norms_on_the_1d_grids():
+    """Every scaled member of the interval and circle oracle dictionaries
+    has grid-estimated C^gamma norm at most 1, for every gamma, on the grid
+    its scale was measured on."""
+    for domain, xs, size in (
+        (INTERVAL, np.linspace(-1, 1, 2001), 22),
+        (CIRCLE, np.linspace(-math.pi, math.pi, 4001), 32),
+    ):
+        dct = dictionary(domain, GAMMAS)
+        assert dct.gammas == GAMMAS and dct.scales.shape == (len(GAMMAS), size)
+        for g, scales in zip(dct.gammas, dct.scales):
+            vals = np.concatenate(list(dct.blocks(xs))) / scales[:, None]
+            assert vals.shape == (size, len(xs))
+            assert np.max(np.abs(vals)) <= 1.0 + 1e-6
+            (norms,) = _holder_norms_1d(xs, vals, (g,))
+            assert np.all(norms <= 1.0 + 1e-6), (g, int(np.argmax(norms)))
+
+
+def _loop_holder_norm_1d(xs, vals, gamma):
+    """Reference: the lag loop run for one function and one gamma."""
+    sup = float(np.max(np.abs(vals)))
+    h = xs[1] - xs[0]
+
+    def semi(v, expo):
+        out = 0.0
+        for lag in range(1, len(v)):
+            d = min(lag * h, 1.0)
+            out = max(out, np.max(np.abs(v[lag:] - v[:-lag])) / d**expo)
+            if lag * h > 2.5:
+                break
+        return out
+
+    return sup + semi(vals, gamma)
+
+
+@pytest.mark.parametrize("half_width", [1.0, 3.5])
+def test_batched_holder_norms_equal_lag_loop(half_width):
+    """One lag pass over all rows gives every gamma's norm bit for bit."""
+    xs = np.linspace(-half_width, half_width, 301)
+    rng = np.random.default_rng(8)
+    vals = np.vstack([np.cos(3.0 * xs), np.abs(xs - 0.2), rng.standard_normal(len(xs))])
+    gammas = (0.3, 0.5, 0.7, 1.0)
+    for g, norms in zip(gammas, _holder_norms_1d(xs, vals, gammas)):
+        assert norms.tolist() == [_loop_holder_norm_1d(xs, v, g) for v in vals]
+
+
+def _assert_scan_equals_lag_loop(xs, vals, gammas=(0.25, 0.5, 1.0)):
+    for g, norms in zip(gammas, _holder_norms_1d(xs, vals, gammas)):
+        expected = np.array([_loop_holder_norm_1d(xs, v, g) for v in vals])
+        assert norms.tobytes() == expected.tobytes(), g
+
+
+@pytest.mark.parametrize("domain", ["interval", "circle"])
+def test_collapsed_scan_equals_lag_loop_on_the_dictionary_grids(domain):
+    """The dictionary members on the grids their scales are built on.  All
+    lags at distance >= 1 share one table row."""
+    if domain == "interval":
+        xs, blocks = np.linspace(-1.0, 1.0, 2001), _interval_members()
+    else:
+        xs, blocks = np.linspace(-math.pi, math.pi, 4001), _circle_members()
+    (vals,) = blocks(xs)
+    _assert_scan_equals_lag_loop(xs, vals)
+    table, dists = _lag_maxima(vals, xs[1] - xs[0])
+    assert dists.count(1.0) == 1 and dists[-1] == 1.0 and len(table) == len(dists)
+
+
+@pytest.mark.parametrize(
+    "xs",
+    [
+        np.linspace(0.0, 0.5, 11),  # no lag reaches distance 1
+        np.linspace(0.0, 1.0, 9),  # only the last lag does
+        np.arange(5) * 3.0,  # 5 nodes, the first lag is already capped
+        np.arange(32) / 16.0,  # capped window of 16 lags
+        np.arange(33) / 16.0,  # ... of 17 lags
+        np.arange(100) / 16.0,  # capped lags cut off past distance 2.5
+    ],
+)
+def test_collapsed_scan_equals_lag_loop_on_edge_grids(xs):
+    rng = np.random.default_rng(len(xs))
+    vals = np.vstack(
+        [
+            xs,  # largest difference at the longest lag
+            np.cos(2.0 * xs),
+            np.abs(xs - xs[len(xs) // 3]),
+            rng.standard_normal(len(xs)),
+            np.full(len(xs), 3.0),
+            np.zeros(len(xs)),
+            np.full(len(xs), -0.0),
+            np.where(np.arange(len(xs)) % 2 == 0, 0.0, -0.0),
+        ]
+    )
+    _assert_scan_equals_lag_loop(xs, vals)
+
+
+def test_collapsed_scan_keeps_the_quotients_at_distance_one():
+    """x on [-1, 1] reaches its largest quotient (2) only between nodes
+    more than 1 apart."""
+    xs = np.linspace(-1.0, 1.0, 201)
+    vals = np.vstack([xs, xs**2 / 2.0])
+    _assert_scan_equals_lag_loop(xs, vals)
+    assert _loop_holder_norm_1d(xs, vals[0], 0.5) == 3.0
+
+
+def test_collapsed_scan_adds_no_rows_by_nodes_array():
+    """The window extrema run in place in the difference buffer: the scan's
+    peak allocation is that buffer plus the table, not a second block."""
+    import tracemalloc
+
+    xs = np.linspace(-math.pi, math.pi, 4001)
+    (vals,) = _circle_members()(xs)
+    tracemalloc.start()
+    try:
+        _lag_maxima(vals, xs[1] - xs[0])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    buf_bytes = vals.shape[0] * (vals.shape[1] - 1) * 8
+    assert peak < 1.35 * buf_bytes
+
 
 def test_sphere_dictionary_rejects_gamma_above_one():
     with pytest.raises(InputError, match="gamma <= 1"):
@@ -542,10 +804,12 @@ def test_build_dictionaries_scans_a_repeated_gamma_once(monkeypatch):
     assert repeated.scales.tobytes() == single.scales.tobytes()
 
 
-@pytest.mark.parametrize("domain", [Sphere()], ids=["sphere"])
+@pytest.mark.parametrize(
+    "domain", [Interval(), Circle(), Sphere(), CircleArc(-1.0, 1.0)], ids=["interval", "circle", "sphere", "arc"]
+)
 def test_gamma_one_scales_do_not_depend_on_the_lower_grid(domain):
     """Distances are capped at 1, so the gamma = 0.5 norm of a member never
     exceeds its gamma = 1 norm and the running maximum at gamma = 1 is that
     norm: `fekete` builds (1.0,) alone when no gammas are configured."""
-    alone = build_dictionaries(domain, (1.0,)).scales[0]
-    assert alone.tobytes() == build_dictionaries(domain, (0.5, 1.0)).scales[1].tobytes()
+    alone = dictionary(domain, (1.0,)).scales[0]
+    assert alone.tobytes() == dictionary(domain, (0.5, 1.0)).scales[1].tobytes()
