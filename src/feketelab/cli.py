@@ -153,11 +153,15 @@ def _reference_for(domain, search, k_max: int):
 def _dist_to_reference(domain, mu, reference, gammas, dictionary):
     """dist_1 plus the configured dist_gamma columns; returns dict.
 
-    On the interval, circle and arcs (`dictionary` is None) dist_1 is exact
-    and every gamma gets the certified pair `dist_g{gamma}_lo` /
-    `dist_g{gamma}_hi`.  On the sphere and caps every gamma gets the
-    dictionary lower bound `dist_g{gamma}`, and dist1, which has no exact
-    formula there, is the gamma = 1 one, computed once for both columns.
+    On the interval, circle and arcs (`dictionary` is None) one quantile
+    coupling gives every column: every gamma gets the certified pair
+    `dist_g{gamma}_lo` / `dist_g{gamma}_hi`, and dist1 is the coupling's
+    uncapped gamma = 1 cost, so it equals `dist_g1_hi` wherever no coupled
+    distance reaches the cap 1.  That cost is W1, except on an arc longer
+    than pi, where it is an upper bound in the circle metric.  On the
+    sphere and caps every gamma gets the dictionary lower bound
+    `dist_g{gamma}`, and dist1, which has no exact formula there, is the
+    gamma = 1 one, computed once for both columns.
     """
     if dictionary is not None:
         out = {f"dist_g{g:g}": d for g, d in eq.dist_gamma_dict(mu, reference, dictionary).items()}
@@ -166,12 +170,8 @@ def _dist_to_reference(domain, mu, reference, gammas, dictionary):
     out = {}
     for g, (lo, hi) in eq.dist_gamma_bounds(mu, reference, gammas).items():
         out[f"dist_g{g:g}_lo"], out[f"dist_g{g:g}_hi"] = lo, hi
-    if isinstance(reference, fk.EmpiricalMeasure):
-        out["dist1"] = eq.w1_atomic_line(mu.atoms, reference.atoms)
-    elif isinstance(domain, fk.Interval):
-        out["dist1"] = eq.dist1_interval(mu, reference)
-    else:
-        out["dist1"] = eq.dist1_circle(mu, reference)
+    w1 = eq.dist1_circle if isinstance(fk.ambient_of(domain), fk.Circle) else eq.dist1_interval
+    out["dist1"] = w1(mu, reference)
     return out
 
 

@@ -1,10 +1,12 @@
 """Reference equilibrium measures, distances between measures, and rates.
 
 Closed-form references: arcsine on the interval, uniform on circle and
-sphere.  dist_1 on the interval and circle is computed exactly from CDFs.
-On the interval, circle and arcs every gamma in (0, 1] gets a certified
-pair lo <= dist_gamma <= hi: the nearest-atom test function below and the
-quantile coupling above (`dist_gamma_bounds`).  On the sphere and caps a
+sphere.  On the interval, circle and arcs one quantile coupling gives
+every distance: its uncapped gamma = 1 cost is dist_1 (`dist1_interval`,
+`dist1_circle`), and with distances capped at 1 it is the upper half of
+a certified pair lo <= dist_gamma <= hi for every gamma in (0, 1], whose
+lower half pairs the nearest-atom test function with the reference
+(`dist_gamma_bounds`).  On the sphere and caps a
 certified test dictionary gives a documented lower bound.  The
 subharmonic comparison check builds the explicit harmonic majorant with
 smooth-cutoff boundary data and verifies the maximum principle on an
@@ -65,7 +67,7 @@ class ReferenceMeasure:
         raise NoClosedFormError("quantile available on interval and circle only")
 
     def cdf_antiderivative(self, x):
-        """Antiderivative of the CDF, used for exact W1 integrals."""
+        """Antiderivative of the CDF, for the closed-form gamma = 1 rays."""
         if isinstance(self.domain, Interval):
             x = np.asarray(np.clip(x, -1.0, 1.0), dtype=float)
             return 0.5 * x + (x * np.arcsin(x) + np.sqrt(1.0 - x * x)) / math.pi
@@ -125,119 +127,61 @@ def extremal_interval(z) -> float:
 
 
 # ------------------------------------------------------------------- dist_1
-def dist1_interval(mu: EmpiricalMeasure, nu: ReferenceMeasure) -> float:
-    """Exact integral of |F_mu - F_nu| on [-1, 1] between the breakpoints.
-
-    Between consecutive cuts (-1, the sorted atoms, 1) F_mu is a constant
-    c, and the increasing F_nu crosses it at most once, at Q(c), so each
-    segment integral is closed form through the antiderivative of the
-    cdf.  All segments are evaluated at once and summed in order.
-    """
-    if not isinstance(nu.domain, Interval):
-        raise InputError("reference must live on the interval")
-    atoms = np.sort(np.asarray(mu.atoms, dtype=float))
-    if len(atoms) == 0 or atoms[0] < -1.0 - 1e-12 or atoms[-1] > 1.0 + 1e-12:
-        raise InputError("empirical measure must be supported on [-1, 1]")
-    n = len(atoms)
-    cuts = np.concatenate([[-1.0], atoms, [1.0]])
-    keep = cuts[1:] > cuts[:-1]
-    a, b, c = cuts[:-1][keep], cuts[1:][keep], (np.arange(n + 1) / n)[keep]
-    xs = np.minimum(np.maximum(nu.quantile(c), a), b)
-    phi_a, phi_b, phi_x = (nu.cdf_antiderivative(v) for v in (a, b, xs))
-    above = (phi_b - phi_a) - c * (b - a)  # for F_nu >= c on the whole segment
-    crossing = (c * (xs - a) - (phi_x - phi_a)) + ((phi_b - phi_x) - c * (b - xs))
-    terms = np.where(c <= nu.cdf(a), above, np.where(c >= nu.cdf(b), -above, crossing))
-    total = 0.0
-    for term in terms.tolist():
-        total += term
-    return total
+def dist1_interval(mu: EmpiricalMeasure, nu) -> float:
+    """W1 on [-1, 1] between mu and the arcsine or an atomic reference nu:
+    the uncapped gamma = 1 cost of the quantile coupling, which is optimal
+    on the line."""
+    if not isinstance(mu.domain, Interval) or np.any(np.abs(mu.atoms) > 1.0 + 1e-12):
+        raise InputError("dist1_interval needs a measure supported on [-1, 1]")
+    return float(_coupling_sums(mu, nu, (1.0,), math.inf)[1][0])
 
 
-def dist1_circle(mu: EmpiricalMeasure, nu: ReferenceMeasure) -> float:
-    """Circular W1 against the uniform measure: min_c int |F_mu - F_nu - c|.
-
-    The difference G is piecewise linear with common slope -1/(2 pi), so
-    the optimal shift is the exact Lebesgue median of G and every segment
-    integral has a closed form.
-    """
-    if not isinstance(nu.domain, Circle):
-        raise InputError("reference must be the uniform measure on the circle")
-    _, segs, c_star = _circle_shift(mu.atoms)
-    slope = 1.0 / TWO_PI
-    total = 0.0
-    for length, v_hi, v_lo in segs:
-        if c_star >= v_hi:
-            total += (c_star - 0.5 * (v_hi + v_lo)) * length
-        elif c_star <= v_lo:
-            total += (0.5 * (v_hi + v_lo) - c_star) * length
-        else:
-            total += ((v_hi - c_star) ** 2 + (c_star - v_lo) ** 2) / (2.0 * slope)
-    return float(total)
+def dist1_circle(mu: EmpiricalMeasure, nu) -> float:
+    """W1 in the circle metric between mu on the circle or an arc and the
+    uniform or an atomic reference nu: the uncapped gamma = 1 cost of the
+    quantile coupling, shifted by the median c* against the uniform
+    measure.  It is exact on the circle and on arcs up to pi long; on a
+    longer arc it is that coupling's cost, an upper bound."""
+    if not isinstance(ambient_of(mu.domain), Circle):
+        raise InputError(f"dist1_circle needs a measure on the circle or an arc, not {mu.domain!r}")
+    return float(_coupling_sums(mu, nu, (1.0,), math.inf)[1][0])
 
 
 def _circle_shift(atoms):
-    """The atoms sorted in [-pi, pi), the segments of G = F_mu - F_nu
-    between them as (length, v_hi, v_lo), G going v_hi -> v_lo, and the
-    shift c* = median of G that makes the coupling of F_mu with F_nu + c*
-    optimal for W1 on the circle."""
+    """The atoms sorted in [-pi, pi), and the shift c* that makes the
+    coupling of F_mu with F_nu + c* optimal for W1 on the circle: the
+    median of G = F_mu - F_nu, which falls with slope 1/(2 pi) from v_hi
+    to v_lo across each gap between neighbouring atoms."""
     atoms = np.sort(np.mod(np.asarray(atoms, dtype=float) + math.pi, TWO_PI) - math.pi)
     n = len(atoms)
     if n == 0:
         raise InputError("empty empirical measure")
     slope = 1.0 / TWO_PI
-    segs = []
-    for i in range(n):
-        theta_a = atoms[i]
-        theta_b = atoms[i + 1] if i + 1 < n else atoms[0] + TWO_PI
-        length = theta_b - theta_a
-        if length <= 0.0:
-            continue
-        g_start = (i + 1) / n - slope * (theta_a + math.pi)
-        segs.append((length, g_start, g_start - slope * length))
-    return atoms, segs, _lebesgue_median(segs)
+    length = np.append(atoms[1:], atoms[0] + TWO_PI) - atoms
+    keep = length > 0.0
+    length = length[keep]
+    v_hi = np.arange(1, n + 1)[keep] / n - slope * (atoms[keep] + math.pi)
+    return atoms, _lebesgue_median(length, v_hi, v_hi - slope * length)
 
 
-def _lebesgue_median(segs) -> float:
-    """Median of a piecewise-linear function's values, weighted by length."""
-    total_len = sum(s[0] for s in segs)
-    half = 0.5 * total_len
-    values = sorted({s[1] for s in segs} | {s[2] for s in segs})
-
-    def mass_below(c):
-        m = 0.0
-        for length, v_hi, v_lo in segs:
-            if c >= v_hi:
-                m += length
-            elif c > v_lo:
-                m += length * (c - v_lo) / (v_hi - v_lo)
-        return m
-
-    lo, hi = values[0], values[-1]
-    for v in values:
-        if mass_below(v) >= half:
-            hi = v
-            break
-        lo = v
-    m_lo = mass_below(lo)
-    m_hi = mass_below(hi)
-    if m_hi <= m_lo + 1e-300:
-        return lo
-    frac = (half - m_lo) / (m_hi - m_lo)
-    return lo + frac * (hi - lo)
-
-
-def w1_atomic_line(xs: np.ndarray, ys: np.ndarray) -> float:
-    """Exact W1 between two equal-mass atomic measures on the line."""
-    xs, ys = np.sort(np.asarray(xs, float)), np.sort(np.asarray(ys, float))
-    grid = np.sort(np.concatenate([xs, ys]))
-    total = 0.0
-    for a, b in zip(grid[:-1], grid[1:]):
-        if b <= a:
-            continue
-        fx = np.searchsorted(xs, a, side="right") / len(xs)
-        fy = np.searchsorted(ys, a, side="right") / len(ys)
-        total += abs(fx - fy) * (b - a)
-    return float(total)
+def _lebesgue_median(length, v_hi, v_lo) -> float:
+    """Median of a piecewise-linear function's values, weighted by length,
+    for pieces falling from v_hi to v_lo.  The mass below each breakpoint
+    value is a running sum over the pieces in order (np.cumsum), and the
+    median interpolates between the two values around half the length."""
+    values = np.sort(np.concatenate((v_hi, v_lo)))
+    values = values[np.append(True, values[1:] > values[:-1])]  # not np.unique, which imports numpy.ma
+    c = values[:, None]
+    with np.errstate(divide="ignore", invalid="ignore"):
+        part = np.where(c >= v_hi, length, np.where(c > v_lo, length * (c - v_lo) / (v_hi - v_lo), 0.0))
+    below = np.cumsum(part, axis=1)[:, -1]
+    half = 0.5 * np.cumsum(length)[-1]
+    i = int(np.argmax(below >= half))
+    j = max(i - 1, 0)
+    if below[i] <= below[j] + 1e-300:
+        return float(values[j])
+    frac = (half - below[j]) / (below[i] - below[j])
+    return float(values[j] + frac * (values[i] - values[j]))
 
 
 # ----------------------------------------------- two-sided dist_gamma in 1-D
@@ -264,15 +208,30 @@ def dist_gamma_bounds(mu: EmpiricalMeasure, nu, gammas) -> dict:
     lo: f = min_i min(d(., x_i), 1)^gamma vanishes on the atoms of mu and
     has capped gamma-Hoelder seminorm <= 1, and with R = sup_K f the norm
     of f - R/2 is at most 1 + R/2, so dist_gamma >= int f dnu / (1 + R/2).
-    hi: the cost int min(d, 1)^gamma dpi of the quantile coupling pi; on
-    the circle nu is shifted by the median c* that `dist1_circle` uses, so
-    at gamma = 1, with no distance capped, hi is the exact W1 there as on
-    the interval.  A closed-form nu is integrated in its quantile variable
-    p, split at each atom's cdf, the cell midpoints, the slot ends and the
-    cap points: in closed form on the circle and at gamma = 1, by graded
-    Gauss-Jacobi otherwise.  An empirical nu gives finite sums.
+    hi: the cost int min(d, 1)^gamma dpi of the quantile coupling pi whose
+    uncapped gamma = 1 cost is `dist1_interval` or `dist1_circle`.
     """
     gammas = check_gammas(gammas)
+    near_mass, plan, x = _coupling_sums(mu, nu, gammas, 1.0)
+    reach = min(_reach(mu.domain, x, isinstance(ambient_of(mu.domain), Circle)), 1.0)
+    lo = near_mass / (1.0 + 0.5 * reach ** np.array(gammas))
+    return {gamma: (float(a), float(b)) for gamma, a, b in zip(gammas, lo, plan)}
+
+
+def _coupling_sums(mu: EmpiricalMeasure, nu, gammas, cap: float):
+    """Per gamma, the nearest-atom mass int min(d(., x), cap)^gamma dnu and
+    the cost int min(d, cap)^gamma dpi of the quantile coupling pi of mu
+    and nu, with the sorted atoms x of mu; cap is 1 (dist_gamma) or
+    math.inf (W1).
+
+    On the circle nu is shifted by the median c* of `_circle_shift`, so at
+    gamma = 1, with no distance capped, the cost is the exact W1 there as
+    on the interval.  A closed-form nu is integrated in its quantile
+    variable p, split at each atom's cdf, the cell midpoints, the slot
+    ends and the cap points: in closed form on the circle and at gamma =
+    1, by graded Gauss-Jacobi otherwise.  An empirical nu gives finite
+    sums.
+    """
     g = np.array(gammas)[:, None]
     domain = mu.domain
     circle = isinstance(ambient_of(domain), Circle)
@@ -288,23 +247,23 @@ def dist_gamma_bounds(mu: EmpiricalMeasure, nu, gammas) -> dict:
         edges = np.union1d(slots, np.arange(len(y) + 1) / len(y))
         mid = 0.5 * (edges[1:] + edges[:-1])
         coupled = _distance(x[(mid * n).astype(int)], y[(mid * len(y)).astype(int)], circle)
-        near_mass = np.mean(np.minimum(near, 1.0) ** g, axis=1)
-        plan = np.minimum(coupled, 1.0) ** g @ np.diff(edges)
+        near_mass = np.mean(np.minimum(near, cap) ** g, axis=1)
+        plan = np.minimum(coupled, cap) ** g @ np.diff(edges)
     elif isinstance(domain, Interval) and isinstance(ref, Interval):
         u = nu.cdf(x)
         cells = nu.cdf(np.concatenate(([-1.0], 0.5 * (x[1:] + x[:-1]), [1.0])))
         ends = np.concatenate((cells[1:], cells[:-1], slots[1:], slots[:-1])) - np.tile(u, 4)
-        near_mass, plan = _cell_sums(_line_rays(nu, gammas, np.tile(u, 4), np.tile(x, 4), ends), n)
+        rays = _line_rays(nu, gammas, np.tile(u, 4), np.tile(x, 4), ends, cap)
+        near_mass, plan = _cell_sums(rays, n)
     elif isinstance(domain, Circle) and isinstance(ref, Circle):
-        x, _, c_star = _circle_shift(x)
+        x, c_star = _circle_shift(x)
         u = nu.cdf(x)
         half = 0.5 * np.diff(np.append(u, u[0] + 1.0))
         ends = np.concatenate((half, -np.roll(half, 1), slots[1:] - u - c_star, slots[:-1] - u - c_star))
-        near_mass, plan = _cell_sums(_circle_rays(g, ends), n)
+        near_mass, plan = _cell_sums(_circle_rays(g, ends, cap), n)
     else:
-        raise InputError(f"no two-sided dist_gamma between {domain!r} atoms and {nu!r}")
-    lo = near_mass / (1.0 + 0.5 * min(_reach(domain, x, circle), 1.0) ** g[:, 0])
-    return {gamma: (float(a), float(b)) for gamma, a, b in zip(gammas, lo, plan)}
+        raise InputError(f"no quantile coupling between {domain!r} atoms and {nu!r}")
+    return near_mass, plan, x
 
 
 def _cell_sums(rays: np.ndarray, n: int):
@@ -343,23 +302,23 @@ def _reach(domain, x, circle: bool) -> float:
     return float(np.max(np.min(_distance(cand[:, None], x, circle), axis=1)))
 
 
-def _circle_rays(g: np.ndarray, length: np.ndarray) -> np.ndarray:
-    """int_0^length min(2 pi |s|, 1)^g ds, odd in length, for each gamma of
-    the column g: the cost along a ray of the uniform reference's quantile
-    variable, which moves 2 pi radians per unit."""
+def _circle_rays(g: np.ndarray, length: np.ndarray, cap: float) -> np.ndarray:
+    """int_0^length min(2 pi |s|, cap)^g ds, odd in length, for each gamma of
+    the column g and cap 1 or math.inf: the cost along a ray of the uniform
+    reference's quantile variable, which moves 2 pi radians per unit."""
     ell = np.abs(length)
-    free = np.minimum(ell, 1.0 / TWO_PI)
+    free = np.minimum(ell, cap / TWO_PI)
     return np.sign(length) * (TWO_PI**g * free ** (1.0 + g) / (1.0 + g) + (ell - free))
 
 
-def _line_rays(nu, gammas, u, x, length) -> np.ndarray:
-    """int min(|Q(p) - x|, 1)^g dp between u = F(x) and u + length, odd in
-    length, one row per gamma, with Q, F the reference's quantile and cdf;
-    |Q - x| reaches the cap 1 at F(x + 1) on the right and F(x - 1) on the
-    left."""
+def _line_rays(nu, gammas, u, x, length, cap: float) -> np.ndarray:
+    """int min(|Q(p) - x|, cap)^g dp between u = F(x) and u + length, odd in
+    length, one row per gamma, for cap 1 or math.inf, with Q, F the
+    reference's quantile and cdf; |Q - x| reaches the cap at F(x + cap) on
+    the right and F(x - cap) on the left."""
     ell = np.abs(length)
-    cap = np.maximum(np.where(length > 0, nu.cdf(x + 1.0) - u, u - nu.cdf(x - 1.0)), 0.0)
-    free = np.minimum(ell, cap)
+    to_cap = np.maximum(np.where(length > 0, nu.cdf(x + cap) - u, u - nu.cdf(x - cap)), 0.0)
+    free = np.minimum(ell, to_cap)
     side = np.sign(length)
     powers = np.array([_line_power(nu, g, u, x, side * free) for g in gammas])
     return side * (powers + (ell - free))

@@ -492,6 +492,42 @@ def test_cmd_fekete_writes_two_sided_bounds_on_the_1d_domains(tmp_path, monkeypa
     assert "dist_g1" not in rec.columns
 
 
+@pytest.mark.parametrize("domain", ["interval", "circle"])
+def test_cmd_fekete_dist1_stays_uncapped_from_k_zero(tmp_path, domain):
+    """dist1 is the uncapped W1.  It equals dist_g1_hi bit for bit except
+    where a coupled distance passes the cap 1 and the capped cost is lower:
+    the circle at k = 0 and 1, and the interval at k = 0, whose one atom
+    sits at an end.  Circle Fekete points are equispaced, so there
+    W1 = pi / (2 (2k + 1))."""
+    cfg = ExperimentConfig(domain_text=domain, k_min=0, k_max=6, gammas=(1.0,), out_dir=str(tmp_path))
+    rec = cmd_fekete(cfg)
+    k, d1, hi = (rec.columns.index(c) for c in ("k", "dist1", "dist_g1_hi"))
+    capped = {r[k]: (r[hi], r[d1]) for r in rec.rows if r[hi] < r[d1]}
+    assert all(r[hi] == r[d1] for r in rec.rows if r[k] not in capped)
+    if domain == "circle":
+        assert capped.keys() == {0, 1}
+        assert np.allclose(capped[0], (0.8408, 1.5708), atol=1e-4) and capped[1][0] < 0.5226 < capped[1][1]
+        assert all(r[d1] == pytest.approx(math.pi / (2 * (2 * r[k] + 1)), rel=1e-14) for r in rec.rows)
+    else:
+        assert capped.keys() == {0} and np.allclose(capped[0], (0.6817, 1.0), atol=1e-4)
+
+
+def test_cmd_fekete_arc_dist1_uses_the_circle_metric(tmp_path):
+    """On an arc longer than pi every dist1 is at most pi, the diameter of
+    the circle; at k = 0 it is the mean circle distance from the one atom
+    to the reference atoms (the k_max configuration)."""
+    arc = parse_domain("arc:-3.0,3.0")
+    cfg = ExperimentConfig(domain_text="arc:-3.0,3.0", k_min=0, k_max=4, gammas=(1.0,), out_dir=str(tmp_path))
+    rec = cmd_fekete(cfg)
+    k, d1 = rec.columns.index("k"), rec.columns.index("dist1")
+    assert len(rec.rows) == 5 and all(0.0 <= r[d1] <= math.pi for r in rec.rows)
+    atom = fk.fekete_measure(fk.fekete_1d(BasisSpec(arc, 0))[0]).atoms
+    ref = fk.fekete_measure(fk.fekete_1d(BasisSpec(arc, 4))[0]).atoms
+    gap = np.mod(np.abs(atom - ref), 2 * math.pi)
+    k0 = next(r[d1] for r in rec.rows if r[k] == 0)
+    assert k0 == pytest.approx(np.mean(np.minimum(gap, 2 * math.pi - gap)), rel=1e-14)
+
+
 # --------------------------------------------------------------- plot files
 def test_emit_plotdata_deterministic(tmp_path):
     rec = RunRecord(

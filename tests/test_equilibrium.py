@@ -32,7 +32,6 @@ from feketelab.equilibrium import (
     majorant_boundary,
     rate_fit,
     subharmonic_compare,
-    w1_atomic_line,
 )
 from feketelab.errors import HypothesisError, InputError, NoClosedFormError
 from feketelab.fekete import (
@@ -199,23 +198,82 @@ def test_dist1_circle_rotation_invariance(alpha):
     assert abs(d0 - d1) <= 1e-10
 
 
-def test_w1_atomic_line_matches_interval_case():
+def circle_shift_loop(atoms):
+    """The median shift c* of `_circle_shift` by the loops it replaced: the
+    segments of G = F_mu - F_nu one by one, and for each breakpoint value
+    the mass below it summed segment by segment."""
+    atoms = np.sort(np.mod(np.asarray(atoms, dtype=float) + math.pi, 2 * math.pi) - math.pi)
+    n, slope = len(atoms), 1.0 / (2 * math.pi)
+    segs = []
+    for i in range(n):
+        theta_b = atoms[i + 1] if i + 1 < n else atoms[0] + 2 * math.pi
+        length = theta_b - atoms[i]
+        if length > 0.0:
+            g_start = (i + 1) / n - slope * (atoms[i] + math.pi)
+            segs.append((length, g_start, g_start - slope * length))
+    half = 0.5 * sum(s[0] for s in segs)
+
+    def mass_below(c):
+        m = 0.0
+        for length, v_hi, v_lo in segs:
+            if c >= v_hi:
+                m += length
+            elif c > v_lo:
+                m += length * (c - v_lo) / (v_hi - v_lo)
+        return m
+
+    values = sorted({s[1] for s in segs} | {s[2] for s in segs})
+    lo, hi = values[0], values[-1]
+    for v in values:
+        if mass_below(v) >= half:
+            hi = v
+            break
+        lo = v
+    m_lo, m_hi = mass_below(lo), mass_below(hi)
+    if m_hi <= m_lo + 1e-300:
+        return lo
+    return lo + (half - m_lo) / (m_hi - m_lo) * (hi - lo)
+
+
+def test_circle_shift_keeps_the_bits_of_the_loop():
+    """The vectorised median adds in the loop's order, so c* is bit for bit
+    the loop's, on random sets, sets with ties and equispaced sets."""
+    rng = np.random.default_rng(21)
+    sets = [np.array([0.3]), np.array([1.0, 1.0]), 2 * math.pi * np.arange(61) / 61 - math.pi]
+    for t in range(300):
+        atoms = rng.uniform(-math.pi, math.pi, rng.integers(1, 62))
+        sets.append(np.round(atoms, 1) if t % 3 == 0 else atoms)
+        sets.append(2 * math.pi * np.arange(len(atoms)) / len(atoms) + rng.uniform(-math.pi, math.pi))
+    for atoms in sets:
+        assert _circle_shift(atoms)[1].hex() == float(circle_shift_loop(atoms)).hex(), atoms
+
+
+def test_dist1_rejects_a_measure_off_its_domain():
+    with pytest.raises(InputError, match="supported on"):
+        dist1_interval(EmpiricalMeasure(INTERVAL, np.array([0.0, 1.5])), NU_I)
+    with pytest.raises(InputError, match="circle or an arc"):
+        dist1_circle(EmpiricalMeasure(INTERVAL, np.array([0.0])), NU_C)
+
+
+def test_dist1_against_an_atomic_reference_is_the_sorted_pairing():
     xs = np.array([-0.5, 0.1, 0.4])
     ys = np.array([-0.4, 0.0, 0.6])
-    val = w1_atomic_line(xs, ys)
+    val = dist1_interval(EmpiricalMeasure(INTERVAL, xs), EmpiricalMeasure(INTERVAL, ys))
     oracle = np.mean(np.abs(np.sort(xs) - np.sort(ys)))  # same-size coupling
     assert abs(val - oracle) < 1e-14
 
 
 def test_distance_axioms_on_triples():
+    """Symmetry, the triangle inequality and zero on equal measures, on the
+    interval and on an arc shorter than pi, where the coupling is optimal."""
     rng = np.random.default_rng(5)
-    a, b, c = (np.sort(rng.uniform(-1, 1, 6)) for _ in range(3))
-    dab = w1_atomic_line(a, b)
-    dbc = w1_atomic_line(b, c)
-    dac = w1_atomic_line(a, c)
-    assert dab >= 0 and abs(w1_atomic_line(b, a) - dab) < 1e-15
-    assert dac <= dab + dbc + 1e-12
-    assert w1_atomic_line(a, a) == 0.0
+    cases = ((INTERVAL, dist1_interval, -1.0, 1.0), (CircleArc(-1.0, 1.5), dist1_circle, -1.0, 1.5))
+    for domain, w1, lo, hi in cases:
+        a, b, c = (EmpiricalMeasure(domain, np.sort(rng.uniform(lo, hi, 6))) for _ in range(3))
+        dab, dbc, dac = w1(a, b), w1(b, c), w1(a, c)
+        assert dab >= 0 and abs(w1(b, a) - dab) < 1e-15
+        assert dac <= dab + dbc + 1e-12
+        assert w1(a, a) == 0.0
 
 
 # ------------------------------------------------ two-sided dist_gamma in 1-D
@@ -232,7 +290,7 @@ def brute_force_bounds(atoms, nu, gamma, nodes=2**22):
     x = np.sort(atoms)
     shift = 0.0
     if circle:
-        x, _, shift = _circle_shift(atoms)
+        x, shift = _circle_shift(atoms)
         ext = np.concatenate(([x[-1] - 2 * math.pi], x, [x[0] + 2 * math.pi]))
     else:
         ext = np.concatenate(([-np.inf], x, [np.inf]))
@@ -328,7 +386,10 @@ def test_atomic_reference_sums_approach_the_closed_form():
     mu = EmpiricalMeasure(INTERVAL, np.array([-0.9, -0.3, 0.1, 0.8]))
     exact, atomic = dist_gamma_bounds(mu, nu, (1.0,))[1.0], dist_gamma_bounds(mu, fine, (1.0,))[1.0]
     assert np.allclose(atomic, exact, atol=1e-3)
-    assert abs(atomic[1] - w1_atomic_line(mu.atoms, fine.atoms)) <= 1e-12
+    # each of mu's 4 sorted atoms takes 1024 of the 4096 sorted fine atoms, in order
+    sorted_pairing = np.mean(np.abs(np.repeat(mu.atoms, 1024) - fine.atoms))
+    assert abs(atomic[1] - dist1_interval(mu, fine)) <= 1e-12
+    assert abs(dist1_interval(mu, fine) - sorted_pairing) <= 1e-12
 
 
 def test_reach_of_arc_atoms_sees_the_ends_and_the_wrap():

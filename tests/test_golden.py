@@ -101,6 +101,16 @@ def test_exact_logdets_bound_the_mesh_search_goldens(name):
     assert all(exact[k] >= mesh[k] for k in mesh), (exact, mesh)
 
 
+@pytest.mark.parametrize("name", ["arc", "circle", "interval", "interval-linear"])
+def test_1d_golden_dist1_is_the_gamma_one_upper_bound(name):
+    """On the 1-D domains dist1 and dist_g1_hi are the gamma = 1 cost of one
+    quantile coupling, uncapped and capped at 1; no coupled distance of a
+    golden row reaches the cap, so the two columns agree bit for bit."""
+    rec = _record_from_csv(str(DATA / f"{name}_fekete.csv"))
+    d1, hi = rec.columns.index("dist1"), rec.columns.index("dist_g1_hi")
+    assert rec.rows and all(row[d1] == row[hi] for row in rec.rows), name
+
+
 if __name__ == "__main__":
     for name in sys.argv[1:]:
         with tempfile.TemporaryDirectory() as tmp:
