@@ -16,7 +16,7 @@ interior grid.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
@@ -72,13 +72,6 @@ class ReferenceMeasure:
             x = np.asarray(np.clip(x, -1.0, 1.0), dtype=float)
             return 0.5 * x + (x * np.arcsin(x) + np.sqrt(1.0 - x * x)) / math.pi
         raise NoClosedFormError("antiderivative implemented for the interval")
-
-    def quad_nodes(self) -> np.ndarray:
-        """Equal-weight nodes of the uniform measure on the sphere, on which
-        the dictionary pairings average."""
-        if isinstance(self.domain, Sphere):
-            return Sphere().mesh(60000)
-        raise NoClosedFormError("quadrature nodes on the sphere only")
 
     def total_mass(self) -> float:
         """Mass by quadrature; the quantile substitution absorbs the
@@ -164,13 +157,19 @@ def _circle_shift(atoms):
     return atoms, _lebesgue_median(length, v_hi, v_hi - slope * length)
 
 
+def _sorted_distinct(values) -> np.ndarray:
+    """The distinct values, sorted: np.unique by a sort and a mask, since
+    the first np.unique call imports numpy.ma."""
+    values = np.sort(values)
+    return values[np.append(True, values[1:] > values[:-1])]
+
+
 def _lebesgue_median(length, v_hi, v_lo) -> float:
     """Median of a piecewise-linear function's values, weighted by length,
     for pieces falling from v_hi to v_lo.  The mass below each breakpoint
     value is a running sum over the pieces in order (np.cumsum), and the
     median interpolates between the two values around half the length."""
-    values = np.sort(np.concatenate((v_hi, v_lo)))
-    values = values[np.append(True, values[1:] > values[:-1])]  # not np.unique, which imports numpy.ma
+    values = _sorted_distinct(np.concatenate((v_hi, v_lo)))
     c = values[:, None]
     with np.errstate(divide="ignore", invalid="ignore"):
         part = np.where(c >= v_hi, length, np.where(c > v_lo, length * (c - v_lo) / (v_hi - v_lo), 0.0))
@@ -244,7 +243,7 @@ def _coupling_sums(mu: EmpiricalMeasure, nu, gammas, cap: float):
     if isinstance(nu, EmpiricalMeasure):
         y = np.sort(np.asarray(nu.atoms, dtype=float))
         near = np.min(_distance(y[:, None], x, circle), axis=1)
-        edges = np.union1d(slots, np.arange(len(y) + 1) / len(y))
+        edges = _sorted_distinct(np.concatenate((slots, np.arange(len(y) + 1) / len(y))))
         mid = 0.5 * (edges[1:] + edges[:-1])
         coupled = _distance(x[(mid * n).astype(int)], y[(mid * len(y)).astype(int)], circle)
         near_mass = np.mean(np.minimum(near, cap) ** g, axis=1)
@@ -400,14 +399,15 @@ class TestDictionary:
     them on a node set as a sequence of (rows, nodes) value blocks.  A
     pairing evaluates each block once per node set and keeps only its row
     means, so no nodes-sized matrix outlives the call, and every gamma
-    divides the same means.  Reference-measure means are cached at the
-    first pairing.
+    divides the same means.  `uniform_means` holds every member's exact
+    mean under the uniform measure on the sphere, which a pairing with
+    that reference reads instead of evaluating the members.
     """
 
     gammas: tuple
     blocks: object
     scales: np.ndarray
-    _ref_means: dict = field(default_factory=dict)
+    uniform_means: np.ndarray | None = None
 
     def means(self, nodes) -> np.ndarray:
         """Mean of every member over a node set."""
@@ -416,13 +416,14 @@ class TestDictionary:
 
 def dist_gamma_dict(mu: EmpiricalMeasure, nu, dictionary: TestDictionary) -> dict:
     """{gamma: lower bound of dist_gamma}, the max pairing gap over the
-    dictionary, from one evaluation of the members at mu's atoms."""
+    dictionary, from one evaluation of the members at mu's atoms; nu is
+    the uniform measure on the sphere or an empirical measure."""
     if dictionary.scales.size == 0:
         raise InputError("empty test dictionary")
     if isinstance(nu, ReferenceMeasure):
-        if nu not in dictionary._ref_means:
-            dictionary._ref_means[nu] = dictionary.means(nu.quad_nodes())
-        nu_means = dictionary._ref_means[nu]
+        if not isinstance(nu.domain, Sphere) or dictionary.uniform_means is None:
+            raise InputError(f"no exact dictionary means for the reference on {nu.domain!r}")
+        nu_means = dictionary.uniform_means
     elif isinstance(nu, EmpiricalMeasure):
         nu_means = dictionary.means(nu.atoms)
     else:
@@ -431,17 +432,36 @@ def dist_gamma_dict(mu: EmpiricalMeasure, nu, dictionary: TestDictionary) -> dic
     return dict(zip(dictionary.gammas, gaps.tolist()))
 
 
+_SPHERE_CONES = 200  # cones max(0, 1 - theta) about a 200-point Fibonacci mesh
+_SPHERE_DEGREE = 6  # and the 49 spherical harmonics of degree <= 6
+
+
 def build_dictionaries(domain, gammas) -> TestDictionary:
     """One dictionary for every distinct gamma on the sphere or a cap: the
     members are shared, and the scales are running maxima across the
     (sorted) gamma grid so that dist is monotone in gamma.  The 1-D domains
-    get two-sided bounds from `dist_gamma_bounds` instead."""
+    get two-sided bounds from `dist_gamma_bounds` instead.
+
+    A cone has sup 1, and its values differ by at most min(theta, 1) at
+    points an angle theta apart, whose capped chord is min(2 sin(theta/2),
+    1); the quotient peaks at theta = 1, so its norm is at most
+    1 + (2 sin 1/2)^-gamma.  Its mean under the uniform measure is
+    int_0^1 (1 - theta) sin(theta) / 2 dtheta = (1 - sin 1) / 2.  The
+    harmonics are orthonormal, so Y_00 = 1/sqrt(4 pi) is the only one with
+    a nonzero mean; their norms are measured by `_sphere_norms`.
+    """
+    from .fekete import BasisSpec, basis_matrix
+
     gammas = check_gammas(gammas)
     if not isinstance(ambient_of(domain), Sphere):
         raise InputError(f"no dictionary for domain {domain!r}: the 1-D domains use dist_gamma_bounds")
-    blocks = _sphere_members()
-    norms = _sphere_norms(blocks, gammas)
-    return TestDictionary(gammas, blocks, np.maximum.accumulate(norms, axis=0) * (1.0 + 1e-9))
+    cones = np.repeat(1.0 + (2.0 * math.sin(0.5)) ** -np.array(gammas)[:, None], _SPHERE_CONES, axis=1)
+    harmonics = _sphere_norms(basis_matrix(BasisSpec(Sphere(), _SPHERE_DEGREE), _sphere_norm_mesh()), gammas)
+    norms = np.hstack((cones, harmonics))
+    means = np.zeros(norms.shape[1])
+    means[:_SPHERE_CONES] = 0.5 * (1.0 - math.sin(1.0))
+    means[_SPHERE_CONES] = 1.0 / math.sqrt(4.0 * math.pi)
+    return TestDictionary(gammas, _sphere_members(), np.maximum.accumulate(norms, axis=0) * (1.0 + 1e-9), means)
 
 
 def _sphere_pair_lags():
@@ -449,13 +469,14 @@ def _sphere_pair_lags():
     return (1, 2, 3, 5, 8, 13, 21, 34, 55, 89, 144, 233, 377, 610, 987)
 
 
-def _sphere_norms(blocks, gammas) -> np.ndarray:
+def _sphere_norms(rows, gammas) -> np.ndarray:
     """sup + Hoelder seminorm over Fibonacci-lag neighbor pairs of the norm
-    mesh, distances capped at 1, of every member; one row per gamma.
+    mesh, distances capped at 1, of every row of values on the norm mesh
+    (the harmonics'); one row per gamma.
 
     The lag distances and their powers are computed once and shared by
-    all members.  Each member's differences are taken on its own row, so
-    no temporary grows beyond one mesh-sized array.
+    all rows.  Each row's differences are taken on their own, so no
+    temporary grows beyond one mesh-sized array.
     """
     mesh = _sphere_norm_mesh()
     lag_pows = []
@@ -464,14 +485,13 @@ def _sphere_norms(blocks, gammas) -> np.ndarray:
         d = np.minimum(d, 1.0)
         lag_pows.append((lag, [d**g for g in gammas]))
     norms = []
-    for block in blocks(mesh):
-        for vals in block:
-            semi = [0.0] * len(gammas)
-            for lag, pows in lag_pows:
-                diff = np.abs(vals[lag:] - vals[:-lag])
-                semi = [max(s, np.max(diff / dg)) for s, dg in zip(semi, pows)]
-            sup = np.max(np.abs(vals))
-            norms.append([sup + s for s in semi])
+    for vals in rows:
+        semi = [0.0] * len(gammas)
+        for lag, pows in lag_pows:
+            diff = np.abs(vals[lag:] - vals[:-lag])
+            semi = [max(s, np.max(diff / dg)) for s, dg in zip(semi, pows)]
+        sup = np.max(np.abs(vals))
+        norms.append([sup + s for s in semi])
     return np.array(norms).T
 
 
@@ -481,14 +501,16 @@ def _sphere_norm_mesh() -> np.ndarray:
 
 
 def _sphere_members():
-    """200 cones of angular radius 1 and the 49 harmonics of degree <= 6,
-    evaluated as one row per cone and then one basis matrix for all
-    harmonics.  Each cone keeps its own `p @ c` product: a single matrix
-    product over all centers rounds differently."""
+    """The _SPHERE_CONES cones of angular radius 1, whose scales and
+    uniform means are closed form, and the harmonics of degree <=
+    _SPHERE_DEGREE, whose scales are measured: evaluated as one row per
+    cone and then one basis matrix for all harmonics.  Each cone keeps its
+    own `p @ c` product: a single matrix product over all centers rounds
+    differently."""
     from .fekete import BasisSpec, basis_matrix
 
-    centers = Sphere().mesh(200)
-    spec = BasisSpec(Sphere(), 6)
+    centers = Sphere().mesh(_SPHERE_CONES)
+    spec = BasisSpec(Sphere(), _SPHERE_DEGREE)
 
     def blocks(nodes):
         p = np.atleast_2d(nodes)

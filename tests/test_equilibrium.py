@@ -4,11 +4,16 @@ the sphere dictionaries, comparison checks.
 Oracles: brute quadrature of |F_mu - F_nu| for dist_1, an analytic value
 for the single-atom case, cell-transport bounds for equispaced atoms, and
 brute midpoint quadrature in the quantile variable for the dist_gamma
-bounds on the interval and circle, and a certified 1-D test dictionary
-kept here, whose pairing gap is a lower bound the bounds must clear.
+bounds on the interval and circle, a certified 1-D test dictionary
+kept here, whose pairing gap is a lower bound the bounds must clear, and
+a 60 000-node sphere mesh for the dictionary's closed-form uniform means.
 """
 
 import math
+import subprocess
+import sys
+import textwrap
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -91,10 +96,16 @@ def test_density_is_ddc_of_extremal_on_a_grid():
     assert np.max(np.abs(ratio - ratio.mean())) < 1e-4 * abs(ratio.mean())
 
 
+def uniform_sphere_nodes() -> np.ndarray:
+    """Oracle for the uniform measure on the sphere: 60 000 equal-weight
+    Fibonacci nodes, the quadrature that gave the dictionary's reference
+    means before they were closed form."""
+    return Sphere().mesh(60000)
+
+
 def test_sphere_reference_rotation_invariance():
-    nu = equilibrium_reference(Sphere())
     rng = np.random.default_rng(0)
-    nodes = nu.quad_nodes()
+    nodes = uniform_sphere_nodes()
 
     def mean_v(p):
         return np.mean(p[:, 2] ** 2 + 0.3 * p[:, 0])
@@ -378,6 +389,34 @@ def test_bounds_vanish_against_an_equal_atomic_reference():
     assert dist_gamma_bounds(mu, mu, (0.5, 1.0)) == {0.5: (0.0, 0.0), 1.0: (0.0, 0.0)}
 
 
+def test_arc_bounds_leave_numpy_ma_unimported():
+    """The atomic reference's slot edges are deduped by a sort and a mask,
+    not np.unique, whose first call imports numpy.ma (16 ms and 0.5 MB):
+    in a fresh interpreter an arc's bounds and W1 against an atomic
+    reference leave it unloaded."""
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    script = textwrap.dedent(
+        f"""
+        import sys
+        sys.path.insert(0, {src!r})
+        import numpy as np
+        from feketelab.equilibrium import dist1_circle, dist_gamma_bounds
+        from feketelab.fekete import CircleArc, EmpiricalMeasure
+
+        arc = CircleArc(-1.0, 1.0)
+        mu = EmpiricalMeasure(arc, np.array([-0.5, 0.1, 0.7]))
+        nu = EmpiricalMeasure(arc, np.array([-0.4, 0.2, 0.3, 0.9]))
+        loaded = "numpy.ma" in sys.modules
+        dist_gamma_bounds(mu, nu, (0.5, 1.0))
+        dist1_circle(mu, nu)
+        print(loaded, "numpy.ma" in sys.modules)
+        """
+    )
+    proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.split() == ["False", "False"]
+
+
 def test_atomic_reference_sums_approach_the_closed_form():
     """Against the 4096 mid-quantiles of the arcsine, the finite sums of an
     atomic reference come within the quantization error of the integrals."""
@@ -424,6 +463,81 @@ def test_dictionary_certified_norms():
             semi = np.maximum(semi, np.max(np.abs(scaled[:, lag:] - scaled[:, :-lag]) / d**g, axis=1))
         norms = np.max(np.abs(scaled), axis=1) + semi
         assert np.all(norms <= 1.0 + 1e-6), (g, int(np.argmax(norms)))
+
+
+def test_closed_form_means_match_the_quadrature_oracle():
+    """The dictionary's exact means under the uniform measure agree with
+    the 60 000-node oracle to its quadrature error (4.3e-7 on the cones,
+    2.6e-7 on the harmonics); only Y_00 among the harmonics has a nonzero
+    mean."""
+    dct = build_dictionaries(Sphere(), (1.0,))
+    assert dct.uniform_means.shape == (200 + 49,)
+    assert np.all(dct.uniform_means[:200] == 0.5 * (1.0 - math.sin(1.0)))
+    assert dct.uniform_means[200] == 1.0 / math.sqrt(4.0 * math.pi)
+    assert np.all(dct.uniform_means[201:] == 0.0)
+    assert np.max(np.abs(dct.means(uniform_sphere_nodes()) - dct.uniform_means)) < 1e-6
+
+
+def test_reference_pairing_needs_the_uniform_sphere_means():
+    """A dictionary pairs a closed-form reference only through its exact
+    uniform means: not the arcsine, and not without the means."""
+    from feketelab.equilibrium import TestDictionary
+
+    dct = build_dictionaries(Sphere(), (1.0,))
+    mu = EmpiricalMeasure(Sphere(), Sphere().mesh(7))
+    with pytest.raises(InputError):
+        dist_gamma_dict(mu, NU_I, dct)
+    bare = TestDictionary(dct.gammas, dct.blocks, dct.scales)
+    with pytest.raises(InputError):
+        dist_gamma_dict(mu, equilibrium_reference(Sphere()), bare)
+
+
+def _at_angle(x, theta, rng):
+    """Points at angle theta from the unit vectors x, in random directions."""
+    t = rng.standard_normal(x.shape)
+    t -= np.sum(t * x, axis=1)[:, None] * x
+    t /= np.linalg.norm(t, axis=1)[:, None]
+    return np.cos(theta)[:, None] * x + np.sin(theta)[:, None] * t
+
+
+@pytest.mark.parametrize("gamma", [0.5, 1.0])
+def test_cone_scale_is_certified_and_reached(gamma):
+    """No cone's Hoelder quotient exceeds the closed-form seminorm bound
+    (2 sin 1/2)^-gamma, on pairs clustered about the angle 1, where the
+    bound is reached (each pair starts near a cone's centre), nor on the
+    norm mesh's lag pairs.  The sampled norms come within 3% of the
+    closed form; at gamma = 1 the lag pairs alone do too (0.4-2.5% below
+    it), while at gamma = 0.5 they fall 0.9-19% below it, on the cones
+    where no lag pair from near the centre spans an angle near 1."""
+    from feketelab.equilibrium import _sphere_norm_mesh, _sphere_pair_lags
+
+    dct = build_dictionaries(Sphere(), (gamma,))
+    closed = 1.0 + (2.0 * math.sin(0.5)) ** -gamma
+    assert np.all(dct.scales[0, :200] == closed * (1.0 + 1e-9))
+
+    def cones(p):
+        return np.concatenate(list(dct.blocks(p))[:200])
+
+    rng = np.random.default_rng(25)
+    centres = Sphere().mesh(200)
+    x = _at_angle(np.repeat(centres, 25, axis=0), rng.uniform(0.0, 0.05, 5000), rng)
+    y = _at_angle(x, rng.uniform(0.95, 1.05, 5000), rng)
+    fx, fy = cones(x), cones(y)
+    d = np.minimum(np.linalg.norm(x - y, axis=1), 1.0) ** gamma
+    clustered = np.max(np.abs(fx - fy) / d, axis=1)
+
+    mesh = _sphere_norm_mesh()
+    vals = cones(mesh)
+    lagged = np.zeros(200)
+    for lag in _sphere_pair_lags():
+        d = np.minimum(np.linalg.norm(mesh[lag:] - mesh[:-lag], axis=1), 1.0) ** gamma
+        lagged = np.maximum(lagged, np.max(np.abs(vals[:, lag:] - vals[:, :-lag]) / d, axis=1))
+    sup = np.maximum(np.max(vals, axis=1), np.maximum(np.max(fx, axis=1), np.max(fy, axis=1)))
+    assert np.all(sup <= 1.0)
+    assert np.all(np.maximum(clustered, lagged) <= (closed - 1.0) * (1.0 + 1e-12))
+    assert np.all(sup + np.maximum(clustered, lagged) >= closed / 1.03)
+    if gamma == 1.0:
+        assert np.all(np.max(vals, axis=1) + lagged >= closed / 1.03)
 
 
 def test_dictionary_monotone_in_gamma():
@@ -750,8 +864,8 @@ def test_line_dictionaries_reject_gamma_above_one(domain, gamma):
 
 def test_sphere_dictionary_evaluates_basis_once_per_node_set(monkeypatch):
     """The 49 harmonics come from one basis evaluation per node set: the
-    norm mesh at build time, then the quadrature nodes and the atoms at the
-    first pairing; later pairings reuse the cached reference means."""
+    norm mesh at build time, then the atoms at each pairing; the uniform
+    reference's means are closed form."""
     import feketelab.fekete as fk
 
     calls = []
@@ -763,15 +877,13 @@ def test_sphere_dictionary_evaluates_basis_once_per_node_set(monkeypatch):
 
     monkeypatch.setattr(fk, "basis_matrix", counting)
     dct = build_dictionaries(Sphere(), (1.0,))
-    assert len(calls) <= 1
+    assert calls == [20000]
     nu = equilibrium_reference(Sphere())
     mu = EmpiricalMeasure(Sphere(), Sphere().mesh(30))
-    calls.clear()
-    dist_gamma_dict(mu, nu, dct)
-    assert len(calls) <= 2
-    calls.clear()
-    dist_gamma_dict(mu, nu, dct)
-    assert len(calls) <= 1
+    for _ in range(2):
+        calls.clear()
+        dist_gamma_dict(mu, nu, dct)
+        assert calls == [30]
 
 
 # ------------------------------------------------------------- subharmonic
