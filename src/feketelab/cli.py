@@ -18,7 +18,7 @@ import os
 import sys
 import time
 from dataclasses import dataclass, field
-from functools import partial
+from functools import cache, partial
 
 import numpy as np
 
@@ -191,6 +191,7 @@ def cmd_fekete(cfg: ExperimentConfig) -> RunRecord:
         mesh = domain.mesh(cfg.mesh) if cfg.mesh else domain.mesh()
         search = _mesh_search(mesh, cfg.k_max, cfg.sweeps)
         calibration = {"mesh": len(mesh), "sweeps": cfg.sweeps}
+    search = cache(search)  # an arc's or cap's reference is its k_max row's configuration
     reference, ref_name = _reference_for(domain, search, cfg.k_max)
     if one_d:
         dictionary = None

@@ -27,7 +27,6 @@ NEG_INF = float("-inf")
 
 _GOLDEN_ANGLE = math.pi * (3.0 - math.sqrt(5.0))
 _SHORTLIST = 64
-_GREEDY_BLOCK = 32  # rank-1 deflations applied to the mesh matrix per GEMM
 _NEWTON_MAX_ITERS = 60  # Newton steps of one exact 1-D solve, active-set changes included
 _NEWTON_STEP_TOL = 1e-13  # a Newton step this short (on [-1, 1] or in radians) is rounding
 KKT_TOL = 1e-6  # largest |gradient| over the free points of a passing 1-D row
@@ -335,51 +334,33 @@ def log_vandermonde(config, spec: BasisSpec) -> float:
 
 
 # -------------------------------------------------------------------- greedy
-_FLUSH_ROWS = 2048  # mesh rows per block of a deflation flush
-
-
 def _greedy_core(w_mat: np.ndarray, n: int):
     """Row-residual greedy on the mesh-by-basis matrix; returns indices and
     per-step top-shortlist candidates.
 
-    The residual is a C-order copy of `w_mat`, which may be a column slice
-    of a wider matrix.  Residual norms are tracked incrementally and the
-    rank-1 deflations are applied to the residual in blocks of
-    _GREEDY_BLOCK (compact-WY style), so the cost is one matvec per step
-    plus one GEMM per block.  The pending deflations are stored
-    block-major: each one's mesh coefficients are one contiguous row of
-    `c_pend`, written in place by the step's matvec.  A flush subtracts
-    C @ V in place, _FLUSH_ROWS mesh rows at a time through one scratch
-    block, and the per-step vectors reuse scratch buffers, so no step
-    allocates a mesh-sized matrix.  A node picked twice, which happens
-    only once rounding decides the picks, raises InsufficientMeshError.
+    This is QR with column pivoting on `w_mat.T`.  Each pick's residual row,
+    scaled by its tracked norm, is a unit direction `v` orthogonal to every
+    earlier one, so a mesh row's residual has the same product with `v` as
+    the row of `w_mat` itself.  The residual matrix is therefore never
+    formed: only the picked directions are kept, and a step costs one
+    matvec of the unchanged `w_mat` (which may be a column slice of a
+    wider matrix).  Residual norms are tracked incrementally; the rare
+    rescore at the rank threshold forms the residual explicitly.  A node
+    picked twice, which happens only once rounding decides the picks,
+    raises InsufficientMeshError.
     """
-    r = w_mat.copy()
-    mesh_sz, nb = r.shape
+    mesh_sz, nb = w_mat.shape
     chosen = []
     shortlists = []
-    scores2 = np.einsum("ij,ij->i", r, r)
+    scores2 = np.einsum("ij,ij->i", w_mat, w_mat)
     scale0 = math.sqrt(float(np.max(scores2)))
-    v_pend = np.empty((_GREEDY_BLOCK, nb))
-    c_pend = np.empty((_GREEDY_BLOCK, mesh_sz))
-    block = np.empty((min(_FLUSH_ROWS, mesh_sz), nb))
+    q = np.empty((n, nb))
+    c = np.empty(mesh_sz)
     neg_scores = np.empty(mesh_sz)
-    c_sq = np.empty(mesh_sz)
-    pending = 0
-
-    def flush():
-        nonlocal pending
-        if pending:
-            for lo in range(0, mesh_sz, _FLUSH_ROWS):
-                rows = r[lo : lo + _FLUSH_ROWS]
-                c_rows = c_pend[:pending, lo : lo + _FLUSH_ROWS].T
-                rows -= np.matmul(c_rows, v_pend[:pending], out=block[: len(rows)])
-            pending = 0
-
-    for _ in range(n):
+    for p in range(n):
         pick = int(np.argmax(scores2))
         if scores2[pick] <= (1e-12 * scale0) ** 2 + 1e-14 * scale0**2:
-            flush()
+            r = w_mat - (w_mat @ q[:p].T) @ q[:p]
             scores2 = np.einsum("ij,ij->i", r, r)
             pick = int(np.argmax(scores2))
             if scores2[pick] <= (1e-12 * scale0) ** 2:
@@ -395,18 +376,11 @@ def _greedy_core(w_mat: np.ndarray, n: int):
         top = top[np.lexsort((top, -scores2[top]))]
         shortlists.append(top)
         chosen.append(pick)
-        p = pending
-        row = r[pick] - c_pend[:p, pick] @ v_pend[:p]
-        nv = math.sqrt(max(float(scores2[pick]), 0.0))
-        v = row / nv
-        c = np.matmul(r, v, out=c_pend[p])
-        c -= (v_pend[:p] @ v) @ c_pend[:p]
-        v_pend[p] = v
-        pending += 1
-        scores2 -= np.multiply(c, c, out=c_sq)
+        row = w_mat[pick] - (q[:p] @ w_mat[pick]) @ q[:p]
+        q[p] = row / math.sqrt(max(float(scores2[pick]), 0.0))
+        np.matmul(w_mat, q[p], out=c)
+        scores2 -= np.multiply(c, c, out=c)
         np.maximum(scores2, 0.0, out=scores2)
-        if pending == _GREEDY_BLOCK:
-            flush()
     return chosen, shortlists
 
 

@@ -1,20 +1,23 @@
 """Index-space Fekete search on the sphere and caps: the exchange
 contract, the cached cap rank, the run's shared mesh matrix, the banded
-sphere neighbourhoods, the blocked greedy flush, and the benchmark
-tracer's hooks."""
+sphere neighbourhoods, the greedy against a residual-matrix reference and
+its memory, and the benchmark tracer's hooks."""
 
 import math
 import subprocess
 import sys
 import textwrap
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+from feketelab import fekete
+from feketelab.cli import cmd_fekete
+from feketelab.config import ExperimentConfig
 from feketelab.errors import InputError, InsufficientMeshError
 from feketelab.fekete import (
-    _GREEDY_BLOCK,
     _SHORTLIST,
     _banded_angles,
     _greedy_core,
@@ -129,6 +132,22 @@ def test_run_matrix_needs_enough_columns_and_rows():
         leja_greedy(BasisSpec(Sphere(), 2), mesh[1:], run)
 
 
+def test_cap_run_searches_its_top_degree_once(monkeypatch):
+    """A cap's reference measure is its k_max configuration, which is also
+    the run's k_max row, so `cmd_fekete` searches that degree once."""
+    calls = []
+
+    def counted(spec, *args):
+        calls.append(spec.k)
+        return leja_greedy(spec, *args)
+
+    monkeypatch.setattr(fekete, "leja_greedy", counted)
+    cfg = ExperimentConfig(domain_text="cap:0,0,1,1.0", k_min=1, k_max=3, mesh=4000, sweeps=1)
+    rec = cmd_fekete(cfg)
+    assert calls == [3, 1, 2]
+    assert len(rec.rows) == 3 and not rec.has_errors()
+
+
 @pytest.mark.parametrize("domain", [Interval(), Circle(), CircleArc(-1.0, 1.0)], ids=["interval", "circle", "arc"])
 def test_mesh_search_rejects_the_one_d_domains(domain):
     """The 1-D domains have an exact solver, `fekete_1d`; the mesh search
@@ -166,10 +185,13 @@ def test_banded_neighbourhoods_match_the_whole_mesh_scan(domain, mesh, banded):
         assert np.array_equal(_local_candidates(mesh, theta, i), _whole_mesh_neighbours(mesh, i)), i
 
 
-# ----------------------------------------------- greedy flush in row blocks
+# ---------------------------------------- greedy against a residual matrix
+_GREEDY_BLOCK = 32  # rank-1 deflations applied to the reference's residual per GEMM
+
+
 def _single_gemm_greedy(w_mat, n):
-    """The greedy as it was before the flush ran in row blocks: one GEMM
-    over the whole residual per flush."""
+    """The greedy as a blocked deflation of a residual copy of `w_mat`:
+    one GEMM over the whole residual per _GREEDY_BLOCK picks."""
     r = w_mat.copy()
     mesh_sz, nb = r.shape
     chosen, shortlists = [], []
@@ -212,11 +234,12 @@ def _single_gemm_greedy(w_mat, n):
     ],
 )
 def test_greedy_core_matches_the_single_gemm_flush(domain, size, k):
-    """N = 36 and 81 > 32, so one and two flushes run, each over three row
-    blocks of the 6000-node mesh.  The other cases are the meshes and top
-    degrees of the rate-sphere benchmark and of a cap run, where the picks
-    and shortlists must not move although the block-major store rounds
-    the scores differently from this column-store reference."""
+    """`_greedy_core` scores with products of the unchanged mesh matrix;
+    this reference deflates a residual copy, so the two round the scores
+    differently, and the picks and shortlists must still agree.  On the
+    6000-node mesh N = 36 and 81 > 32, so the reference deflates once and
+    twice.  The other cases are the meshes and top degrees of the
+    rate-sphere benchmark and of a cap run."""
     mesh = domain.mesh(size)
     w = np.ascontiguousarray(basis_matrix(BasisSpec(domain, 8), mesh).T)[:, : (k + 1) ** 2]
     chosen, shortlists = _greedy_core(w, (k + 1) ** 2)
@@ -225,14 +248,29 @@ def test_greedy_core_matches_the_single_gemm_flush(domain, size, k):
     assert all(map(np.array_equal, shortlists, want_shortlists))
 
 
+def test_greedy_allocates_no_copy_of_the_mesh_matrix():
+    """The greedy scores every node with a matvec of `w` itself, so it
+    allocates mesh-sized vectors but no mesh-by-basis matrix (a residual
+    copy alone would be `w.nbytes`)."""
+    mesh = Sphere().mesh(6000)
+    w = _run_matrix(Sphere(), mesh, 8)
+    tracemalloc.start()
+    try:
+        _greedy_core(w, 81)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < w.nbytes / 4, peak / w.nbytes
+
+
 def test_greedy_repeated_pick_raises_insufficient_mesh():
     """`_greedy_core` takes any mesh-by-basis matrix.  Past the trig basis's
-    conditioning on this arc its picks are rounding noise, and at k = 9
-    one node comes up twice."""
+    conditioning on this arc its picks are rounding noise, and at k = 10
+    (the first degree where it happens) one node comes up twice."""
     arc = CircleArc(-1.0, 1.0)
-    w = basis_matrix(BasisSpec(arc, 9), arc.mesh(2048)).T
-    with pytest.raises(InsufficientMeshError, match="node 8 picked twice"):
-        _greedy_core(w, 19)
+    w = basis_matrix(BasisSpec(arc, 10), arc.mesh(2048)).T
+    with pytest.raises(InsufficientMeshError, match="node 588 picked twice"):
+        _greedy_core(w, 21)
 
 
 def test_benchmark_tracer_sees_the_search_layers(tmp_path):

@@ -1,7 +1,8 @@
 """Golden `fekete` CSVs: the Fekete search must keep choosing the same
 configurations, so each small `cmd_fekete` run is compared byte for byte
-with a CSV committed under tests/data/, and the sphere golden also from
-fresh interpreters with one and two BLAS threads.  The 1-D goldens
+with a CSV committed under tests/data/, and the sphere golden (and the
+benchmark-size sphere greedy) also from fresh interpreters with one and
+two BLAS threads.  The 1-D goldens
 written by the mesh search, before the exact 1-D solver, are kept
 unedited under tests/data/mesh-search/ as lower bounds on the exact
 logdets.
@@ -66,24 +67,53 @@ def _openblas_on_two_cores() -> bool:
     return "openblas" in blas.lower() and (cores or 1) >= 2
 
 
-@pytest.mark.parametrize("threads", ["1", "2"])
-def test_sphere_golden_does_not_depend_on_the_blas_thread_count(threads, tmp_path):
-    """OpenBLAS fixes its thread count when it loads, so each count runs
-    `feketelab fekete` in a fresh interpreter.  The golden greedy (k up to
-    5 on 6000 nodes) flushes at most once, so a thread-count dependence
-    that shows only over many flushes, as on the 40 000-node rate-sphere
-    mesh, is not caught here."""
-    if threads != "1" and not _openblas_on_two_cores():
-        pytest.skip("numpy's BLAS is not OpenBLAS on two or more cores, so one thread would run")
+def _blas_env(threads: str) -> dict:
+    """The environment of a fresh interpreter with `threads` OpenBLAS
+    threads and this checkout's package on its path."""
     src = str(Path(__file__).resolve().parent.parent / "src")
     env = {**os.environ, "OPENBLAS_NUM_THREADS": threads}
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    return env
+
+
+@pytest.mark.parametrize("threads", ["1", "2"])
+def test_sphere_golden_does_not_depend_on_the_blas_thread_count(threads, tmp_path):
+    """OpenBLAS fixes its thread count when it loads, so each count runs
+    `feketelab fekete` in a fresh interpreter.  The golden searches k up
+    to 5 on 6000 nodes; the greedy at the rate-sphere benchmark's size is
+    compared across thread counts by the next test."""
+    if threads != "1" and not _openblas_on_two_cores():
+        pytest.skip("numpy's BLAS is not OpenBLAS on two or more cores, so one thread would run")
     argv = ["fekete", "--config", str(golden_config("sphere", tmp_path)), "--out", str(tmp_path)]
     proc = subprocess.run(
-        [sys.executable, "-m", "feketelab.cli", *argv], env=env, capture_output=True, timeout=300
+        [sys.executable, "-m", "feketelab.cli", *argv], env=_blas_env(threads), capture_output=True, timeout=300
     )
     assert proc.returncode == 0, proc.stderr
     assert (tmp_path / "sphere_fekete.csv").read_bytes() == (DATA / "sphere_fekete.csv").read_bytes()
+
+
+def test_benchmark_greedy_does_not_depend_on_the_blas_thread_count():
+    """The rate-sphere greedy (k = 8 on 40 000 nodes, 81 matvecs of the
+    mesh matrix) picks the same nodes and shortlists with one and two
+    OpenBLAS threads, each in a fresh interpreter."""
+    if not _openblas_on_two_cores():
+        pytest.skip("numpy's BLAS is not OpenBLAS on two or more cores, so one thread would run")
+    script = (
+        "import hashlib, numpy as np\n"
+        "from feketelab.fekete import BasisSpec, Sphere, _greedy_core, basis_matrix\n"
+        "mesh = Sphere().mesh(40000)\n"
+        "w = np.ascontiguousarray(basis_matrix(BasisSpec(Sphere(), 8), mesh).T)\n"
+        "chosen, shortlists = _greedy_core(w, 81)\n"
+        "print(hashlib.sha256(np.array(chosen).tobytes() + np.concatenate(shortlists).tobytes()).hexdigest())\n"
+    )
+    digests = []
+    for threads in ("1", "2"):
+        proc = subprocess.run(
+            [sys.executable, "-c", script], env=_blas_env(threads), capture_output=True, text=True, timeout=300
+        )
+        assert proc.returncode == 0, proc.stderr
+        digests.append(proc.stdout.strip())
+    assert digests[0] == digests[1]
 
 
 def _logdets(path: Path) -> dict:
