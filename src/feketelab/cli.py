@@ -128,13 +128,14 @@ def _mesh_search(mesh, k_max: int, sweeps: int):
     """The sphere and cap search: greedy then exchange, with 0.0 in the
     place of `fk.fekete_1d`'s KKT residual.  Every degree reads the leading
     columns of one mesh-by-basis matrix at k_max, built by the first
-    search; each search state is freed when its search returns."""
+    search as the `.T` of `fk.basis_matrix` (C order, no copy); each
+    search state is freed when its search returns."""
     mesh_matrix = None
 
     def search(spec):
         nonlocal mesh_matrix
         if mesh_matrix is None:
-            mesh_matrix = np.ascontiguousarray(fk.basis_matrix(fk.BasisSpec(spec.domain, k_max), mesh).T)
+            mesh_matrix = fk.basis_matrix(fk.BasisSpec(spec.domain, k_max), mesh).T
         config, state = fk.leja_greedy(spec, mesh, mesh_matrix)
         return fk.exchange_refine(config, spec, mesh, sweeps, state), 0.0
 

@@ -18,14 +18,17 @@ def parse_domain(text: str):
         return Circle()
     if text == "sphere":
         return Sphere()
-    if text.startswith("arc:"):
-        a, b = (float(x) for x in text[4:].split(","))
-        return CircleArc(a, b)
-    if text.startswith("cap:"):
-        vals = [float(x) for x in text[4:].split(",")]
-        if len(vals) != 4:
-            raise ConfigError("cap needs axis x,y,z and an angle")
-        return SphericalCap(tuple(vals[:3]), vals[3])
+    kind, _, args = text.partition(":")
+    if kind in ("arc", "cap"):
+        try:
+            vals = [float(x) for x in args.split(",")]
+        except ValueError:
+            vals = []
+        if kind == "arc" and len(vals) == 2:
+            return CircleArc(*vals)
+        if kind == "cap" and len(vals) == 4:
+            return SphericalCap(tuple(vals[:3]), vals[3])
+        raise ConfigError("arc needs two angles, cap an axis x,y,z and an angle")
     raise ConfigError(f"unknown domain {text!r}")
 
 
@@ -57,6 +60,8 @@ class ExperimentConfig:
     def __post_init__(self):
         if self.k_min > self.k_max:
             raise ConfigError("k range must be nonempty and increasing")
+        if self.mesh < 0 or self.sweeps < 0:
+            raise ConfigError("mesh and sweeps must be nonnegative")
         for t in self.t_list:
             if not 0.0 < t <= 1.0:
                 raise ConfigError("t values must lie in (0, 1]")

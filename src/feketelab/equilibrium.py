@@ -475,8 +475,8 @@ def _sphere_norms(rows, gammas) -> np.ndarray:
     (the harmonics'); one row per gamma.
 
     The lag distances and their powers are computed once and shared by
-    all rows.  Each row's differences are taken on their own, so no
-    temporary grows beyond one mesh-sized array.
+    all rows.  Each row is taken in C order, on its own, so no temporary
+    grows beyond one mesh-sized array.
     """
     mesh = _sphere_norm_mesh()
     lag_pows = []
@@ -485,7 +485,7 @@ def _sphere_norms(rows, gammas) -> np.ndarray:
         d = np.minimum(d, 1.0)
         lag_pows.append((lag, [d**g for g in gammas]))
     norms = []
-    for vals in rows:
+    for vals in map(np.ascontiguousarray, rows):
         semi = [0.0] * len(gammas)
         for lag, pows in lag_pows:
             diff = np.abs(vals[lag:] - vals[:-lag])
@@ -506,7 +506,7 @@ def _sphere_members():
     _SPHERE_DEGREE, whose scales are measured: evaluated as one row per
     cone and then one basis matrix for all harmonics.  Each cone keeps its
     own `p @ c` product: a single matrix product over all centers rounds
-    differently."""
+    differently, as do row means of a basis matrix not in C order."""
     from .fekete import BasisSpec, basis_matrix
 
     centers = Sphere().mesh(_SPHERE_CONES)
@@ -516,7 +516,7 @@ def _sphere_members():
         p = np.atleast_2d(nodes)
         for c in centers:
             yield np.maximum(0.0, 1.0 - np.arccos(np.clip(p @ c, -1.0, 1.0)))[None]
-        yield basis_matrix(spec, p)
+        yield np.ascontiguousarray(basis_matrix(spec, p))
 
     return blocks
 

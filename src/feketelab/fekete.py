@@ -164,40 +164,33 @@ def _trig_matrix(theta: np.ndarray, k: int) -> np.ndarray:
     return np.stack(rows)
 
 
-def _legendre_norm_matrix(ct: np.ndarray, k: int) -> dict:
-    """Fully normalized associated Legendre values P~_l^m(ct), no
-    Condon-Shortley sign, normalized so Y integrates to 1 on the sphere."""
-    st = np.sqrt(np.maximum(0.0, 1.0 - ct * ct))
-    p = {}
-    p[(0, 0)] = np.full_like(ct, math.sqrt(1.0 / (4.0 * math.pi)))
-    for m in range(1, k + 1):
-        p[(m, m)] = math.sqrt((2.0 * m + 1.0) / (2.0 * m)) * st * p[(m - 1, m - 1)]
-    for m in range(0, k):
-        p[(m + 1, m)] = math.sqrt(2.0 * m + 3.0) * ct * p[(m, m)]
-    for m in range(0, k + 1):
-        for l in range(m + 2, k + 1):
-            a = math.sqrt((4.0 * l * l - 1.0) / (l * l - m * m))
-            b = math.sqrt(((l - 1.0) ** 2 - m * m) / (4.0 * (l - 1.0) ** 2 - 1.0))
-            p[(l, m)] = a * (ct * p[(l - 1, m)] - b * p[(l - 2, m)])
-    return p
-
-
 def _sphere_matrix(pts: np.ndarray, k: int) -> np.ndarray:
-    """Real orthonormal spherical harmonics l <= k at unit vectors."""
-    x, y, z = pts[:, 0], pts[:, 1], pts[:, 2]
-    phi = np.arctan2(y, x)
-    p = _legendre_norm_matrix(z, k)
-    trig = [(np.cos(m * phi), np.sin(m * phi)) for m in range(1, k + 1)]
-    out = np.empty(((k + 1) ** 2, len(phi)))
-    sqrt2 = math.sqrt(2.0)
-    for l in range(k + 1):
-        row = l * l  # rows of degree l: m = 0, then (cos, sin) for m = 1..l
-        out[row] = p[(l, 0)]
-        for m, (cos_m, sin_m) in enumerate(trig[:l], start=1):
-            scaled = sqrt2 * p[(l, m)]
-            np.multiply(scaled, cos_m, out=out[row + 2 * m - 1])
-            np.multiply(scaled, sin_m, out=out[row + 2 * m])
-    return out
+    """Real orthonormal spherical harmonics l <= k at unit vectors, as the
+    (basis, nodes) view of one node-major buffer; the normalized Legendre
+    values (no Condon-Shortley sign) run one order m at a time."""
+    ct, phi = pts[:, 2], np.arctan2(pts[:, 1], pts[:, 0])
+    st = np.sqrt(np.maximum(0.0, 1.0 - ct * ct))
+    out = np.empty((len(phi), (k + 1) ** 2))
+    p_mm = np.full_like(ct, math.sqrt(1.0 / (4.0 * math.pi)))
+    for m in range(k + 1):
+        if m:
+            p_mm = math.sqrt((2.0 * m + 1.0) / (2.0 * m)) * st * p_mm
+            cos_m, sin_m = np.cos(m * phi), np.sin(m * phi)
+        p_l = p_mm
+        for l in range(m, k + 1):  # columns l^2 (m = 0), then (cos, sin) per m
+            if l == m + 1:
+                p_prev, p_l = p_l, math.sqrt(2.0 * m + 3.0) * ct * p_l
+            elif l > m + 1:
+                a = math.sqrt((4.0 * l * l - 1.0) / (l * l - m * m))
+                b = math.sqrt(((l - 1.0) ** 2 - m * m) / (4.0 * (l - 1.0) ** 2 - 1.0))
+                p_prev, p_l = p_l, a * (ct * p_l - b * p_prev)
+            if m == 0:
+                out[:, l * l] = p_l
+            else:
+                scaled = math.sqrt(2.0) * p_l
+                np.multiply(scaled, cos_m, out=out[:, l * l + 2 * m - 1])
+                np.multiply(scaled, sin_m, out=out[:, l * l + 2 * m])
+    return out.T
 
 
 def _ambient_matrix(domain, pts: np.ndarray, k: int) -> np.ndarray:
@@ -248,7 +241,8 @@ def eval_basis(spec: BasisSpec, point) -> np.ndarray:
 
 
 def basis_matrix(spec: BasisSpec, pts: np.ndarray) -> np.ndarray:
-    """Matrix [s_i(p_j)] for many points at once."""
+    """Matrix [s_i(p_j)] for many points at once; on the sphere and caps a
+    view whose `.T` is the C-order mesh-by-basis matrix, with no copy."""
     return _ambient_matrix(spec.domain, pts, spec.k)
 
 
@@ -409,10 +403,10 @@ def leja_greedy(
     shortlists).
 
     `mesh_matrix` is the spherical-harmonic basis matrix of `mesh` at a
-    degree >= spec.k, laid out mesh by basis (`basis_matrix(...).T` in C
-    order).  The ambient basis of degree k is its leading columns, so one
-    matrix serves every degree of a run.  The 1-D domains have an exact
-    solver, `fekete_1d`, and no mesh search.
+    degree >= spec.k, laid out mesh by basis (`basis_matrix(...).T`, C
+    order as built).  The ambient basis of degree k is its leading
+    columns, so one matrix serves every degree of a run.  The 1-D domains
+    have an exact solver, `fekete_1d`, and no mesh search.
     """
     if not isinstance(ambient_of(spec.domain), Sphere):
         raise InputError(f"the mesh search runs on the sphere and caps, not on the {spec.domain.kind}")

@@ -124,6 +124,27 @@ def test_config_rejects_bad_t():
         ExperimentConfig(t_list=(1.5,))
 
 
+def test_config_rejects_negative_mesh_or_sweeps(tmp_path):
+    """A negative mesh would turn every sphere row into an error row and a
+    negative sweep count would skip the exchange silently; both are
+    rejected at load, while 0 (the default mesh, no exchange) stays valid."""
+    for key, bad in (("mesh", -1), ("sweeps", -3)):
+        with pytest.raises(ConfigError, match="nonnegative"):
+            ExperimentConfig(domain_text="sphere", **{key: bad})
+    text = FEKETE_CFG.format(out=tmp_path).replace("sweeps = 3", "sweeps = -3")
+    assert "sweeps = -3" in text
+    with pytest.raises(ConfigError, match="nonnegative"):
+        load_config(write_cfg(tmp_path, text))
+    cfg = ExperimentConfig(domain_text="sphere", mesh=0, sweeps=0)
+    assert (cfg.mesh, cfg.sweeps) == (0, 0)
+
+
+@pytest.mark.parametrize("text", ["arc:1,2,3", "arc:1", "arc:", "arc:1,x", "cap:0,0,1", "cap:0,0,x,1"])
+def test_config_rejects_an_arc_or_cap_with_the_wrong_count_of_numbers(text):
+    with pytest.raises(ConfigError, match="needs"):
+        ExperimentConfig(domain_text=text)
+
+
 def test_config_h_spec_parsed_once():
     cfg = ExperimentConfig(disc_n=2, h_spec=" Mix:0.25 ")
     assert cfg.manifold_key() == ("mix", 2, 0.25)

@@ -886,6 +886,22 @@ def test_sphere_dictionary_evaluates_basis_once_per_node_set(monkeypatch):
         assert calls == [30]
 
 
+def test_sphere_dictionary_means_average_c_order_blocks():
+    """The basis matrix is a (basis, nodes) view of a node-major buffer,
+    and a row mean of that view rounds differently from the row mean of a
+    C-order block.  The dictionary's means on greedy sphere atoms keep the
+    bits of the C-order average at every degree of the rate study."""
+    import feketelab.fekete as fk
+
+    mesh = Sphere().mesh(6000)
+    w = fk.basis_matrix(BasisSpec(Sphere(), 8), mesh).T
+    dct = build_dictionaries(Sphere(), (1.0,))
+    for k in range(2, 9):
+        cfg, _ = fk.leja_greedy(BasisSpec(Sphere(), k), mesh, w)
+        want = np.concatenate([np.mean(np.ascontiguousarray(b), axis=1) for b in dct.blocks(cfg.points)])
+        assert dct.means(cfg.points).tobytes() == want.tobytes(), k
+
+
 # ------------------------------------------------------------- subharmonic
 def _linear_psi(grid, a):
     return SubharmonicSample.harmonic(CircleFunction(grid, a * (np.cos(grid.nodes) - 1.0)))

@@ -1,6 +1,7 @@
 """Bases, log-Vandermonde, greedy and exchange search: oracle-backed."""
 
 import math
+import tracemalloc
 from itertools import combinations
 
 import numpy as np
@@ -254,11 +255,28 @@ def test_rotation_shift_of_circle_optimum():
     assert abs(log_vandermonde(rotated, spec) - cfg.logdet) <= 1e-9
 
 
-def _sphere_matrix_rowwise(pts, k):
-    """The row-by-row build: cos(m phi) and sin(m phi) once per (l, m), rows
-    stacked at the end."""
-    from feketelab.fekete import _legendre_norm_matrix
+def _legendre_norm_matrix(ct, k):
+    """Fully normalized associated Legendre values P~_l^m(ct), no
+    Condon-Shortley sign, normalized so Y integrates to 1 on the sphere:
+    every (l, m) column at once, in a dict."""
+    st = np.sqrt(np.maximum(0.0, 1.0 - ct * ct))
+    p = {}
+    p[(0, 0)] = np.full_like(ct, math.sqrt(1.0 / (4.0 * math.pi)))
+    for m in range(1, k + 1):
+        p[(m, m)] = math.sqrt((2.0 * m + 1.0) / (2.0 * m)) * st * p[(m - 1, m - 1)]
+    for m in range(0, k):
+        p[(m + 1, m)] = math.sqrt(2.0 * m + 3.0) * ct * p[(m, m)]
+    for m in range(0, k + 1):
+        for l in range(m + 2, k + 1):
+            a = math.sqrt((4.0 * l * l - 1.0) / (l * l - m * m))
+            b = math.sqrt(((l - 1.0) ** 2 - m * m) / (4.0 * (l - 1.0) ** 2 - 1.0))
+            p[(l, m)] = a * (ct * p[(l - 1, m)] - b * p[(l - 2, m)])
+    return p
 
+
+def _sphere_matrix_rowwise(pts, k):
+    """The row-by-row build: every Legendre column held at once, cos(m phi)
+    and sin(m phi) once per (l, m), rows stacked at the end."""
     phi = np.arctan2(pts[:, 1], pts[:, 0])
     p = _legendre_norm_matrix(pts[:, 2], k)
     rows = []
@@ -271,14 +289,18 @@ def _sphere_matrix_rowwise(pts, k):
 
 
 def test_sphere_matrix_matches_the_rowwise_build_with_one_trig_pair_per_order(monkeypatch):
+    """Byte for byte, on the sphere, one node and a cap; the transpose is
+    the C-order mesh-by-basis matrix of the search."""
     from feketelab import fekete
 
     mesh = Sphere().mesh(2000)
-    for pts in (mesh, mesh[:1]):
+    cap = SphericalCap((0.0, 0.0, 1.0), 1.0).mesh(2000)
+    for pts in (mesh, mesh[:1], cap):
         for k in range(9):
             want = _sphere_matrix_rowwise(pts, k)
             got = fekete._sphere_matrix(pts, k)
             assert got.shape == want.shape == ((k + 1) ** 2, len(pts))
+            assert got.T.flags.c_contiguous
             assert got.tobytes() == want.tobytes()
     calls = []
     for name in ("cos", "sin"):
@@ -286,3 +308,20 @@ def test_sphere_matrix_matches_the_rowwise_build_with_one_trig_pair_per_order(mo
         monkeypatch.setattr(np, name, lambda x, real=real, name=name: calls.append(name) or real(x))
     fekete._sphere_matrix(mesh, 8)
     assert calls.count("cos") == calls.count("sin") == 8  # rowwise: 36 each
+
+
+def test_sphere_mesh_matrix_is_built_once_without_a_transpose_copy():
+    """The sphere basis is written into one node-major buffer: the search's
+    mesh-by-basis matrix `basis_matrix(...).T` in C order shares its
+    memory, and building it holds little besides that buffer (a build in
+    basis-major order plus the transposed copy peaks at twice its size)."""
+    mesh = Sphere().mesh(6000)
+    tracemalloc.start()
+    try:
+        b = basis_matrix(BasisSpec(Sphere(), 8), mesh)
+        w = np.ascontiguousarray(b.T)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert np.shares_memory(w, b)
+    assert peak <= 1.25 * w.nbytes, peak / w.nbytes
