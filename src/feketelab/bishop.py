@@ -11,10 +11,10 @@ capture maps through the disc families (Phi^h and Phi'^h), the tau control
 steering the boundary derivative at 1 in the singular case, and the wedge
 attachment report.
 
-Thresholds in t are calibrated by bisection on six fixed sample solves,
-never taken from closed-form constants.  What they measure is the
-500-step Picard budget together with a ratio and an attachment check, not
-the onset of contraction itself: see calibrate_t_threshold.
+Thresholds in t are where six fixed sample solves reach the contraction
+rate rho* = 0.95 of the linearised Picard step, max specrad(Dh(U*)) in
+closed form because T1 has a compact commutator with every continuous
+coefficient (Coifman, Rochberg & Weiss 1976): see calibrate_t_threshold.
 """
 
 from __future__ import annotations
@@ -192,9 +192,10 @@ def solve_bishop_singular(
     manifold: GraphManifold,
     p: FamilyParams,
     grid: CircleGrid,
+    start: np.ndarray | None = None,
 ) -> BishopSolution:
     """Solve U' = 2t(|z|,...,|z|) - T1(h(U')) - T1(u'_{z,t,tau})."""
-    return _solve(manifold, p, grid, None, singular=True)
+    return _solve(manifold, p, grid, start, singular=True)
 
 
 def _solve(
@@ -404,59 +405,75 @@ def calibrate_wedge(manifold: GraphManifold, t: float, grid: CircleGrid) -> floa
 
 
 # ---------------------------------------------------------- t calibration
+_RHO_STAR = 0.95  # the largest contraction rate a t-threshold admits
+_T_TOL = 2.0**-20
+
+
+def contraction_rate(sol: BishopSolution) -> float:
+    """rho = max over the grid of specrad(Dh(U*(theta))), the spectral radius
+    of the linearised Picard step delta -> -T1(Dh(U*) delta) at sol's fixed
+    point (2q max|U*| for quad); Dh by central differences of h."""
+    x, h, eps = sol.U.T, sol.manifold.h, 1e-6
+    jac = np.stack([np.subtract(h(x + e), h(x - e)) for e in eps * np.eye(x.shape[1])], axis=-1) / (2 * eps)
+    return float(np.max(np.abs(np.linalg.eigvals(jac))))
+
+
 @lru_cache(maxsize=None)
 def calibrate_t_threshold(
     manifold_key: tuple, grid: CircleGrid, singular: bool
 ) -> float:
-    """Largest t in [0, 1], to within 2^-20 by bisection, at which each of six
-    fixed samples passes: its solve converges within the 500-step Picard
-    budget, its geometric-mean change ratio is below 1 and its attachment
-    residual is at most 1e-9.  The threshold is usually set by the step
-    budget, not by a ratio reaching 1: at quad:0.5, n = 2, M = 1024 both
-    thresholds sit where one sample needs 499-500 steps at a ratio near
-    0.945.
+    """Largest t in [0, 1] at which six fixed samples contract at rate at
+    most _RHO_STAR: the lower end lo of a bracket hi - lo <= 2^-20 with
+    rho_max(lo) <= rho* < rho_max(hi) between converged solves, rho_max(t)
+    being the samples' largest contraction_rate.  The Picard step is a
+    Hilbert transform times a continuous coefficient, whose commutator with
+    T1 is compact (Coifman, Rochberg & Weiss 1976), so that closed form is
+    its rate and the step budget never sets the threshold.  A secant kept
+    inside the bracket starts at t = 2^-6, goes linearly through
+    rho_max(0) = 0 and counts a trial whose solve raises as above the root;
+    each solve starts from the sample's last fixed point times t / t_prev.
+    Returns 1.0 when rho_max(1) <= rho* (h = 0); raises ContractionFailure
+    unless each sample at lo has attachment residual <= 1e-9.
 
     manifold_key identifies a built-in manifold: ("quad", n, q) or
     ("mix", n, q) or ("zero", n).
     """
     manifold = manifold_from_key(manifold_key)
-    n = manifold.n
-
-    rng = Rng(0x7E57)
+    n, rng = manifold.n, Rng(0x7E57)
     samples = []
     for _ in range(6):
         v = np.asarray(rng.sphere(2 * n))
-        r = 0.3 / (2.0 * n) * (0.2 + 0.8 * rng.uniform())
-        samples.append(r * (v[:n] + 1j * v[n:]))
-
+        samples.append(0.3 / (2.0 * n) * (0.2 + 0.8 * rng.uniform()) * (v[:n] + 1j * v[n:]))
     solve = solve_bishop_singular if singular else solve_bishop
+    last = [None] * len(samples)
 
-    def fails(z, t: float) -> bool:
-        try:
-            sol = solve(manifold, FamilyParams.from_complex(z, t), grid)
-            return sol.geometric_mean_ratio() >= 1.0 or attachment_residual(sol) > 1e-9
-        except (ContractionFailure, DomainError):
-            return True
-
-    # works(t) is an AND of independent deterministic solves, so the order
-    # is free: the sample that failed last moves to the front, and a failing
-    # step usually stops after one solve
-    def works(t: float) -> bool:
+    def trial(t: float):  # the six solves at t, or None once one raises
         for i, z in enumerate(samples):
-            if fails(z, t):
-                samples.insert(0, samples.pop(i))
-                return False
-        return True
+            start = None if last[i] is None else last[i].U * (t / last[i].params.t)
+            try:
+                last[i] = solve(manifold, FamilyParams.from_complex(z, t), grid, start)
+            except (ContractionFailure, DomainError):
+                return None
+        return list(last)
 
-    lo, hi = 0.0, 1.0
-    if works(hi):
-        return 1.0
-    for _ in range(20):
-        mid = 0.5 * (lo + hi)
-        if mid <= 1e-6:
-            break
-        if works(mid):
-            lo = mid
+    # secant on f = rho_max - rho* through the last two converged trials, the
+    # first being t = 0, where U* = 0 and Dh vanishes
+    lo, lo_sols, hi, f_hi, pts, t = 0.0, None, math.inf, 0.0, [(0.0, -_RHO_STAR)], 2.0**-6
+    while lo < 1.0 and hi - lo > _T_TOL:
+        sols = trial(t)
+        f = math.inf if sols is None else max(map(contraction_rate, sols)) - _RHO_STAR
+        if f > 0.0:
+            hi, f_hi = t, f
         else:
-            hi = mid
+            lo, lo_sols = t, sols
+        if sols is not None:
+            pts.append((t, f))
+        (a, fa), (b, fb) = (pts * 2)[-2:]
+        t = b - fb * (b - a) / (fb - fa) if (fb - fa) * (b - a) > 0.0 else math.inf
+        t = min(max(t if lo < t < hi else 0.5 * (lo + hi), lo + _T_TOL / 2), hi - _T_TOL / 2, 1.0)
+    if lo_sols is None or math.isinf(f_hi):
+        raise ContractionFailure(f"no bracket of rho_max = {_RHO_STAR} between converged solves at t = {lo!r}")
+    for i, sol in enumerate(lo_sols):
+        if attachment_residual(sol) > 1e-9:
+            raise ContractionFailure(f"calibration sample {i} at t = {lo!r}: attachment residual above 1e-9")
     return lo

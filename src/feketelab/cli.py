@@ -401,6 +401,7 @@ def cmd_bishop(cfg: ExperimentConfig) -> RunRecord:
             "z_norm",
             "iters",
             "gm_ratio",
+            "rho",
             "ratio_budget",
             "fixed_residual",
             "attach_residual",
@@ -447,7 +448,7 @@ def cmd_bishop(cfg: ExperimentConfig) -> RunRecord:
             except FeketelabError:
                 ok = False
         return {
-            "t": t, "z_norm": p.norm, "iters": sol.iterations, "gm_ratio": gm, "ratio_budget": budget,
+            "t": t, "z_norm": p.norm, "iters": sol.iterations, "gm_ratio": gm, "rho": bsh.contraction_rate(sol), "ratio_budget": budget,
             "fixed_residual": sol.residual, "attach_residual": attach, "holo_residual": holo,
             "sup_norm": sup, "norm_budget": norm_budget, "phi_gap_over_t2z": gap,
             "tau_norm_over_t": tau_norm, "tau_residual": tau_res, "pass": ok,

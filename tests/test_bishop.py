@@ -20,6 +20,7 @@ from feketelab.bishop import (
     assemble_Fh,
     attachment_residual,
     calibrate_t_threshold,
+    contraction_rate,
     h_mix,
     h_quad,
     h_zero,
@@ -445,70 +446,96 @@ def test_phi_h_prime_near_reduction_for_h_zero():
         assert gap <= 10.0 * band  # c4 surrogate
 
 
-def _fixed_order_threshold(key, grid, singular):
-    """calibrate_t_threshold with its six samples always solved in the order
-    drawn; returns (threshold, solves run)."""
-    from feketelab.bishop import manifold_from_key
-
-    manifold = manifold_from_key(key)
-    n = manifold.n
+def _calibration_samples(n):
+    """The six fixed samples calibrate_t_threshold draws."""
     rng = Rng(0x7E57)
     samples = []
     for _ in range(6):
         v = np.asarray(rng.sphere(2 * n))
         r = 0.3 / (2.0 * n) * (0.2 + 0.8 * rng.uniform())
         samples.append(r * (v[:n] + 1j * v[n:]))
-    solve = solve_bishop_singular if singular else solve_bishop
-    solves = [0]
-
-    def works(t):
-        try:
-            for z in samples:
-                solves[0] += 1
-                sol = solve(manifold, FamilyParams.from_complex(z, t), grid)
-                if sol.geometric_mean_ratio() >= 1.0:
-                    return False
-                if attachment_residual(sol) > 1e-9:
-                    return False
-        except (ContractionFailure, DomainError):
-            return False
-        return True
-
-    lo, hi = 0.0, 1.0
-    if works(hi):
-        return 1.0, solves[0]
-    for _ in range(20):
-        mid = 0.5 * (lo + hi)
-        if mid <= 1e-6:
-            break
-        if works(mid):
-            lo = mid
-        else:
-            hi = mid
-    return lo, solves[0]
+    return samples
 
 
-def test_threshold_with_failing_sample_first_matches_fixed_order(monkeypatch):
-    """Trying the last failing sample first changes neither threshold of any
-    built-in key, and at quad:0.5, n = 2 saves 7 of 74 regular solves."""
+def _arnoldi_radius(sol, k=150):
+    """Largest Ritz value modulus of the linearised Picard step
+    delta -> -T1(Dh(U*) delta) from k Arnoldi vectors; Dh delta is a central
+    difference along delta, exact for the quadratic manifolds."""
+    U, h, eps = sol.U, sol.manifold.h, 1e-3
+
+    def step(v):
+        d = v.reshape(U.shape)
+        jd = (np.asarray(h((U + eps * d).T)) - np.asarray(h((U - eps * d).T))).T / (2 * eps)
+        return -_conjugate_rows(sol.grid, jd, True).ravel()
+
+    Q = np.zeros((k + 1, U.size))
+    H = np.zeros((k + 1, k))
+    q = np.random.default_rng(0).standard_normal(U.size)
+    Q[0] = q / np.linalg.norm(q)
+    for j in range(k):
+        w = step(Q[j])
+        for _ in range(2):  # Gram-Schmidt twice
+            c = Q[: j + 1] @ w
+            w -= c @ Q[: j + 1]
+            H[: j + 1, j] += c
+        H[j + 1, j] = np.linalg.norm(w)
+        Q[j + 1] = w / H[j + 1, j]
+    return float(np.max(np.abs(np.linalg.eigvals(H[:k, :k]))))
+
+
+@pytest.mark.parametrize("key", [("quad", 1, 0.5), ("quad", 2, 0.5), ("mix", 2, 0.5)])
+def test_contraction_rate_bounds_the_arnoldi_radius_from_above(key):
+    """At the regular threshold, 150 Arnoldi vectors of the linearised step
+    come up to the closed-form rate from below, within 1e-3.  The grid has
+    M = 512: the discrete step's whole spectrum (a dense eigensolve) sits
+    up to 2.7e-3 below the rate at M = 256 and 6.1e-4 at M = 512."""
+    grid = CircleGrid(512)
+    K = manifold_from_key(key)
+    t = calibrate_t_threshold(key, grid, False)
+    for z in _calibration_samples(K.n):
+        sol = solve_bishop(K, FamilyParams.from_complex(z, t), grid)
+        rho = contraction_rate(sol)
+        if key[0] == "quad":
+            assert rho == pytest.approx(2.0 * key[2] * sol.sup_norm(), rel=1e-9)
+        assert rho - 1e-3 <= _arnoldi_radius(sol) <= rho
+
+
+@pytest.mark.parametrize("singular", [False, True])
+def test_threshold_is_the_lower_end_of_a_converged_rho_bracket(monkeypatch, singular):
+    """rho_max(lo) <= 0.95 < rho_max(hi) on two trials of six converged
+    solves no more than 2^-20 apart, and the binding sample's Picard tail
+    ratio at lo lies within 5e-3 below 0.95."""
     from feketelab import bishop
 
     grid = CircleGrid(256)
-    solves = [0]
-    real_solve = bishop._solve
+    name = "solve_bishop_singular" if singular else "solve_bishop"
+    real = getattr(bishop, name)
+    trials = {}
 
-    def counting_solve(*args, **kwargs):
-        solves[0] += 1
-        return real_solve(*args, **kwargs)
+    def recording(manifold, p, grid, start=None):
+        sol = real(manifold, p, grid, start)
+        trials.setdefault(p.t, []).append(sol)
+        return sol
 
-    monkeypatch.setattr(bishop, "_solve", counting_solve)
-    keys = [("quad", 1, 0.5), ("quad", 2, 0.5), ("mix", 2, 0.5), ("quad", 2, 0.1), ("quad", 1, 1.0)]
-    for key in keys:
-        for singular in (False, True):
-            want, fixed_solves = _fixed_order_threshold(key, grid, singular)
-            solves[0] = 0
-            got = calibrate_t_threshold.__wrapped__(key, grid, singular)
-            assert got.hex() == want.hex(), (key, singular)
-            assert solves[0] <= fixed_solves
-            if key == ("quad", 2, 0.5) and not singular:
-                assert (solves[0], fixed_solves) == (67, 74)
+    monkeypatch.setattr(bishop, name, recording)
+    lo = calibrate_t_threshold.__wrapped__(("quad", 2, 0.5), grid, singular)
+    rho_max = {t: max(map(contraction_rate, sols)) for t, sols in trials.items() if len(sols) == 6}
+    hi = min(t for t, rho in rho_max.items() if rho > 0.95)
+    assert rho_max[lo] <= 0.95 < rho_max[hi]
+    assert 0.0 < hi - lo <= 2.0**-20
+    binding = max(trials[lo], key=contraction_rate)
+    tail = math.exp(np.mean(np.log(binding.ratio_log[-50:])))
+    assert 0.95 - 5e-3 <= tail <= 0.95
+
+
+def test_threshold_of_h_zero_is_one():
+    for singular in (False, True):
+        assert calibrate_t_threshold(("zero", 2), CircleGrid(256), singular) == 1.0
+
+
+def test_threshold_certificate_fails_on_a_large_attachment_residual(monkeypatch):
+    from feketelab import bishop
+
+    monkeypatch.setattr(bishop, "attachment_residual", lambda sol, disc=None: 1.0)
+    with pytest.raises(ContractionFailure, match=r"sample 0 at t = 0\.\d+"):
+        calibrate_t_threshold.__wrapped__(("quad", 1, 0.5), CircleGrid(256), False)

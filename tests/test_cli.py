@@ -139,6 +139,17 @@ def test_config_rejects_negative_mesh_or_sweeps(tmp_path):
     assert (cfg.mesh, cfg.sweeps) == (0, 0)
 
 
+@pytest.mark.parametrize("key, bad", [("k_min", -1), ("k_min", -5), ("samples", 0), ("samples", -1)])
+def test_config_rejects_a_negative_degree_or_no_samples(key, bad):
+    """A negative k_min used to become an error row per negative degree and
+    samples < 1 one sample per t; both are rejected at load, while
+    k_min = 0 and samples = 1 stay valid."""
+    with pytest.raises(ConfigError, match="nonnegative" if key == "k_min" else "at least 1"):
+        ExperimentConfig(**{key: bad})
+    cfg = ExperimentConfig(k_min=0, samples=1)
+    assert (cfg.k_min, cfg.samples) == (0, 1)
+
+
 @pytest.mark.parametrize("text", ["arc:1,2,3", "arc:1", "arc:", "arc:1,x", "cap:0,0,1", "cap:0,0,x,1"])
 def test_config_rejects_an_arc_or_cap_with_the_wrong_count_of_numbers(text):
     with pytest.raises(ConfigError, match="needs"):
