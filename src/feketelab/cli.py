@@ -124,12 +124,41 @@ def _weight_slope(cfg: ExperimentConfig) -> float:
         raise ConfigError(f"bad weight {cfg.weight!r}") from exc
 
 
+def _exact_1d(slope: float):
+    """The interval, circle and arcs: `fk.fekete_1d`, with its KKT residual
+    as the one extra column."""
+
+    def search(spec):
+        config, residual = fk.fekete_1d(spec, slope)
+        return config, {"kkt_residual": residual}
+
+    return search
+
+
+def _sphere_search(mesh):
+    """The full sphere: `fk.fekete_sphere`, off any mesh, with its KKT
+    residual, its Newton steps, the largest Lagrange function value on the
+    verification mesh `mesh`, and the gap to Hadamard's bound
+    logdet <= (N/2) log(N/(4 pi)), which holds on any N points."""
+
+    def search(spec):
+        config, residual, steps = fk.fekete_sphere(spec)
+        n = config.size
+        return config, {
+            "kkt_residual": residual,
+            "max_lagrange": fk.max_lagrange(config, spec, mesh),
+            "newton_steps": steps,
+            "hadamard_gap": 0.5 * n * math.log(n / (4.0 * math.pi)) - config.logdet,
+        }
+
+    return search
+
+
 def _mesh_search(mesh, k_max: int, sweeps: int):
-    """The sphere and cap search: greedy then exchange, with 0.0 in the
-    place of `fk.fekete_1d`'s KKT residual.  Every degree reads the leading
-    columns of one mesh-by-basis matrix at k_max, built by the first
-    search as the `.T` of `fk.basis_matrix` (C order, no copy); each
-    search state is freed when its search returns."""
+    """The cap search: greedy then exchange, with no extra columns.  Every
+    degree reads the leading columns of one mesh-by-basis matrix at k_max,
+    built by the first search as the `.T` of `fk.basis_matrix` (C order,
+    no copy); each search state is freed when its search returns."""
     mesh_matrix = None
 
     def search(spec):
@@ -137,7 +166,7 @@ def _mesh_search(mesh, k_max: int, sweeps: int):
         if mesh_matrix is None:
             mesh_matrix = fk.basis_matrix(fk.BasisSpec(spec.domain, k_max), mesh).T
         config, state = fk.leja_greedy(spec, mesh, mesh_matrix)
-        return fk.exchange_refine(config, spec, mesh, sweeps, state), 0.0
+        return fk.exchange_refine(config, spec, mesh, sweeps, state), {}
 
     return search
 
@@ -179,19 +208,29 @@ def _dist_to_reference(domain, mu, reference, gammas, dictionary):
 def cmd_fekete(cfg: ExperimentConfig) -> RunRecord:
     """One row per degree.  The interval, circle and arcs get their exact
     Fekete configuration (`fk.fekete_1d`), with its KKT residual as a
-    column that `pass` bounds, and two-sided dist_gamma bounds; the sphere
-    and caps get the mesh search and test-dictionary lower bounds."""
+    column that `pass` bounds, and two-sided dist_gamma bounds.  The
+    sphere gets `fk.fekete_sphere`, whose KKT residual and largest
+    Lagrange value on the configured mesh (a verification mesh only)
+    `pass` bounds, and caps the mesh search; both get test-dictionary
+    lower bounds."""
     domain = cfg.domain
     slope = _weight_slope(cfg)
     gammas = eq.check_gammas(cfg.gammas + (1.0,))
     one_d = not isinstance(fk.ambient_of(domain), fk.Sphere)
     if one_d:
-        search = partial(fk.fekete_1d, slope=slope)
+        search, extra = _exact_1d(slope), ["kkt_residual"]
         calibration = {"search": "exact-newton", "kkt_tol": fk.KKT_TOL}
     else:
         mesh = domain.mesh(cfg.mesh) if cfg.mesh else domain.mesh()
-        search = _mesh_search(mesh, cfg.k_max, cfg.sweeps)
-        calibration = {"mesh": len(mesh), "sweeps": cfg.sweeps}
+        if isinstance(domain, fk.Sphere):
+            search, extra = _sphere_search(mesh), ["kkt_residual", "max_lagrange", "newton_steps", "hadamard_gap"]
+            calibration = {
+                "search": "kernel-newton", "kkt_tol": fk.KKT_TOL,
+                "lagrange_tol": fk.LAGRANGE_TOL, "verification_mesh": len(mesh),
+            }
+        else:
+            search, extra = _mesh_search(mesh, cfg.k_max, cfg.sweeps), []
+            calibration = {"mesh": len(mesh), "sweeps": cfg.sweeps}
     search = cache(search)  # an arc's or cap's reference is its k_max row's configuration
     reference, ref_name = _reference_for(domain, search, cfg.k_max)
     if one_d:
@@ -203,22 +242,23 @@ def cmd_fekete(cfg: ExperimentConfig) -> RunRecord:
     rec = RunRecord(
         name=cfg.name,
         config_hash=cfg.config_hash(),
-        columns=[
-            "status", "k", "n_k", "logdet", *(["kkt_residual"] if one_d else []), "dist1",
-            *dist_columns, "pass", "note",
-        ],
+        columns=["status", "k", "n_k", "logdet", *extra, "dist1", *dist_columns, "pass", "note"],
         calibration={"reference": ref_name, **calibration},
     )
 
     def run_cell(k: int):
         t0 = time.perf_counter()
-        config, residual = search(fk.BasisSpec(domain, k))
+        config, columns = search(fk.BasisSpec(domain, k))
         rec.phases["search_s"] = time.perf_counter() - t0
         t0 = time.perf_counter()
         dists = _dist_to_reference(domain, fk.fekete_measure(config), reference, gammas, dictionary)
         rec.phases["dist_s"] = time.perf_counter() - t0
-        ok = np.isfinite(config.logdet) and residual <= fk.KKT_TOL
-        return {"k": k, "n_k": config.size, "logdet": config.logdet, "kkt_residual": residual, **dists, "pass": ok}
+        ok = (
+            np.isfinite(config.logdet)
+            and columns.get("kkt_residual", 0.0) <= fk.KKT_TOL
+            and columns.get("max_lagrange", 0.0) <= 1.0 + fk.LAGRANGE_TOL
+        )
+        return {"k": k, "n_k": config.size, "logdet": config.logdet, **columns, **dists, "pass": ok}
 
     _run_cells(rec, [(f"k={k}", {"k": k}, partial(run_cell, k)) for k in cfg.ks])
     return rec

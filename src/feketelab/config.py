@@ -60,8 +60,8 @@ class ExperimentConfig:
     def __post_init__(self):
         if self.k_min > self.k_max:
             raise ConfigError("k range must be nonempty and increasing")
-        if min(self.k_min, self.mesh, self.sweeps) < 0 or self.samples < 1:
-            raise ConfigError("k_min, mesh and sweeps must be nonnegative, samples at least 1")
+        if min(self.k_min, self.mesh, self.sweeps) < 0 or self.samples < max(1, len(self.t_list)):
+            raise ConfigError("k_min, mesh and sweeps must be nonnegative, samples at least 1 per t value")
         for t in self.t_list:
             if not 0.0 < t <= 1.0:
                 raise ConfigError("t values must lie in (0, 1]")

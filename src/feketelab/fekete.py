@@ -7,10 +7,12 @@ and caps inheriting the ambient basis.  Log-Vandermonde values are
 pairwise products in 1-D and pivoted LU on the sphere and caps.
 On the 1-D domains the Fekete configuration is computed exactly: in closed
 form on the circle, and by Newton on the concave pairwise form of the
-log-Vandermonde on the interval and on arcs.  On the sphere and caps,
-which have no exact solver, configurations are searched in index space on
-one mesh-by-basis matrix per run: greedy Leja extraction followed by
-single-point exchange refinement over a candidate shortlist.
+log-Vandermonde on the interval and on arcs.  On the sphere it is a local
+maximum off any mesh, by trust-region Newton on (1/2) logdet of the
+reproducing-kernel matrix.  On caps, which have no such solver yet,
+configurations are searched in index space on one mesh-by-basis matrix
+per run: greedy Leja extraction followed by single-point exchange
+refinement over a candidate shortlist.
 """
 
 from __future__ import annotations
@@ -28,8 +30,11 @@ NEG_INF = float("-inf")
 _GOLDEN_ANGLE = math.pi * (3.0 - math.sqrt(5.0))
 _SHORTLIST = 64
 _NEWTON_MAX_ITERS = 60  # Newton steps of one exact 1-D solve, active-set changes included
+_TRUST_MAX_STEPS = 150  # trust-region steps of one sphere solve (k = 2..15 take 6 to 54)
 _NEWTON_STEP_TOL = 1e-13  # a Newton step this short (on [-1, 1] or in radians) is rounding
-KKT_TOL = 1e-6  # largest |gradient| over the free points of a passing 1-D row
+KKT_TOL = 1e-6  # largest |gradient| over the free points of a passing 1-D or sphere row
+LAGRANGE_TOL = 1e-6  # how far max |l_i| on the verification mesh may pass 1 on a passing sphere row
+_LAGRANGE_BLOCK = 4096  # verification-mesh nodes scanned at once
 
 
 # ------------------------------------------------------------------ domains
@@ -635,3 +640,224 @@ def fekete_1d(spec: BasisSpec, slope: float = 0.0) -> tuple[PointConfiguration, 
         raise InputError(f"no exact Fekete solver on the {domain.kind}")
     config = PointConfiguration(domain=domain, points=pts, logdet=logdet)
     return config, residual
+
+
+# -------------------------------------------------- Fekete points on S^2
+def _kernel(t: np.ndarray, k: int):
+    """kappa(t) = sum_{l<=k} (2l+1)/(4 pi) P_l(t), the reproducing kernel of
+    the degree-k harmonics, with kappa' and kappa'', by the recurrences
+    (l+1) P_{l+1} = (2l+1) t P_l - l P_{l-1} and
+    P_{l+1}^(d) = P_{l-1}^(d) + (2l+1) P_l^(d-1)."""
+    zero = np.zeros_like(t)
+    prev, cur = [zero] * 3, [np.ones_like(t), zero, zero]
+    kap = [c / (4.0 * math.pi) for c in cur]
+    for l in range(k):
+        cur, prev = [
+            ((2 * l + 1) * t * cur[0] - l * prev[0]) / (l + 1),
+            prev[1] + (2 * l + 1) * cur[0],
+            prev[2] + (2 * l + 1) * cur[1],
+        ], cur
+        kap = [a + (2 * l + 3) / (4.0 * math.pi) * c for a, c in zip(kap, cur)]
+    return kap
+
+
+def _inverse_cholesky(a: np.ndarray):
+    """Z = L^-1 for the lower Cholesky factor L of a symmetric matrix, by
+    bordering (row j of L left of the diagonal is Z[:j, :j] a[:j, j]), and
+    the first row whose pivot is not positive: len(a) when a is positive
+    definite, else Z is complete above it.  Only einsum and ufuncs run:
+    LAPACK and BLAS round differently with the thread count."""
+    z = np.zeros_like(a)
+    for j in range(len(a)):
+        row = np.einsum("ik,k->i", z[:j, :j], a[:j, j])
+        pivot = a[j, j] - np.einsum("i,i", row, row)
+        if not pivot > 0.0:
+            return z, j
+        z[j, j] = 1.0 / math.sqrt(pivot)
+        z[j, :j] = -z[j, j] * np.einsum("i,ik->k", row, z[:j, :j])
+    return z, len(a)
+
+
+def _sphere_state(x: np.ndarray, k: int):
+    """Gram matrix t = X X^T, [kappa, kappa', kappa''] at t, the inverse
+    Cholesky factor Z of K = kappa(t) and (1/2) logdet K = -sum log Z_ii;
+    Z is None and the logdet -inf where K is not positive definite."""
+    t = np.clip(np.einsum("id,jd->ij", x, x), -1.0, 1.0)
+    np.fill_diagonal(t, 1.0)
+    kap = _kernel(t, k)
+    z, bad = _inverse_cholesky(kap[0])
+    if bad < len(z):
+        return t, kap, None, NEG_INF
+    return t, kap, z, -float(np.sum(np.log(np.diagonal(z))))
+
+
+def _sphere_derivatives(x: np.ndarray, t, kap, z):
+    """Gradient (2, N) and Hessian (2N, 2N) of (1/2) logdet K(X, X) in the
+    tangent frames (e_i1, e_i2) at the points, and the frames (2, N, 3).
+
+    With W = K^-1, M = W o kappa', P_a[i, j] = e_ia . x_j, U_a = kappa' o P_a
+    and T_a = U_a W, the gradient is g_ia = sum_j W_ij U_a[i, j], and the
+    second derivative along the retraction (x_i + v_i)/|x_i + v_i| has the
+    blocks
+      M o (e_ia . e_jb) - delta_ab diag(sum_j M_ij t_ij)
+      + diag(sum_j (W o kappa'')_ij P_a[i, j] P_b[i, j])
+      + (W o kappa'') o P_a o P_b^T - T_a o T_b^T - W o (T_a U_b^T),
+    from the second-order terms of log det(K + dK).
+    """
+    n = len(x)
+    w = np.einsum("ki,kj->ij", z, z)
+    e1 = np.cross(x, np.eye(3)[np.argmin(np.abs(x), axis=1)])
+    e1 /= np.sqrt(np.einsum("ij,ij->i", e1, e1))[:, None]
+    frames = np.stack([e1, np.cross(x, e1)])
+    p = np.einsum("aid,jd->aij", frames, x)
+    u = kap[1] * p
+    tt = np.einsum("aik,kj->aij", u, w)
+    m1, m2 = w * kap[1], w * kap[2]
+    hess = (
+        m1 * np.einsum("aid,bjd->abij", frames, frames)
+        + m2 * p[:, None] * p.transpose(0, 2, 1)
+        - tt[:, None] * tt.transpose(0, 2, 1)
+        - w * np.einsum("aik,bjk->abij", tt, u)
+    )
+    diag = np.einsum("ij,aij,bij->abi", m2, p, p) - np.eye(2)[:, :, None] * np.einsum("ij,ij->i", m1, t)
+    idx = np.arange(n)
+    hess[:, :, idx, idx] += diag
+    grad = np.einsum("ij,aij->ai", w, u)
+    return grad, hess.transpose(0, 2, 1, 3).reshape(2 * n, 2 * n), frames
+
+
+def _rotation_basis(frames: np.ndarray) -> np.ndarray:
+    """Orthonormal rows spanning the tangent fields v_i = w x x_i of the
+    rotations (w in R^3), in frame coordinates: x_i x e_i1 = e_i2 and
+    x_i x e_i2 = -e_i1, so axis c has coordinates (e_i2[c], -e_i1[c])."""
+    rows = []
+    for vec in np.stack([frames[1], -frames[0]]).transpose(2, 0, 1).reshape(3, -1):
+        for q in rows:
+            vec = vec - np.einsum("i,i", q, vec) * q
+        norm = math.sqrt(np.einsum("i,i", vec, vec))
+        if norm > 1e-8:  # two antipodal points have only two rotation fields, one point none
+            rows.append(vec / norm)
+    return np.array(rows).reshape(-1, frames.shape[1] * 2)
+
+
+def _truncated_cg(a: np.ndarray, g: np.ndarray, radius: float):
+    """Steihaug-Toint truncated conjugate gradients for the trust-region
+    model max g.s - s.a.s/2 over |s| <= radius: the step, and whether CG
+    stopped inside on its tolerance |r| <= |g| min(|g|, 0.1) rather than
+    at the boundary or on a direction of nonpositive curvature."""
+    s, r = np.zeros_like(g), g.copy()
+    d, rr = r.copy(), float(np.einsum("i,i", r, r))
+    tol = rr * min(rr, 0.01)
+    for _ in range(len(g)):
+        if rr <= tol:
+            break
+        ad = np.einsum("ij,j->i", a, d)
+        curv = float(np.einsum("i,i", d, ad))
+        nxt = s + rr / curv * d if curv > 0.0 else s
+        if curv <= 0.0 or np.einsum("i,i", nxt, nxt) >= radius * radius:
+            sd, dd = float(np.einsum("i,i", s, d)), float(np.einsum("i,i", d, d))
+            tau = (math.sqrt(sd * sd + dd * (radius * radius - np.einsum("i,i", s, s))) - sd) / dd
+            return s + tau * d, False
+        s, r, rr_old = nxt, r - rr / curv * ad, rr
+        rr = float(np.einsum("i,i", r, r))
+        d = r + rr / rr_old * d
+    return s, True
+
+
+def _newton_sphere(n: int, k: int):
+    """Local maximiser of (1/2) logdet K(X, X) over N points of S^2 from the
+    N-node spiral `Sphere().mesh(n)`, its value, its KKT residual
+    max_i |g_i| and the number of trust-region steps tried.
+
+    A Riemannian trust-region Newton method (Absil, Baker & Gallivan 2007),
+    its model solved by truncated CG.  logdet K is invariant under
+    rotations, so gradient and Hessian are projected off the three rotation
+    fields and no step turns the configuration as a whole.  A step is
+    taken when logdet does not fall by more than its rounding.  The solve
+    stops at an interior step of at most _NEWTON_STEP_TOL radians where
+    the projected Hessian, with the identity on the rotation fields, is
+    negative definite.  Where it is not, the point is a saddle (the spiral
+    is symmetric under a half-turn, and so are its iterates), and the next
+    step goes to the trust-region boundary along the direction of
+    nonnegative curvature that the failed factorization gives.  Raises
+    NewtonFailure rather than return an unsettled solve.
+    """
+    x = Sphere().mesh(n)
+    t, kap, z, value = _sphere_state(x, k)
+    if z is None:
+        raise NewtonFailure(f"k = {k}: the kernel matrix of the spiral start is singular")
+    radius, moved = 1.0, True
+    for steps in range(_TRUST_MAX_STEPS):
+        if moved:
+            grad, hess, frames = _sphere_derivatives(x, t, kap, z)
+            q = _rotation_basis(frames)
+            hp = hess - np.einsum("ir,rj->ij", np.einsum("ij,rj->ir", hess, q), q)
+            a = np.einsum("ri,rj->ij", q, np.einsum("ri,ij->rj", q, hp) + q) - hp
+            g = grad.reshape(-1)
+            g = g - np.einsum("ri,r->i", q, np.einsum("ri,i->r", q, g))
+        step, inside = _truncated_cg(a, g, radius)
+        move = np.einsum("ai,aid->id", step.reshape(2, n), frames)
+        if inside and np.max(np.einsum("id,id->i", move, move)) <= _NEWTON_STEP_TOL**2:
+            zq, bad = _inverse_cholesky(a)
+            if bad == len(g):
+                return x, value, float(np.max(np.sqrt(np.einsum("ai,ai->i", grad, grad)))), steps
+            step = np.zeros(len(g))
+            head = zq[:bad, :bad]
+            step[:bad] = -np.einsum("ki,k->i", head, np.einsum("ik,k->i", head, a[:bad, bad]))
+            step[bad] = 1.0
+            step -= np.einsum("ri,r->i", q, np.einsum("ri,i->r", q, step))
+            step *= math.copysign(radius, np.einsum("i,i", g, step)) / math.sqrt(np.einsum("i,i", step, step))
+            move, inside = np.einsum("ai,aid->id", step.reshape(2, n), frames), False
+        trial = x + move
+        trial /= np.sqrt(np.einsum("id,id->i", trial, trial))[:, None]
+        state = _sphere_state(trial, k)
+        rounding = 1e-12 * (1.0 + abs(value))
+        gain = float(np.einsum("i,i", g, step) - 0.5 * np.einsum("i,ij,j", step, a, step))
+        moved = state[3] >= value - rounding
+        ratio = (state[3] - value) / gain if gain > rounding else float(moved)
+        if ratio < 0.25:
+            radius *= 0.25
+        elif ratio > 0.75 and not inside:
+            radius *= 2.0
+        if moved:
+            x, (t, kap, z, value) = trial, state
+    raise NewtonFailure(f"k = {k}: Newton on {n} points did not settle within {_TRUST_MAX_STEPS} steps")
+
+
+def fekete_sphere(spec: BasisSpec) -> tuple[PointConfiguration, float, int]:
+    """Fekete configuration on S^2, off any mesh, its KKT residual and the
+    number of Newton steps taken (`_newton_sphere`).
+
+    For any N = (k+1)^2 points, log|det A| = (1/2) logdet K(X, X) with
+    K = kappa_k(x . y), so logdet needs only the kernel: it is the sum of
+    the logs of K's Cholesky diagonal, with no harmonic matrix.
+    """
+    if not isinstance(spec.domain, Sphere):
+        raise InputError(f"fekete_sphere solves the full sphere, not the {spec.domain.kind}")
+    x, logdet, residual, steps = _newton_sphere(basis_dim(spec), spec.k)
+    return PointConfiguration(domain=spec.domain, points=x, logdet=logdet), residual, steps
+
+
+def max_lagrange(config: PointConfiguration, spec: BasisSpec, mesh: np.ndarray) -> float:
+    """max over the points i and the nodes y of `mesh` of |l_i(y)|, where
+    l_i(y) = sum_j (K^-1)_ij kappa(x_j . y) = det A(X, x_i -> y) / det A(X)
+    is the i-th Lagrange function of a sphere configuration.  It is at most
+    1 at a Fekete configuration; a node above 1 would raise the logdet.
+
+    The mesh is scanned in blocks of at most _LAGRANGE_BLOCK nodes, as
+    a(y)^T (A K^-1) with the block's harmonics a(y), so no mesh-by-basis
+    matrix of the whole mesh is built.  That product only locates the
+    largest value: the value returned is recomputed from the kernel, with
+    einsum, at the nodes within 1e-9 of it.
+    """
+    x = config.points
+    z = _sphere_state(x, spec.k)[2]
+    w = np.einsum("ki,kj->ij", z, z)
+    aw = np.einsum("bj,ji->bi", basis_matrix(spec, x), w)
+    peak = np.concatenate([
+        np.max(np.abs(basis_matrix(spec, mesh[s : s + _LAGRANGE_BLOCK]).T @ aw), axis=1)
+        for s in range(0, len(mesh), _LAGRANGE_BLOCK)
+    ])
+    near = mesh[peak >= np.max(peak) - 1e-9]
+    lag = np.einsum("ij,nj->ni", w, _kernel(np.einsum("nd,jd->nj", near, x), spec.k)[0])
+    return float(np.max(np.abs(lag)))

@@ -281,13 +281,17 @@ def test_criterion_08_fekete_small_cases():
     fine_cfg, _ = cli._mesh_search(sph.mesh(40000), 1, 2)(sspec)
     sphere_ok = small_cfg.logdet <= brute + 1e-12 and brute <= tetra + 1e-12
     sphere_ok &= 0.0 <= tetra - fine_cfg.logdet <= 1e-4
+    # and the off-mesh kernel Newton solve reaches the tetrahedron itself
+    newton_cfg, _, _ = fk.fekete_sphere(sspec)
+    newton_ok = abs(newton_cfg.logdet - tetra) <= 1e-12
     report(
         8,
         "Fekete small-case oracles",
-        interval_ok and circle_ok and sphere_ok,
+        interval_ok and circle_ok and sphere_ok and newton_ok,
         f"interval triple matches brute force: {interval_ok}, circle equispaced: {circle_ok}, "
         f"sphere k=1 search {small_cfg.logdet:.4f} <= brute force {brute:.4f} <= tetrahedron "
-        f"{tetra:.7f}, fine mesh {tetra - fine_cfg.logdet:.1e} below (<=1e-4): {sphere_ok}",
+        f"{tetra:.7f}, fine mesh {tetra - fine_cfg.logdet:.1e} below (<=1e-4): {sphere_ok}, "
+        f"kernel Newton {abs(newton_cfg.logdet - tetra):.1e} off (<=1e-12): {newton_ok}",
     )
 
 

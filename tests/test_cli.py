@@ -139,15 +139,26 @@ def test_config_rejects_negative_mesh_or_sweeps(tmp_path):
     assert (cfg.mesh, cfg.sweeps) == (0, 0)
 
 
-@pytest.mark.parametrize("key, bad", [("k_min", -1), ("k_min", -5), ("samples", 0), ("samples", -1)])
-def test_config_rejects_a_negative_degree_or_no_samples(key, bad):
-    """A negative k_min used to become an error row per negative degree and
-    samples < 1 one sample per t; both are rejected at load, while
-    k_min = 0 and samples = 1 stay valid."""
-    with pytest.raises(ConfigError, match="nonnegative" if key == "k_min" else "at least 1"):
-        ExperimentConfig(**{key: bad})
-    cfg = ExperimentConfig(k_min=0, samples=1)
-    assert (cfg.k_min, cfg.samples) == (0, 1)
+@pytest.mark.parametrize(
+    "key, bad, t_list",
+    [
+        pytest.param("k_min", -1, (0.05,), id="k_min--1"),
+        pytest.param("k_min", -5, (0.05,), id="k_min--5"),
+        pytest.param("samples", 0, (0.05,), id="samples-0"),
+        pytest.param("samples", -1, (0.05,), id="samples--1"),
+        pytest.param("samples", 1, (0.02, 0.05), id="samples-1-of-2-t"),
+        pytest.param("samples", 2, (0.02, 0.05, 0.1), id="samples-2-of-3-t"),
+    ],
+)
+def test_config_rejects_a_negative_degree_or_no_samples(key, bad, t_list):
+    """A negative k_min used to become an error row per negative degree,
+    and samples below the number of t values one sample per t (the disc
+    and bishop commands draw samples // len(t_list) per t); both are
+    rejected at load, while k_min = 0 and one sample per t stay valid."""
+    with pytest.raises(ConfigError, match="nonnegative" if key == "k_min" else "at least 1 per t value"):
+        ExperimentConfig(**{key: bad, "t_list": t_list})
+    cfg = ExperimentConfig(k_min=0, samples=len(t_list), t_list=t_list)
+    assert (cfg.k_min, cfg.samples) == (0, len(t_list))
 
 
 @pytest.mark.parametrize("text", ["arc:1,2,3", "arc:1", "arc:", "arc:1,x", "cap:0,0,1", "cap:0,0,x,1"])
@@ -201,7 +212,9 @@ def test_cmd_fekete_rejects_a_weight_it_cannot_apply(tmp_path, domain, weight, m
 def test_one_d_rows_carry_their_kkt_residual(tmp_path, monkeypatch):
     """1-D records name the exact search in the header, not mesh or sweeps,
     and a row passes only with its KKT residual within the declared
-    tolerance; sphere records keep the mesh-search header and columns."""
+    tolerance.  Sphere records name the kernel Newton solve and its
+    verification mesh, and carry the KKT residual, the largest Lagrange
+    value, the Newton steps and the Hadamard gap; no sweeps."""
     cfg = ExperimentConfig(domain_text="interval", k_min=2, k_max=4, weight="linear:0.9")
     rec = cmd_fekete(cfg)
     assert rec.calibration == {"reference": "closed-form", "search": "exact-newton", "kkt_tol": fk.KKT_TOL}
@@ -211,8 +224,16 @@ def test_one_d_rows_carry_their_kkt_residual(tmp_path, monkeypatch):
     circle = cmd_fekete(dataclasses.replace(cfg, domain_text="circle", weight="zero"))
     assert [row[res] for row in circle.rows] == [0.0] * 3
     sphere = cmd_fekete(ExperimentConfig(domain_text="sphere", k_min=2, k_max=2, mesh=400, sweeps=1))
-    assert "kkt_residual" not in sphere.columns
-    assert sphere.calibration == {"reference": "closed-form", "mesh": 400, "sweeps": 1}
+    assert sphere.columns[3:9] == [
+        "logdet", "kkt_residual", "max_lagrange", "newton_steps", "hadamard_gap", "dist1",
+    ]
+    assert sphere.calibration == {
+        "reference": "closed-form", "search": "kernel-newton", "kkt_tol": fk.KKT_TOL,
+        "lagrange_tol": fk.LAGRANGE_TOL, "verification_mesh": 400,
+    }
+    row = dict(zip(sphere.columns, sphere.rows[0]))
+    assert row["pass"] and 0.0 <= row["kkt_residual"] <= fk.KKT_TOL and row["newton_steps"] > 0
+    assert 0.0 < row["max_lagrange"] <= 1.0 + fk.LAGRANGE_TOL and row["hadamard_gap"] >= 0.0
     monkeypatch.setattr(fk, "KKT_TOL", -1.0)
     strict = cmd_fekete(cfg)
     assert not any(row[strict.columns.index("pass")] for row in strict.rows)

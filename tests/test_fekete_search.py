@@ -1,7 +1,8 @@
-"""Index-space Fekete search on the sphere and caps: the exchange
-contract, the cached cap rank, the run's shared mesh matrix, the banded
-sphere neighbourhoods, the greedy against a residual-matrix reference and
-its memory, and the benchmark tracer's hooks."""
+"""Index-space Fekete search, which `cmd_fekete` runs on caps and these
+tests also on sphere meshes: the exchange contract, the cached cap rank,
+the run's shared mesh matrix, the banded sphere neighbourhoods, the
+greedy against a residual-matrix reference and its memory, and the
+benchmark tracer's hooks."""
 
 import math
 import subprocess
@@ -277,13 +278,14 @@ def test_benchmark_tracer_sees_the_search_layers(tmp_path):
     """The benchmark's per-layer metrics and its set-up/solve split wrap
     feketelab functions by name; a rename would silently zero them, and a
     solve that called the other public solve would be counted twice.  Runs
-    tiny circle and sphere `fekete`, `bishop` and `disc` commands in a
+    tiny circle, sphere and cap `fekete`, `bishop` and `disc` commands in a
     fresh interpreter, because the tracer patches modules for the life of
     the process, and prints each command's counter increments.  Each
     command's set-up function (perfbench/run.py) must be called, except
     the circle's dictionary build, which the 1-D domains no longer make.
-    The sphere runs the mesh search; the circle must not, since its Fekete
-    configuration is exact."""
+    The cap runs the mesh search; the circle and the full sphere must not,
+    since their Fekete configurations come from `fekete_1d` and
+    `fekete_sphere`."""
     script = textwrap.dedent(
         f"""
         import sys
@@ -315,6 +317,7 @@ def test_benchmark_tracer_sees_the_search_layers(tmp_path):
 
         run("circle", cmd_fekete, ExperimentConfig(domain_text="circle", k_min=2, k_max=3, mesh=256, sweeps=2))
         run("sphere", cmd_fekete, ExperimentConfig(domain_text="sphere", k_min=2, k_max=3, mesh=400, sweeps=1))
+        run("cap", cmd_fekete, ExperimentConfig(domain_text="cap:0,0,1,1.0", k_min=1, k_max=2, mesh=4000, sweeps=1))
         run("bishop", cmd_bishop, ExperimentConfig(grid_m=128, t_list=(0.05,), samples=2))
         run("disc", cmd_disc, ExperimentConfig(grid_m=128, disc_n=1, t_list=(0.05,), samples=1))
         """
@@ -329,9 +332,10 @@ def test_benchmark_tracer_sees_the_search_layers(tmp_path):
         counts.setdefault(label, {})[key] = int(value)
     search = ("fekete.leja_greedy.calls", "fekete.exchange_refine.calls", "fekete.exchange_refine.points_base")
     for key in search:
-        assert counts["sphere"][key] > 0, counts["sphere"]
-    # the circle takes its exact configuration, not the mesh search
-    assert all(counts["circle"][key] == 0 for key in search), counts["circle"]
+        assert counts["cap"][key] > 0, counts["cap"]
+    # the circle and the full sphere take their exact solvers, not the mesh search
+    for label in ("circle", "sphere"):
+        assert all(counts[label][key] == 0 for key in search), counts[label]
     # only the sphere builds a test dictionary; the circle's distances are
     # the two-sided bounds, so its set-up marker is never called
     assert counts["sphere"]["equilibrium.build_dictionaries.calls"] >= 1, counts["sphere"]

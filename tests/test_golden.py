@@ -1,11 +1,10 @@
-"""Golden `fekete` CSVs: the Fekete search must keep choosing the same
+"""Golden `fekete` CSVs: the Fekete solvers must keep choosing the same
 configurations, so each small `cmd_fekete` run is compared byte for byte
 with a CSV committed under tests/data/, and the sphere golden (and the
-benchmark-size sphere greedy) also from fresh interpreters with one and
-two BLAS threads.  The 1-D goldens
-written by the mesh search, before the exact 1-D solver, are kept
-unedited under tests/data/mesh-search/ as lower bounds on the exact
-logdets.
+benchmark-size sphere solve and greedy) also from fresh interpreters with
+one and two BLAS threads.  The 1-D and sphere goldens written by the mesh
+search, before the exact 1-D and sphere solvers, are kept unedited under
+tests/data/mesh-search/ as lower bounds on the exact logdets.
 
 Regenerate goldens with `python tests/test_golden.py NAME...` (src on the
 path)."""
@@ -116,15 +115,39 @@ def test_benchmark_greedy_does_not_depend_on_the_blas_thread_count():
     assert digests[0] == digests[1]
 
 
+def test_benchmark_sphere_solve_does_not_depend_on_the_blas_thread_count():
+    """`fekete_sphere` at the rate-sphere benchmark's top degree (k = 8, 81
+    points) finds the same points, bit for bit, with one and two OpenBLAS
+    threads, each in a fresh interpreter: it factors K and solves its
+    Newton systems with einsum and ufuncs, never BLAS or LAPACK."""
+    if not _openblas_on_two_cores():
+        pytest.skip("numpy's BLAS is not OpenBLAS on two or more cores, so one thread would run")
+    script = (
+        "import hashlib\n"
+        "from feketelab.fekete import BasisSpec, Sphere, fekete_sphere\n"
+        "config, _, _ = fekete_sphere(BasisSpec(Sphere(), 8))\n"
+        "print(hashlib.sha256(config.points.tobytes()).hexdigest())\n"
+    )
+    digests = []
+    for threads in ("1", "2"):
+        proc = subprocess.run(
+            [sys.executable, "-c", script], env=_blas_env(threads), capture_output=True, text=True, timeout=300
+        )
+        assert proc.returncode == 0, proc.stderr
+        digests.append(proc.stdout.strip())
+    assert digests[0] == digests[1]
+
+
 def _logdets(path: Path) -> dict:
     rec = _record_from_csv(str(path))
     k, logdet = rec.columns.index("k"), rec.columns.index("logdet")
     return {int(row[k]): float(row[logdet]) for row in rec.rows}
 
 
-@pytest.mark.parametrize("name", ["arc", "circle", "interval", "interval-linear"])
+@pytest.mark.parametrize("name", ["arc", "circle", "interval", "interval-linear", "sphere"])
 def test_exact_logdets_bound_the_mesh_search_goldens(name):
-    """The exact 1-D optimum is at least what the mesh search found."""
+    """The exact 1-D optimum, and the sphere's local maximum off the mesh,
+    are at least what the mesh search found."""
     exact = _logdets(DATA / f"{name}_fekete.csv")
     mesh = _logdets(DATA / "mesh-search" / f"{name}_fekete.csv")
     assert exact.keys() == mesh.keys()
