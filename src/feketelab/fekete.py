@@ -838,26 +838,40 @@ def fekete_sphere(spec: BasisSpec) -> tuple[PointConfiguration, float, int]:
     return PointConfiguration(domain=spec.domain, points=x, logdet=logdet), residual, steps
 
 
-def max_lagrange(config: PointConfiguration, spec: BasisSpec, mesh: np.ndarray) -> float:
-    """max over the points i and the nodes y of `mesh` of |l_i(y)|, where
+def max_lagrange(configs: dict, mesh: np.ndarray) -> dict:
+    """For each degree k -> sphere configuration X of `configs`, the max
+    over the points i and the nodes y of `mesh` of |l_i(y)|, where
     l_i(y) = sum_j (K^-1)_ij kappa(x_j . y) = det A(X, x_i -> y) / det A(X)
-    is the i-th Lagrange function of a sphere configuration.  It is at most
-    1 at a Fekete configuration; a node above 1 would raise the logdet.
+    is the i-th Lagrange function.  It is at most 1 at a Fekete
+    configuration; a node above 1 would raise the logdet.
 
-    The mesh is scanned in blocks of at most _LAGRANGE_BLOCK nodes, as
-    a(y)^T (A K^-1) with the block's harmonics a(y), so no mesh-by-basis
-    matrix of the whole mesh is built.  That product only locates the
-    largest value: the value returned is recomputed from the kernel, with
-    einsum, at the nodes within 1e-9 of it.
+    One pass verifies every degree.  The mesh is scanned in blocks of at
+    most _LAGRANGE_BLOCK nodes, whose harmonics a(y) are built once, at the
+    largest degree; degree k screens a(y)^T (A K^-1) with their leading
+    (k+1)^2 rows, which are its own harmonics bit for bit.  No mesh-by-basis
+    matrix of the whole mesh is built, and per degree only the nodes within
+    1e-9 of the running maximum are kept.  The product only locates the
+    largest value: the value returned is recomputed at those nodes from the
+    kernel, with einsum.
     """
-    x = config.points
-    z = _sphere_state(x, spec.k)[2]
-    w = np.einsum("ki,kj->ij", z, z)
-    aw = np.einsum("bj,ji->bi", basis_matrix(spec, x), w)
-    peak = np.concatenate([
-        np.max(np.abs(basis_matrix(spec, mesh[s : s + _LAGRANGE_BLOCK]).T @ aw), axis=1)
-        for s in range(0, len(mesh), _LAGRANGE_BLOCK)
-    ])
-    near = mesh[peak >= np.max(peak) - 1e-9]
-    lag = np.einsum("ij,nj->ni", w, _kernel(np.einsum("nd,jd->nj", near, x), spec.k)[0])
-    return float(np.max(np.abs(lag)))
+    w, aw, near, peaks = {}, {}, {}, {}
+    for k, config in configs.items():
+        z = _sphere_state(config.points, k)[2]
+        w[k] = np.einsum("ki,kj->ij", z, z)
+        aw[k] = np.einsum("bj,ji->bi", basis_matrix(BasisSpec(config.domain, k), config.points), w[k])
+        near[k], peaks[k] = np.empty((0, 3)), np.empty(0)
+    top = BasisSpec(Sphere(), max(configs, default=0))
+    for s in range(0, len(mesh), _LAGRANGE_BLOCK):
+        block = mesh[s : s + _LAGRANGE_BLOCK]
+        harmonics = basis_matrix(top, block)
+        for k in configs:
+            prod = harmonics[: len(aw[k])].T @ aw[k]
+            peak = np.concatenate([peaks[k], np.max(np.abs(prod, out=prod), axis=1)])
+            del prod  # so a block holds its harmonics and at most one product
+            keep = peak >= np.max(peak) - 1e-9
+            near[k], peaks[k] = np.concatenate([near[k], block])[keep], peak[keep]
+    out = {}
+    for k, config in configs.items():
+        lag = np.einsum("ij,nj->ni", w[k], _kernel(np.einsum("nd,jd->nj", near[k], config.points), k)[0])
+        out[k] = float(np.max(np.abs(lag)))
+    return out

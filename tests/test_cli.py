@@ -29,7 +29,7 @@ from feketelab.cli import (
 )
 from feketelab.config import ExperimentConfig, load_config, parse_domain
 from feketelab.equilibrium import rate_fit
-from feketelab.errors import ConfigError, ContractionFailure, InputError
+from feketelab.errors import ConfigError, ContractionFailure, InputError, NewtonFailure
 from feketelab.fekete import BasisSpec, Interval, log_vandermonde
 
 
@@ -261,6 +261,75 @@ def test_fekete_timings_split_each_cell_into_search_and_distances(tmp_path):
     for line in lines[2:]:
         total, search, dist = map(float, line.split(",")[1:])
         assert 0.0 <= search + dist <= total
+
+
+def test_sphere_timings_give_each_cell_its_newton_seconds_and_the_scan_one_row(tmp_path):
+    """On the sphere every degree is solved before the one verification
+    scan: each cell's search_s is its own Newton solve, and the scan's wall
+    time is written once, as the verify_s of a `verify` row."""
+    cfg = ExperimentConfig(name="s", domain_text="sphere", k_min=2, k_max=4, mesh=2000, out_dir=str(tmp_path))
+    rec = cmd_fekete(cfg)
+    rec.write_timings(str(tmp_path / "t.csv"))
+    lines = (tmp_path / "t.csv").read_text().splitlines()[1:]
+    assert lines[0] == "cell,seconds,verify_s,search_s,dist_s"
+    cell, seconds, verify, search, dist = lines[1].split(",")
+    assert cell == "verify" and seconds == verify and float(verify) > 0.0 and search == dist == ""
+    assert [line.split(",")[0] for line in lines[2:]] == ["k=2", "k=3", "k=4"]
+    for line in lines[2:]:
+        _, seconds, verify, search, dist = line.split(",")
+        assert verify == "" and float(search) > 0.0 and 0.0 <= float(dist) <= float(seconds)
+
+
+def test_sphere_newton_failure_fails_its_own_row_only(tmp_path, monkeypatch):
+    """A degree whose solve raises is that degree's error row, with the
+    failure as its note; the scan never sees it, and every other degree is
+    still verified and passes."""
+    solve, scan, scanned = fk.fekete_sphere, fk.max_lagrange, []
+
+    def failing(spec):
+        if spec.k == 3:
+            raise NewtonFailure("k = 3: forced")
+        return solve(spec)
+
+    monkeypatch.setattr(fk, "fekete_sphere", failing)
+    monkeypatch.setattr(fk, "max_lagrange", lambda cfgs, mesh: scanned.append(sorted(cfgs)) or scan(cfgs, mesh))
+    cfg = ExperimentConfig(domain_text="sphere", k_min=2, k_max=5, mesh=2000, out_dir=str(tmp_path))
+    rec = cmd_fekete(cfg)
+    rows = {row["k"]: row for row in (dict(zip(rec.columns, r)) for r in rec.rows)}
+    assert scanned == [[2, 4, 5]]
+    assert rows[3]["status"] == "error" and rows[3]["note"] == "NewtonFailure: k = 3: forced"
+    assert rows[3]["max_lagrange"] == rows[3]["pass"] == ""
+    for k in (2, 4, 5):
+        assert rows[k]["status"] == "ok" and rows[k]["pass"] is True
+        assert 0.0 < rows[k]["max_lagrange"] <= 1.0 + fk.LAGRANGE_TOL
+    assert not rec.all_pass()
+
+
+def test_sphere_solves_and_scan_start_after_the_dictionary_build(tmp_path, monkeypatch):
+    """perfbench ends rate-sphere's set-up when `build_dictionaries` first
+    returns, so no sphere solve and no verification scan may start before
+    it does."""
+    from feketelab import equilibrium
+
+    log = []
+
+    def logged(module, name):
+        fn = getattr(module, name)
+
+        def call(*args, **kw):
+            log.append(("start", name))
+            out = fn(*args, **kw)
+            log.append(("end", name))
+            return out
+
+        monkeypatch.setattr(module, name, call)
+
+    for module, name in ((equilibrium, "build_dictionaries"), (fk, "fekete_sphere"), (fk, "max_lagrange")):
+        logged(module, name)
+    cmd_fekete(ExperimentConfig(domain_text="sphere", k_min=2, k_max=4, mesh=2000, out_dir=str(tmp_path)))
+    built = log.index(("end", "build_dictionaries"))
+    assert log[: built + 1] == [("start", "build_dictionaries"), ("end", "build_dictionaries")]
+    assert log.count(("start", "fekete_sphere")) == 3 and log.count(("start", "max_lagrange")) == 1
 
 
 def test_timings_leave_a_phase_blank_where_a_cell_did_not_reach_it(tmp_path):

@@ -94,8 +94,8 @@ def test_sphere_solve_contract(k):
     assert abs(config.logdet - log_vandermonde(config.points, spec)) <= 1e-12 * max(1.0, abs(config.logdet))
     assert 0.0 <= residual <= fk.KKT_TOL and 0 <= steps < fk._TRUST_MAX_STEPS
     assert 0.5 * n * math.log(n / (4 * math.pi)) - config.logdet >= -1e-12
-    assert max_lagrange(config, spec, Sphere().mesh(20000)) <= 1.0 + fk.LAGRANGE_TOL
-    assert abs(max_lagrange(config, spec, config.points) - 1.0) <= 1e-10
+    assert max_lagrange({k: config}, Sphere().mesh(20000))[k] <= 1.0 + fk.LAGRANGE_TOL
+    assert abs(max_lagrange({k: config}, config.points)[k] - 1.0) <= 1e-10
 
 
 def test_tetrahedron_meets_the_hadamard_bound():
@@ -154,14 +154,21 @@ def test_fekete_sphere_takes_the_full_sphere_only():
 
 
 def test_max_lagrange_scans_the_whole_mesh_in_blocks(monkeypatch):
-    """Blocks of 4096 nodes and blocks of 7 give the same value, which is
-    the largest |l_i| over the mesh computed densely."""
-    spec = BasisSpec(Sphere(), 3)
-    config, _, _ = fekete_sphere(spec)
+    """One scan verifies degrees 2..5: blocks of 4096 nodes and blocks of 7
+    give the same values, each the largest |l_i| over the mesh computed
+    densely.  Every degree screens the leading rows of the block's
+    harmonics at the largest degree, which are its own harmonics bit for
+    bit."""
+    configs = {k: fekete_sphere(BasisSpec(Sphere(), k))[0] for k in range(2, 6)}
     mesh = Sphere().mesh(3000)
-    a = basis_matrix(spec, config.points)
-    dense = float(np.max(np.abs(np.linalg.solve(a, basis_matrix(spec, mesh)))))
-    got = max_lagrange(config, spec, mesh)
+    got = max_lagrange(configs, mesh)
     monkeypatch.setattr(fk, "_LAGRANGE_BLOCK", 7)
-    assert max_lagrange(config, spec, mesh) == got
-    assert abs(got - dense) <= 1e-12
+    assert {k: v.hex() for k, v in max_lagrange(configs, mesh).items()} == {k: v.hex() for k, v in got.items()}
+    block = mesh[:4096]
+    top = basis_matrix(BasisSpec(Sphere(), 5), block)
+    for k, config in configs.items():
+        spec = BasisSpec(Sphere(), k)
+        dense = np.max(np.abs(np.linalg.solve(basis_matrix(spec, config.points), basis_matrix(spec, mesh))))
+        assert abs(got[k] - dense) <= 1e-12
+        assert top[: (k + 1) ** 2].tobytes() == basis_matrix(spec, block).tobytes()
+    assert max_lagrange({}, mesh) == {}
