@@ -2,11 +2,13 @@
 """Full Fekete rate study on the three model domains.
 
 Writes one CSV per domain plus log-log plot data under out/rate_study/.
-About 7.3 s end to end on a 2-core Xeon (numpy with OpenBLAS), nearly
-all of it the sphere's kernel Newton solves (k = 12..15 take 1.0 to 1.8 s
-each) and the one Lagrange check of all its degrees on the 40 000-node
-verification mesh (about 0.5 s); the circle and interval cells take under
-0.1 s together.
+About 8-10 s end to end on a 2-core Xeon (numpy with OpenBLAS; four
+runs took 8.2-10.5 s), nearly all of it the sphere's kernel Newton
+solves (k = 12..15 take 1.0 to 1.8 s each) and the one Lagrange check of
+all its degrees on the 40 000-node verification mesh (about 0.5 s); the
+circle and interval cells take under 0.1 s together.  The fitted slopes
+are -0.948 (circle), -0.932 (interval) and -2.439 (sphere, on the
+dictionary lower bound).
 """
 
 import dataclasses

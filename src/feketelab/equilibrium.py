@@ -390,10 +390,12 @@ class TestDictionary:
     lower bound on dist_gamma.  The 1-D domains have none: their bounds
     come from `dist_gamma_bounds`.
 
-    Each member is stored unnormalized; row g of `scales` holds every
-    member's certified norm at gammas[g], and a pairing divides by it.
-    The rows are running maxima across the sorted gamma grid, which makes
-    the resulting distance exactly monotone nonincreasing in gamma.
+    Each member is stored unnormalized; row g of `scales` holds, for
+    every member, a closed-form upper bound on its C^gamma norm at
+    gammas[g], and a pairing divides by it, so every scaled member has
+    norm <= 1.  The rows are running maxima across the sorted gamma grid,
+    which makes the resulting distance exactly monotone nonincreasing in
+    gamma.
 
     `blocks` is the only definition of the members: it evaluates all of
     them on a node set as a sequence of (rows, nodes) value blocks.  A
@@ -434,6 +436,7 @@ def dist_gamma_dict(mu: EmpiricalMeasure, nu, dictionary: TestDictionary) -> dic
 
 _SPHERE_CONES = 200  # cones max(0, 1 - theta) about a 200-point Fibonacci mesh
 _SPHERE_DEGREE = 6  # and the 49 spherical harmonics of degree <= 6
+_SCALE_GRID = 4096  # theta-grid intervals on [0, pi] that bound the harmonics' maxima
 
 
 def build_dictionaries(domain, gammas) -> TestDictionary:
@@ -447,66 +450,81 @@ def build_dictionaries(domain, gammas) -> TestDictionary:
     1); the quotient peaks at theta = 1, so its norm is at most
     1 + (2 sin 1/2)^-gamma.  Its mean under the uniform measure is
     int_0^1 (1 - theta) sin(theta) / 2 dtheta = (1 - sin 1) / 2.  The
-    harmonics are orthonormal, so Y_00 = 1/sqrt(4 pi) is the only one with
-    a nonzero mean; their norms are measured by `_sphere_norms`.
+    harmonics' norms are bounded in closed form too (`_harmonic_scales`);
+    they are orthonormal, so Y_00 = 1/sqrt(4 pi) is the only one with a
+    nonzero mean.
     """
-    from .fekete import BasisSpec, basis_matrix
-
     gammas = check_gammas(gammas)
     if not isinstance(ambient_of(domain), Sphere):
         raise InputError(f"no dictionary for domain {domain!r}: the 1-D domains use dist_gamma_bounds")
     cones = np.repeat(1.0 + (2.0 * math.sin(0.5)) ** -np.array(gammas)[:, None], _SPHERE_CONES, axis=1)
-    harmonics = _sphere_norms(basis_matrix(BasisSpec(Sphere(), _SPHERE_DEGREE), _sphere_norm_mesh()), gammas)
-    norms = np.hstack((cones, harmonics))
+    norms = np.hstack((cones, _harmonic_scales(gammas)))
     means = np.zeros(norms.shape[1])
     means[:_SPHERE_CONES] = 0.5 * (1.0 - math.sin(1.0))
     means[_SPHERE_CONES] = 1.0 / math.sqrt(4.0 * math.pi)
     return TestDictionary(gammas, _sphere_members(), np.maximum.accumulate(norms, axis=0) * (1.0 + 1e-9), means)
 
 
-def _sphere_pair_lags():
-    # Fibonacci-lattice index lags give neighbor pairs at dyadic-ish scales
-    return (1, 2, 3, 5, 8, 13, 21, 34, 55, 89, 144, 233, 377, 610, 987)
+def _harmonic_scales(gammas) -> np.ndarray:
+    """Certified upper bounds on the C^gamma norms of the harmonics of
+    degree <= _SPHERE_DEGREE, in the normalization and column order of
+    `fekete._sphere_matrix`; one row per gamma.
 
+    Y = c P(cos theta) {1, cos m phi, sin m phi}, with c = 1 for m = 0 and
+    sqrt 2 otherwise, has sup S = c max|P|, oscillation osc = max Y - min Y
+    (2 S for m >= 1) and gradient G = c max(|dP/dtheta|, m |P / sin theta|).
+    With sin theta taken with its sign, P, dP/dtheta and P / sin theta are
+    trigonometric polynomials of degree <= l, each even or odd in theta, so
+    Bernstein's inequality bounds each one's maximum by its maximum on a
+    grid of spacing delta over [0, pi] divided by 1 - l delta / 2.
 
-def _sphere_norms(rows, gammas) -> np.ndarray:
-    """sup + Hoelder seminorm over Fibonacci-lag neighbor pairs of the norm
-    mesh, distances capped at 1, of every row of values on the norm mesh
-    (the harmonics'); one row per gamma.
-
-    The lag distances and their powers are computed once and shared by
-    all rows.  Each row is taken in C order, on its own, so no temporary
-    grows beyond one mesh-sized array.
+    Points an angle theta apart differ by at most min(G theta, osc), over
+    a chord capped at 1.  For gamma <= 1, G theta / (2 sin(theta/2))^gamma
+    rises in theta and osc / (2 sin(theta/2))^gamma falls, so on chords
+    below 1 the quotient peaks at theta_c = min(osc / G, pi / 3); past them
+    it is at most min(G pi, osc).  The constant Y_00 has G = osc = 0.
+    All of it is elementwise numpy on one grid: a matrix product here
+    would allocate OpenBLAS's GEMM workspace and raise a sphere run's
+    peak RSS.
     """
-    mesh = _sphere_norm_mesh()
-    lag_pows = []
-    for lag in _sphere_pair_lags():
-        d = np.linalg.norm(mesh[lag:] - mesh[:-lag], axis=1)
-        d = np.minimum(d, 1.0)
-        lag_pows.append((lag, [d**g for g in gammas]))
-    norms = []
-    for vals in map(np.ascontiguousarray, rows):
-        semi = [0.0] * len(gammas)
-        for lag, pows in lag_pows:
-            diff = np.abs(vals[lag:] - vals[:-lag])
-            semi = [max(s, np.max(diff / dg)) for s, dg in zip(semi, pows)]
-        sup = np.max(np.abs(vals))
-        norms.append([sup + s for s in semi])
-    return np.array(norms).T
-
-
-@lru_cache(maxsize=4)
-def _sphere_norm_mesh() -> np.ndarray:
-    return Sphere().mesh(20000)
+    n, delta = _SPHERE_DEGREE, math.pi / _SCALE_GRID
+    theta = np.linspace(0.0, math.pi, _SCALE_GRID + 1)
+    ct, st = np.cos(theta), np.sin(theta)
+    sup, osc, grad = (np.zeros((n + 1) ** 2) for _ in range(3))
+    # rows P, dP/dtheta and P / sin theta of P_m^m, then of P_l^m for l > m
+    seed = np.zeros((3, len(theta)))
+    seed[0] = math.sqrt(1.0 / (4.0 * math.pi))
+    for m in range(n + 1):
+        if m:
+            r = math.sqrt((2.0 * m + 1.0) / (2.0 * m))
+            seed = r * np.stack((st * seed[0], ct * seed[0] + st * seed[1], seed[0]))
+        c = math.sqrt(2.0) if m else 1.0
+        prev, cur = np.zeros_like(seed), seed
+        for l in range(m, n + 1):
+            if l > m:
+                a = math.sqrt((4.0 * l * l - 1.0) / (l * l - m * m))
+                b = math.sqrt(((l - 1.0) ** 2 - m * m) / (4.0 * (l - 1.0) ** 2 - 1.0))
+                nxt = a * (ct * cur - b * prev)
+                nxt[1] -= a * st * cur[0]
+                prev, cur = cur, nxt
+            bern = c / (1.0 - l * delta / 2.0)
+            s = bern * np.max(np.abs(cur[0]))
+            cols = [l * l + 2 * m - 1, l * l + 2 * m] if m else [l * l]
+            sup[cols] = s
+            grad[cols] = bern * max(np.max(np.abs(cur[1])), m * np.max(np.abs(cur[2])))
+            osc[cols] = 2.0 * s if m else min(2.0 * s, np.max(cur[0]) - np.min(cur[0]) + l * delta * s)
+    theta_c = np.minimum(np.divide(osc, grad, out=np.full_like(osc, math.pi / 3.0), where=grad > 0.0), math.pi / 3.0)
+    g = np.array(gammas)[:, None]
+    return sup + np.maximum(grad * theta_c / (2.0 * np.sin(theta_c / 2.0)) ** g, np.minimum(grad * math.pi, osc))
 
 
 def _sphere_members():
-    """The _SPHERE_CONES cones of angular radius 1, whose scales and
-    uniform means are closed form, and the harmonics of degree <=
-    _SPHERE_DEGREE, whose scales are measured: evaluated as one row per
-    cone and then one basis matrix for all harmonics.  Each cone keeps its
-    own `p @ c` product: a single matrix product over all centers rounds
-    differently, as do row means of a basis matrix not in C order."""
+    """The _SPHERE_CONES cones of angular radius 1 and the harmonics of
+    degree <= _SPHERE_DEGREE, all with closed-form scales and uniform
+    means: evaluated as one row per cone and then one basis matrix for
+    all harmonics.  Each cone keeps its own `p @ c` product: a single
+    matrix product over all centers rounds differently, as do row means
+    of a basis matrix not in C order."""
     from .fekete import BasisSpec, basis_matrix
 
     centers = Sphere().mesh(_SPHERE_CONES)

@@ -34,7 +34,7 @@ _TRUST_MAX_STEPS = 150  # trust-region steps of one sphere solve (k = 2..15 take
 _NEWTON_STEP_TOL = 1e-13  # a Newton step this short (on [-1, 1] or in radians) is rounding
 KKT_TOL = 1e-6  # largest |gradient| over the free points of a passing 1-D or sphere row
 LAGRANGE_TOL = 1e-6  # how far max |l_i| on the verification mesh may pass 1 on a passing sphere row
-_LAGRANGE_BLOCK = 4096  # verification-mesh nodes scanned at once
+_LAGRANGE_BLOCK = 1024  # verification-mesh nodes scanned at once; a block and its products fit in L2
 
 
 # ------------------------------------------------------------------ domains

@@ -13,6 +13,7 @@ import math
 import subprocess
 import sys
 import textwrap
+from functools import lru_cache
 from pathlib import Path
 
 import numpy as np
@@ -47,6 +48,7 @@ from feketelab.fekete import (
     Interval,
     Sphere,
     ambient_of,
+    basis_matrix,
     fekete_1d,
     fekete_measure,
 )
@@ -444,12 +446,22 @@ def test_reach_of_arc_atoms_sees_the_ends_and_the_wrap():
 
 
 # ---------------------------------------------------- sphere dictionaries
+# The lag-scan oracle: sup plus the Hoelder quotient over Fibonacci-lag
+# neighbor pairs of a 20 000-node mesh, a lower bound on a member's norm.
+def _sphere_pair_lags():
+    # Fibonacci-lattice index lags give neighbor pairs at dyadic-ish scales
+    return (1, 2, 3, 5, 8, 13, 21, 34, 55, 89, 144, 233, 377, 610, 987)
+
+
+@lru_cache(maxsize=1)
+def _sphere_norm_mesh() -> np.ndarray:
+    return Sphere().mesh(20000)
+
+
 def test_dictionary_certified_norms():
     """Every scaled member of the sphere dictionary has grid-estimated
-    C^gamma norm at most 1, for every gamma, on the mesh and the
-    Fibonacci-lag pairs its scales were measured on."""
-    from feketelab.equilibrium import _sphere_norm_mesh, _sphere_pair_lags
-
+    C^gamma norm at most 1, for every gamma, on a 20 000-node mesh and
+    its Fibonacci-lag pairs."""
     gammas = (0.5, 1.0)
     dct = build_dictionaries(Sphere(), gammas)
     mesh = _sphere_norm_mesh()
@@ -509,8 +521,6 @@ def test_cone_scale_is_certified_and_reached(gamma):
     closed form; at gamma = 1 the lag pairs alone do too (0.4-2.5% below
     it), while at gamma = 0.5 they fall 0.9-19% below it, on the cones
     where no lag pair from near the centre spans an angle near 1."""
-    from feketelab.equilibrium import _sphere_norm_mesh, _sphere_pair_lags
-
     dct = build_dictionaries(Sphere(), (gamma,))
     closed = 1.0 + (2.0 * math.sin(0.5)) ** -gamma
     assert np.all(dct.scales[0, :200] == closed * (1.0 + 1e-9))
@@ -581,6 +591,59 @@ def test_sphere_dictionary_members_certified():
     vals = np.concatenate(list(dct.blocks(mesh)))
     assert vals.shape == (200 + 49, len(mesh))
     assert np.all(np.max(np.abs(vals), axis=1) <= dct.scales[1] * (1.0 + 1e-6))
+
+
+@pytest.mark.parametrize("gamma", [0.5, 1.0])
+def test_harmonic_scales_cover_and_track_sampled_norms(gamma):
+    """Two lower bounds on each harmonic's C^gamma norm stay at or below
+    its scale: sup + (max - min) / min(|x_max - x_min|, 1)^gamma over a
+    200 000-node mesh, and the mesh sup plus the largest quotient over
+    200 000 seeded random pairs at angles in (0, pi].  Y_10 = sqrt(3 / 4 pi) z
+    has its extremes at the poles, 2 apart, so its norm is at least
+    3 sqrt(3 / 4 pi) = 1.4657, which Fibonacci-lag pairs never see.  The
+    scales are also tight: at most 1.05 (gamma = 1) and 1.25 (gamma = 0.5)
+    times the sampled norm, which they pass by up to 3.2% and 19.3%."""
+    spec = BasisSpec(Sphere(), 6)
+    scales = build_dictionaries(Sphere(), (gamma,)).scales[0, 200:]
+    mesh = Sphere().mesh(200000)
+    hi, lo, x_hi, x_lo = np.full(49, -np.inf), np.full(49, np.inf), np.zeros((49, 3)), np.zeros((49, 3))
+    for s in range(0, len(mesh), 20000):
+        block = mesh[s : s + 20000]
+        vals = basis_matrix(spec, block)
+        i, j = np.argmax(vals, axis=1), np.argmin(vals, axis=1)
+        up, down = vals[range(49), i] > hi, vals[range(49), j] < lo
+        hi[up], x_hi[up] = vals[range(49), i][up], block[i[up]]
+        lo[down], x_lo[down] = vals[range(49), j][down], block[j[down]]
+    sup = np.maximum(hi, -lo)
+    chord = np.minimum(np.linalg.norm(x_hi - x_lo, axis=1), 1.0) ** gamma
+    assert np.all(sup + (hi - lo) / np.where(hi > lo, chord, 1.0) <= scales)
+    assert sup[1] + hi[1] - lo[1] > 1.4657 and chord[1] == 1.0
+
+    rng = np.random.default_rng(33)
+    quotient = np.zeros(49)
+    for _ in range(10):
+        x = rng.standard_normal((20000, 3))
+        x /= np.linalg.norm(x, axis=1)[:, None]
+        y = _at_angle(x, math.pi - rng.uniform(0.0, math.pi, 20000), rng)
+        d = np.minimum(np.linalg.norm(x - y, axis=1), 1.0) ** gamma
+        quotient = np.maximum(quotient, np.max(np.abs(basis_matrix(spec, x) - basis_matrix(spec, y)) / d, axis=1))
+    sampled = sup + quotient
+    assert np.all(sampled <= scales)
+    assert np.all(scales <= sampled * (1.05 if gamma == 1.0 else 1.25))
+
+
+def test_building_the_sphere_dictionary_allocates_under_a_megabyte():
+    """The scales come from a one-dimensional theta grid: no value matrix
+    of the members on a sphere mesh is built."""
+    import tracemalloc
+
+    tracemalloc.start()
+    try:
+        build_dictionaries(Sphere(), (0.5, 1.0))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 1 << 20
 
 
 # ------------------------------------------- 1-D test-dictionary oracle
@@ -863,9 +926,9 @@ def test_line_dictionaries_reject_gamma_above_one(domain, gamma):
 
 
 def test_sphere_dictionary_evaluates_basis_once_per_node_set(monkeypatch):
-    """The 49 harmonics come from one basis evaluation per node set: the
-    norm mesh at build time, then the atoms at each pairing; the uniform
-    reference's means are closed form."""
+    """The 49 harmonics come from one basis evaluation per node set: none
+    at build time, where their scales are closed form, then the atoms at
+    each pairing; the uniform reference's means are closed form."""
     import feketelab.fekete as fk
 
     calls = []
@@ -877,7 +940,7 @@ def test_sphere_dictionary_evaluates_basis_once_per_node_set(monkeypatch):
 
     monkeypatch.setattr(fk, "basis_matrix", counting)
     dct = build_dictionaries(Sphere(), (1.0,))
-    assert calls == [20000]
+    assert calls == []
     nu = equilibrium_reference(Sphere())
     mu = EmpiricalMeasure(Sphere(), Sphere().mesh(30))
     for _ in range(2):
@@ -984,8 +1047,8 @@ def test_build_dictionaries_scans_a_repeated_gamma_once(monkeypatch):
     from feketelab import equilibrium as eq
 
     scanned = []
-    real = eq._sphere_norms
-    monkeypatch.setattr(eq, "_sphere_norms", lambda blocks, gammas: scanned.append(gammas) or real(blocks, gammas))
+    real = eq._harmonic_scales
+    monkeypatch.setattr(eq, "_harmonic_scales", lambda gammas: scanned.append(gammas) or real(gammas))
     repeated = build_dictionaries(Sphere(), (1.0, 1.0))
     single = build_dictionaries(Sphere(), (1.0,))
     assert scanned == [(1.0,), (1.0,)]

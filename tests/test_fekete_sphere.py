@@ -154,8 +154,8 @@ def test_fekete_sphere_takes_the_full_sphere_only():
 
 
 def test_max_lagrange_scans_the_whole_mesh_in_blocks(monkeypatch):
-    """One scan verifies degrees 2..5: blocks of 4096 nodes and blocks of 7
-    give the same values, each the largest |l_i| over the mesh computed
+    """One scan verifies degrees 2..5: the default blocks of 1024 nodes and
+    blocks of 7 give the same values, each the largest |l_i| over the mesh computed
     densely.  Every degree screens the leading rows of the block's
     harmonics at the largest degree, which are its own harmonics bit for
     bit."""
